@@ -77,36 +77,45 @@ def load_pretrained_text(path, vocab, dim, fallback_seed=0):
     return table
 
 
+def _window_ids(ids, window):
+    """Row k holds the ids at positions k-half .. k+half, with PAD_ID where
+    the window leaves the sentence."""
+    n = len(ids)
+    half = window // 2
+    padded = np.full(n + 2 * half, PAD_ID, dtype=np.intp)
+    padded[half:half + n] = ids
+    return padded[np.arange(n)[:, None] + np.arange(window)]
+
+
 def compose_ngram_inputs(ids, table, window):
     """Concatenate `window` consecutive embedding rows per position, with
-    zero vectors where the window leaves the sentence."""
+    zero vectors where the window leaves the sentence (the padding row)."""
     if window < 1 or window % 2 == 0:
         raise EvenWindow(f"window size must be odd and positive, got {window}")
     if not len(ids):
         raise ValueError("empty id sequence")
-    half = window // 2
-    emb = table.matrix
-    n = len(ids)
-    dim = emb.shape[1]
-    out = np.zeros((n, window * dim))
-    for k in range(n):
-        for j, pos in enumerate(range(k - half, k + half + 1)):
-            if 0 <= pos < n:
-                out[k, j * dim:(j + 1) * dim] = emb[ids[pos]]
-    return out
+    return table.matrix[_window_ids(ids, window)].reshape(len(ids), -1)
 
 
 def input_grads_to_embeddings(d_inputs, ids, window, vocab_size, dim):
     """Scatter gradients w.r.t. composed windows back onto embedding rows.
 
-    The padding row stays zero: it never receives updates.
+    Returns ``(row_ids, row_grads)``: the sorted ids of the rows the
+    sentence touches and their summed gradients. The padding row is never
+    among them: it receives no updates.
     """
-    half = window // 2
-    n = len(ids)
-    grads = np.zeros((vocab_size, dim))
-    for k in range(n):
-        for j, pos in enumerate(range(k - half, k + half + 1)):
-            if 0 <= pos < n:
-                grads[ids[pos]] += d_inputs[k, j * dim:(j + 1) * dim]
-    grads[PAD_ID] = 0.0
-    return grads
+    win_ids = _window_ids(ids, window).reshape(-1)
+    slots = win_ids != PAD_ID
+    win_ids = win_ids[slots]
+    touched = np.zeros(vocab_size, dtype=bool)
+    touched[win_ids] = True
+    row_ids = np.flatnonzero(touched)
+    # one flat bincount adds each slot's vector into its row in slot order,
+    # the order a loop over windows would use
+    cells = np.searchsorted(row_ids, win_ids)[:, None] * dim + np.arange(dim)
+    row_grads = np.bincount(
+        cells.reshape(-1), weights=d_inputs.reshape(-1, dim)[slots].reshape(-1),
+        minlength=len(row_ids) * dim,
+    )
+    # an empty bincount comes back as integers
+    return row_ids, row_grads.reshape(-1, dim).astype(float, copy=False)

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import embeddings as emb_mod
 from .corpus import (
+    PAD_ID,
     LabeledSentence,
     Vocabulary,
     build_vocabulary,
@@ -136,7 +137,9 @@ class ForwardCache:
 def forward_pass(params, x):
     """Run the three recurrences; the combined state at step t adds the
     forward state after t steps and the backward state after t steps."""
-    x = np.asarray(x, dtype=float)
+    # one memory layout for every caller: the input projections below are
+    # matrix products, whose rounding can depend on the layout
+    x = np.ascontiguousarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ShapeMismatch("input must be a non-empty (n, window*dim) array")
     if x.shape[1] != params.in_fwd.shape[0]:
@@ -145,26 +148,27 @@ def forward_pass(params, x):
         )
     n = x.shape[0]
     hidden = params.hidden_size
-    h_fwd = np.zeros((n, hidden))
-    h_bwd = np.zeros((n, hidden))
-    h_comb = np.zeros((n, hidden))
+    h_fwd = np.empty((n, hidden))
+    h_bwd = np.empty((n, hidden))
+    h_comb = np.empty((n, hidden))
 
+    in_fwd = x @ params.in_fwd
     prev = np.zeros(hidden)
+    # ``v.dot(m)`` is the same BLAS call as ``v @ m`` with less overhead
     for t in range(n):
-        prev = np.tanh(x[t] @ params.in_fwd + prev @ params.rec_fwd)
-        h_fwd[t] = prev
+        prev = np.tanh(in_fwd[t] + prev.dot(params.rec_fwd), out=h_fwd[t])
 
+    in_bwd = x @ params.in_bwd
     nxt = np.zeros(hidden)
     for p in range(n - 1, -1, -1):
-        nxt = np.tanh(x[p] @ params.in_bwd + nxt @ params.rec_bwd)
-        h_bwd[p] = nxt
+        nxt = np.tanh(in_bwd[p] + nxt.dot(params.rec_bwd), out=h_bwd[p])
 
+    # after t+1 steps the backward chain has consumed words n..n-t, whose
+    # state sits at position n-1-t
+    in_comb = h_fwd + h_bwd[::-1]
     prev = np.zeros(hidden)
     for t in range(n):
-        # after t+1 steps the backward chain has consumed words n..n-t,
-        # whose state sits at position n-1-t
-        prev = np.tanh(h_fwd[t] + h_bwd[n - 1 - t] + prev @ params.rec_comb)
-        h_comb[t] = prev
+        prev = np.tanh(in_comb[t] + prev.dot(params.rec_comb), out=h_comb[t])
 
     scores = h_comb[n - 1] @ params.out_w + params.out_b
     return ForwardCache(
@@ -210,12 +214,31 @@ class Gradients:
         }
 
 
+def _bptt(rec, h, d_ext):
+    """Backpropagate through ``h[s] = tanh(... + h[s-1] @ rec)`` from the
+    last step to the first; ``d_ext[s]`` is the gradient reaching ``h[s]``
+    from outside the chain. Returns the pre-activation gradient of every
+    step, one row each."""
+    deriv = 1.0 - h ** 2
+    dA = np.empty(h.shape)
+    d = d_ext[-1]
+    for s in range(len(h) - 1, -1, -1):
+        da = np.multiply(d, deriv[s], out=dA[s])
+        if s:
+            d = d_ext[s - 1] + rec.dot(da)
+    return dA
+
+
 def loss_gradients(params, cache, y_plus, cfg):
     """Exact gradients of the ranking loss w.r.t. every weight matrix and
-    the composed input vectors."""
+    the composed input vectors.
+
+    Only the recurrences through the hidden states run step by step; they
+    record each chain's pre-activation gradients ``dA`` (one row per step),
+    from which every weight gradient is one matrix product.
+    """
     x = cache.inputs
     n = x.shape[0]
-    hidden = params.hidden_size
 
     _, c_minus = ranking_loss(cache.scores, y_plus, cfg)
     d_scores = np.zeros(params.n_classes)
@@ -226,47 +249,24 @@ def loss_gradients(params, cache, y_plus, cfg):
         cfg.gamma * (cfg.m_minus + cache.scores[c_minus])
     )
 
-    g = Gradients(
-        in_fwd=np.zeros_like(params.in_fwd),
-        in_bwd=np.zeros_like(params.in_bwd),
-        rec_fwd=np.zeros_like(params.rec_fwd),
-        rec_bwd=np.zeros_like(params.rec_bwd),
-        rec_comb=np.zeros_like(params.rec_comb),
+    d_top = np.zeros((n, params.hidden_size))
+    d_top[n - 1] = params.out_w @ d_scores
+    dA_comb = _bptt(params.rec_comb, cache.h_comb, d_top)
+    # combined step t reads forward position t and backward position n-1-t,
+    # which is step t of the backward chain
+    dA_fwd = _bptt(params.rec_fwd, cache.h_fwd, dA_comb)
+    dA_bwd = _bptt(params.rec_bwd, cache.h_bwd[::-1], dA_comb)[::-1]
+
+    return Gradients(
+        in_fwd=x.T @ dA_fwd,
+        in_bwd=x.T @ dA_bwd,
+        rec_fwd=cache.h_fwd[:-1].T @ dA_fwd[1:],
+        rec_bwd=cache.h_bwd[1:].T @ dA_bwd[:-1],
+        rec_comb=cache.h_comb[:-1].T @ dA_comb[1:],
         out_w=np.outer(cache.h_comb[n - 1], d_scores),
         out_b=d_scores.copy(),
-        d_inputs=np.zeros_like(x),
+        d_inputs=dA_fwd @ params.in_fwd.T + dA_bwd @ params.in_bwd.T,
     )
-
-    d_h_fwd = np.zeros((n, hidden))
-    d_h_bwd = np.zeros((n, hidden))
-    d_h_comb = np.zeros((n, hidden))
-    d_h_comb[n - 1] = params.out_w @ d_scores
-
-    for t in range(n - 1, -1, -1):
-        da = d_h_comb[t] * (1.0 - cache.h_comb[t] ** 2)
-        if t > 0:
-            g.rec_comb += np.outer(cache.h_comb[t - 1], da)
-            d_h_comb[t - 1] += params.rec_comb @ da
-        d_h_fwd[t] += da
-        d_h_bwd[n - 1 - t] += da
-
-    for t in range(n - 1, -1, -1):
-        da = d_h_fwd[t] * (1.0 - cache.h_fwd[t] ** 2)
-        g.in_fwd += np.outer(x[t], da)
-        if t > 0:
-            g.rec_fwd += np.outer(cache.h_fwd[t - 1], da)
-            d_h_fwd[t - 1] += params.rec_fwd @ da
-        g.d_inputs[t] += params.in_fwd @ da
-
-    for p in range(n):
-        da = d_h_bwd[p] * (1.0 - cache.h_bwd[p] ** 2)
-        g.in_bwd += np.outer(x[p], da)
-        if p < n - 1:
-            g.rec_bwd += np.outer(cache.h_bwd[p + 1], da)
-            d_h_bwd[p + 1] += params.rec_bwd @ da
-        g.d_inputs[p] += params.in_bwd @ da
-
-    return g
 
 
 def gradient_check(params, x, y_plus, cfg, eps=1e-5, analytic=None):
@@ -307,22 +307,27 @@ def gradient_check(params, x, y_plus, cfg, eps=1e-5, analytic=None):
 
 
 def global_grad_norm(grads, emb_grads=None):
-    total = sum(float(np.sum(a ** 2)) for a in grads.param_arrays().values())
+    """Euclidean norm over every weight gradient and, when given, the
+    embedding rows ``(row_ids, row_grads)`` an example touched."""
+    arrays = list(grads.param_arrays().values())
     if emb_grads is not None:
-        total += float(np.sum(emb_grads ** 2))
-    return np.sqrt(total)
+        arrays.append(emb_grads[1])
+    return np.sqrt(sum(float(np.vdot(a, a)) for a in arrays))
 
 
 def sgd_step(params, grads, learning_rate, clip_norm,
              table=None, emb_grads=None):
-    """Clip by global norm, then take one gradient step in place."""
+    """Clip by global norm, then take one gradient step in place; only the
+    embedding rows listed in ``emb_grads`` move."""
     norm = global_grad_norm(grads, emb_grads)
     scale = 1.0 if norm <= clip_norm else clip_norm / norm
     step = learning_rate * scale
+    grad_arrays = grads.param_arrays()
     for name, array in params.arrays().items():
-        array -= step * grads.param_arrays()[name]
+        array -= step * grad_arrays[name]
     if table is not None and emb_grads is not None and table.trainable:
-        table.matrix -= step * emb_grads
+        row_ids, row_grads = emb_grads
+        table.matrix[row_ids] -= step * row_grads
     return params
 
 
@@ -495,6 +500,12 @@ def _parse_kv(parts):
     return dict(p.split("=", 1) for p in parts)
 
 
+def _finite(section, array):
+    if not np.all(np.isfinite(array)):
+        raise ModelFormatError(f"{section}: non-finite value")
+    return array
+
+
 def load_model(path):
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -546,9 +557,12 @@ def load_model(path):
     if head[0] != "embeddings":
         raise ModelFormatError("expected embeddings section")
     rows, dim, trainable = int(head[1]), int(head[2]), bool(int(head[3]))
-    matrix = np.array(
+    matrix = _finite("embeddings", np.array(
         [[float(v) for v in take().split()] for _ in range(rows)]
-    ).reshape(rows, dim)
+    ).reshape(rows, dim))
+    if rows and np.any(matrix[PAD_ID]):
+        # N-gram windows read this row where they leave the sentence
+        raise ModelFormatError("embeddings: padding row must be zero")
     table = EmbeddingTable(matrix=matrix, trainable=trainable)
 
     arrays = {}
@@ -558,12 +572,14 @@ def load_model(path):
             break
         if head[0] == "matrix":
             name, r, c = head[1], int(head[2]), int(head[3])
-            arrays[name] = np.array(
+            arrays[name] = _finite(f"matrix {name}", np.array(
                 [[float(v) for v in take().split()] for _ in range(r)]
-            ).reshape(r, c)
+            ).reshape(r, c))
         elif head[0] == "vector":
             name, r = head[1], int(head[2])
-            arrays[name] = np.array([float(v) for v in take().split()])
+            arrays[name] = _finite(f"vector {name}", np.array(
+                [float(v) for v in take().split()]
+            ))
         else:
             raise ModelFormatError(f"unexpected section {head[0]}")
     params = CBRNNParams(**arrays)

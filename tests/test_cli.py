@@ -153,3 +153,19 @@ def test_repeat_run_byte_identical(tmp_path, quick_model):
                        "--data", str(quick_model["test"]), "--out", str(out)])
         assert rc == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("section, value", [("matrix out_w", "nan"),
+                                            ("embeddings", "1")])
+def test_eval_rejects_bad_weights_exit_2(tmp_path, quick_model, capsys,
+                                         section, value):
+    """A NaN model predicts the first label for every sentence; a non-zero
+    padding row changes every boundary window. Neither may evaluate."""
+    lines = quick_model["model"].read_text().split("\n")
+    head = next(i for i, line in enumerate(lines) if line.startswith(section))
+    lines[head + 1] = " ".join(value for _ in lines[head + 1].split())
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines))
+    rc = cli.main(["eval", "--model", str(bad), "--data", str(quick_model["test"])])
+    assert rc == 2
+    assert section in capsys.readouterr().err

@@ -107,6 +107,17 @@ def test_forward_shape_mismatch():
         forward_pass(p, np.ones((0, 6)))
 
 
+def test_forward_ignores_input_memory_layout():
+    """Equal values give bit-equal outputs whatever the memory layout; the
+    input projections are matrix products, whose rounding can depend on it."""
+    p = init_params(150, 100, 19, np.random.default_rng(0))
+    x = np.random.default_rng(1).uniform(-0.1, 0.1, size=(40, 150))
+    a = forward_pass(p, x)
+    b = forward_pass(p, np.asfortranarray(x))
+    for name in ("h_fwd", "h_bwd", "h_comb", "scores", "probs"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 def test_reversal_symmetry_with_swapped_directions():
     """Reversing the input and swapping forward/backward weights leaves the
     scores unchanged when the combined recurrence is zero."""
