@@ -13,7 +13,7 @@ import sys
 
 from . import corpus, interpret, model as model_mod
 from .corpus import CorpusError, CorpusSplit, load_corpus_file
-from .embeddings import DimensionMismatch, EvenWindow, MalformedLine, load_pretrained_text
+from .embeddings import DimensionMismatch, EvenWindow, MalformedLine
 from .interpret import UnknownRelation
 from .model import LossConfig, TrainConfig
 
@@ -36,15 +36,17 @@ def _read_config_file(path):
     return values
 
 
-def _merge_config(args, parser):
-    """Values from --config fill in flags the user did not set explicitly."""
+def _merge_config(args, parser, argv):
+    """Values from --config fill in flags that ``argv`` does not give."""
     if not getattr(args, "config", None):
         return args
     file_values = _read_config_file(args.config)
-    explicit = {
-        a.dest for a in parser._actions
-        if getattr(args, a.dest, None) != a.default
-    }
+    # argparse leaves a destination alone unless its flag is in argv
+    unset = object()
+    given = parser.parse_args(
+        argv, namespace=argparse.Namespace(**dict.fromkeys(vars(args), unset))
+    )
+    explicit = {dest for dest, value in vars(given).items() if value is not unset}
     for key, raw in file_values.items():
         if key in explicit or not hasattr(args, key):
             continue
@@ -106,12 +108,7 @@ def cmd_train(args):
     )
     loss_cfg = LossConfig(gamma=args.gamma, m_plus=args.m_plus,
                           m_minus=args.m_minus)
-    pretrained = None
-    if args.embeddings:
-        vocab = corpus.build_vocabulary(split.train, min_count=args.min_count)
-        pretrained = load_pretrained_text(args.embeddings, vocab, args.dim,
-                                          fallback_seed=args.seed)
-    model = model_mod.train(split, train_cfg, loss_cfg, pretrained=pretrained)
+    model = model_mod.train(split, train_cfg, loss_cfg, pretrained=args.embeddings)
     model_mod.save_model(model, args.out)
     if args.metrics:
         lines = [
@@ -246,10 +243,11 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "train":
-        args = _merge_config(args, parser.train_parser)
+        args = _merge_config(args, parser.train_parser, argv[1:])
         if bool(args.data) == bool(args.synthetic):
             print("error: exactly one of --data / --synthetic is required",
                   file=sys.stderr)

@@ -84,22 +84,30 @@ def _relation_index(model, relation):
     return model.label_set.index(relation)
 
 
-def prefix_curve(model, sentence, relation, lookahead=False):
-    """Score every word-prefix of the sentence; each prefix is an independent
-    forward run because the backward chain depends on the prefix length."""
-    tokens, sid = _tokens_of(sentence)
-    r_idx = _relation_index(model, relation)
+def _prefix_probs(model, tokens, lookahead=False):
+    """Yield the class-probability row of each word-prefix, shortest first.
+
+    Each prefix is an independent forward run because the backward chain
+    depends on the prefix length; a caller that stops early scores no later
+    prefix.
+    """
     window = model.train_cfg.window
     ids = [model.vocab.id_of(t) for t in tokens]
     full = compose_ngram_inputs(ids, model.table, window) if lookahead else None
-
-    points = []
     for k in range(1, len(tokens) + 1):
         if lookahead:
             x = full[:k]
         else:
             x = compose_ngram_inputs(ids[:k], model.table, window)
-        probs = forward_pass(model.params, x).probs
+        yield forward_pass(model.params, x).probs
+
+
+def prefix_curve(model, sentence, relation, lookahead=False):
+    """Score every word-prefix of the sentence."""
+    tokens, sid = _tokens_of(sentence)
+    r_idx = _relation_index(model, relation)
+    points = []
+    for k, probs in enumerate(_prefix_probs(model, tokens, lookahead), start=1):
         p_idx = int(np.argmax(probs))
         points.append(CurvePoint(
             k=k, token=tokens[k - 1],
@@ -112,44 +120,32 @@ def prefix_curve(model, sentence, relation, lookahead=False):
 
 @dataclass
 class FixedCurveModel:
-    """Replays a fixed per-prefix probability curve; stands in for a trained
-    model in pattern-extraction fixtures."""
+    """A fixed per-prefix target-probability curve that ``extract_pattern``
+    searches in place of a trained model's; pattern-extraction fixtures use
+    it."""
     probs: tuple
-    label_set: tuple = ()
 
-    def prefix_target_probs(self, tokens, relation):
-        if len(self.probs) != len(tokens):
+
+def _target_probs(model, tokens, relation):
+    if isinstance(model, FixedCurveModel):
+        if len(model.probs) != len(tokens):
             raise ValueError("curve length does not match sentence length")
-        return list(self.probs)
-
-
-def _prefix_target_probs(model, tokens, relation):
-    scripted = getattr(model, "prefix_target_probs", None)
-    if scripted is not None:
-        return scripted(tokens, relation)
+        return model.probs
     r_idx = _relation_index(model, relation)
-    window = model.train_cfg.window
-    ids = [model.vocab.id_of(t) for t in tokens]
-    probs = []
-    for k in range(1, len(tokens) + 1):
-        x = compose_ngram_inputs(ids[:k], model.table, window)
-        probs.append(float(forward_pass(model.params, x).probs[r_idx]))
-    return probs
+    return (float(probs[r_idx]) for probs in _prefix_probs(model, tokens))
 
 
 def extract_pattern(model, sentence, relation, tau=0.5, window=3,
                     lookahead=True):
     """Return the last window of the first prefix whose target probability
-    reaches tau, or None when no prefix crosses."""
+    reaches tau, or None when no prefix crosses. Prefixes after the
+    crossing are not scored."""
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
     if window < 1 or window % 2 == 0:
         raise EvenWindow(f"window size must be odd and positive, got {window}")
     tokens, sid = _tokens_of(sentence)
-    if model.label_set and relation not in model.label_set:
-        raise UnknownRelation(f"relation {relation!r} not in label set")
-    probs = _prefix_target_probs(model, tokens, relation)
-    for k, p in enumerate(probs, start=1):
+    for k, p in enumerate(_target_probs(model, tokens, relation), start=1):
         if p >= tau:
             source = tokens if lookahead else tokens[:k]
             return SaliencyPattern(

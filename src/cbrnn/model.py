@@ -9,7 +9,7 @@ final step. Training minimizes a margin ranking loss on the raw scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -78,15 +78,27 @@ class TrainConfig:
             raise ValueError("clip_norm must be positive")
 
 
+def _weight(*dims):
+    return field(metadata={"dims": dims})
+
+
 @dataclass
 class CBRNNParams:
-    in_fwd: np.ndarray    # (window*dim, hidden)
-    in_bwd: np.ndarray    # (window*dim, hidden)
-    rec_fwd: np.ndarray   # (hidden, hidden)
-    rec_bwd: np.ndarray   # (hidden, hidden)
-    rec_comb: np.ndarray  # (hidden, hidden)
-    out_w: np.ndarray     # (hidden, n_classes)
-    out_b: np.ndarray     # (n_classes,)
+    """The weight arrays; their gradients come in the same container."""
+    in_fwd: np.ndarray = _weight("input", "hidden")
+    in_bwd: np.ndarray = _weight("input", "hidden")
+    rec_fwd: np.ndarray = _weight("hidden", "hidden")
+    rec_bwd: np.ndarray = _weight("hidden", "hidden")
+    rec_comb: np.ndarray = _weight("hidden", "hidden")
+    out_w: np.ndarray = _weight("hidden", "classes")
+    out_b: np.ndarray = _weight("classes")
+
+    @staticmethod
+    def shapes(input_dim, hidden_size, n_classes):
+        """Shape of every array, in field order; input_dim is window*dim."""
+        size = {"input": input_dim, "hidden": hidden_size, "classes": n_classes}
+        return {f.name: tuple(size[d] for d in f.metadata["dims"])
+                for f in fields(CBRNNParams)}
 
     @property
     def hidden_size(self):
@@ -104,16 +116,12 @@ class CBRNNParams:
 
 
 def init_params(input_dim, hidden_size, n_classes, rng):
-    def u(shape):
-        return rng.uniform(-0.1, 0.1, size=shape)
-
+    """Uniform[-0.1, 0.1] weights drawn in field order, zero output bias."""
+    shapes = CBRNNParams.shapes(input_dim, hidden_size, n_classes)
+    del shapes["out_b"]
     return CBRNNParams(
-        in_fwd=u((input_dim, hidden_size)),
-        in_bwd=u((input_dim, hidden_size)),
-        rec_fwd=u((hidden_size, hidden_size)),
-        rec_bwd=u((hidden_size, hidden_size)),
-        rec_comb=u((hidden_size, hidden_size)),
-        out_w=u((hidden_size, n_classes)),
+        **{name: rng.uniform(-0.1, 0.1, size=shape)
+           for name, shape in shapes.items()},
         out_b=np.zeros(n_classes),
     )
 
@@ -195,25 +203,6 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-@dataclass
-class Gradients:
-    in_fwd: np.ndarray
-    in_bwd: np.ndarray
-    rec_fwd: np.ndarray
-    rec_bwd: np.ndarray
-    rec_comb: np.ndarray
-    out_w: np.ndarray
-    out_b: np.ndarray
-    d_inputs: np.ndarray
-
-    def param_arrays(self):
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name != "d_inputs"
-        }
-
-
 def _bptt(rec, h, d_ext):
     """Backpropagate through ``h[s] = tanh(... + h[s-1] @ rec)`` from the
     last step to the first; ``d_ext[s]`` is the gradient reaching ``h[s]``
@@ -230,8 +219,9 @@ def _bptt(rec, h, d_ext):
 
 
 def loss_gradients(params, cache, y_plus, cfg):
-    """Exact gradients of the ranking loss w.r.t. every weight matrix and
-    the composed input vectors.
+    """Ranking loss and its exact gradients: returns ``(loss, grads,
+    d_inputs)``, with the weight gradients in a ``CBRNNParams`` and
+    ``d_inputs`` the gradient w.r.t. the composed input vectors.
 
     Only the recurrences through the hidden states run step by step; they
     record each chain's pre-activation gradients ``dA`` (one row per step),
@@ -240,7 +230,7 @@ def loss_gradients(params, cache, y_plus, cfg):
     x = cache.inputs
     n = x.shape[0]
 
-    _, c_minus = ranking_loss(cache.scores, y_plus, cfg)
+    loss, c_minus = ranking_loss(cache.scores, y_plus, cfg)
     d_scores = np.zeros(params.n_classes)
     d_scores[y_plus] -= cfg.gamma * _sigmoid(
         cfg.gamma * (cfg.m_plus - cache.scores[y_plus])
@@ -257,7 +247,7 @@ def loss_gradients(params, cache, y_plus, cfg):
     dA_fwd = _bptt(params.rec_fwd, cache.h_fwd, dA_comb)
     dA_bwd = _bptt(params.rec_bwd, cache.h_bwd[::-1], dA_comb)[::-1]
 
-    return Gradients(
+    grads = CBRNNParams(
         in_fwd=x.T @ dA_fwd,
         in_bwd=x.T @ dA_bwd,
         rec_fwd=cache.h_fwd[:-1].T @ dA_fwd[1:],
@@ -265,18 +255,21 @@ def loss_gradients(params, cache, y_plus, cfg):
         rec_comb=cache.h_comb[:-1].T @ dA_comb[1:],
         out_w=np.outer(cache.h_comb[n - 1], d_scores),
         out_b=d_scores.copy(),
-        d_inputs=dA_fwd @ params.in_fwd.T + dA_bwd @ params.in_bwd.T,
     )
+    return loss, grads, dA_fwd @ params.in_fwd.T + dA_bwd @ params.in_bwd.T
 
 
 def gradient_check(params, x, y_plus, cfg, eps=1e-5, analytic=None):
-    """Compare analytic gradients against central finite differences over
-    every weight coordinate and every input coordinate."""
+    """Compare analytic gradients ``(grads, d_inputs)``, by default those of
+    ``loss_gradients``, against central finite differences over every weight
+    coordinate and every input coordinate."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if analytic is None:
-        cache = forward_pass(params, x)
-        analytic = loss_gradients(params, cache, y_plus, cfg)
+        _, grads, d_inputs = loss_gradients(params, forward_pass(params, x),
+                                            y_plus, cfg)
+    else:
+        grads, d_inputs = analytic
 
     def loss_of(p, inputs):
         cache = forward_pass(p, inputs)
@@ -300,16 +293,16 @@ def gradient_check(params, x, y_plus, cfg, eps=1e-5, analytic=None):
             err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
             max_err = max(max_err, err)
 
-    for name, array in params.arrays().items():
-        check(array, analytic.param_arrays()[name])
-    check(x, analytic.d_inputs)
+    for array, grad in zip(params.arrays().values(), grads.arrays().values()):
+        check(array, grad)
+    check(x, d_inputs)
     return max_err
 
 
 def global_grad_norm(grads, emb_grads=None):
     """Euclidean norm over every weight gradient and, when given, the
     embedding rows ``(row_ids, row_grads)`` an example touched."""
-    arrays = list(grads.param_arrays().values())
+    arrays = list(grads.arrays().values())
     if emb_grads is not None:
         arrays.append(emb_grads[1])
     return np.sqrt(sum(float(np.vdot(a, a)) for a in arrays))
@@ -322,9 +315,8 @@ def sgd_step(params, grads, learning_rate, clip_norm,
     norm = global_grad_norm(grads, emb_grads)
     scale = 1.0 if norm <= clip_norm else clip_norm / norm
     step = learning_rate * scale
-    grad_arrays = grads.param_arrays()
-    for name, array in params.arrays().items():
-        array -= step * grad_arrays[name]
+    for array, grad in zip(params.arrays().values(), grads.arrays().values()):
+        array -= step * grad
     if table is not None and emb_grads is not None and table.trainable:
         row_ids, row_grads = emb_grads
         table.matrix[row_ids] -= step * row_grads
@@ -362,12 +354,17 @@ def _accuracy(model, sentences):
 
 def train(split, train_cfg, loss_cfg=None, pretrained=None):
     """Per-example SGD with a seeded shuffle; keeps the snapshot with the
-    best dev accuracy (ties go to the later epoch)."""
+    best dev accuracy (ties go to the later epoch). ``pretrained`` is the
+    path of a text vectors file that seeds the embedding table."""
     if not split.train:
         raise EmptyTrainSet("training split is empty")
     loss_cfg = loss_cfg or LossConfig()
     vocab = build_vocabulary(split.train, min_count=train_cfg.min_count)
-    table = pretrained or init_random(vocab, train_cfg.embed_dim, train_cfg.seed)
+    if pretrained:
+        table = emb_mod.load_pretrained_text(pretrained, vocab, train_cfg.embed_dim,
+                                             fallback_seed=train_cfg.seed)
+    else:
+        table = init_random(vocab, train_cfg.embed_dim, train_cfg.seed)
     rng = np.random.default_rng(train_cfg.seed)
     input_dim = train_cfg.window * table.dim
     params = init_params(input_dim, train_cfg.hidden_size, len(split.label_set), rng)
@@ -379,19 +376,17 @@ def train(split, train_cfg, loss_cfg=None, pretrained=None):
     ]
     dev = split.dev if split.dev else split.train
 
-    best = TrainedModel(
-        params=params.copy(),
-        table=EmbeddingTable(table.matrix.copy(), table.trainable),
-        vocab=vocab, label_set=list(split.label_set),
-        train_cfg=train_cfg, loss_cfg=loss_cfg, history=[],
-    )
-    best_acc = -1.0
-    history = []
     current = TrainedModel(
         params=params, table=table, vocab=vocab,
         label_set=list(split.label_set),
         train_cfg=train_cfg, loss_cfg=loss_cfg,
     )
+
+    def snapshot():
+        return replace(current, params=params.copy(),
+                       table=EmbeddingTable(table.matrix.copy(), table.trainable))
+
+    best, best_acc, history = snapshot(), -1.0, []
 
     for epoch in range(1, train_cfg.epochs + 1):
         order = rng.permutation(len(encoded)) if train_cfg.shuffle else range(len(encoded))
@@ -400,26 +395,19 @@ def train(split, train_cfg, loss_cfg=None, pretrained=None):
             ids, y = encoded[i]
             x = compose_ngram_inputs(ids, table, train_cfg.window)
             cache = forward_pass(params, x)
-            loss, _ = ranking_loss(cache.scores, y, loss_cfg)
+            loss, grads, d_inputs = loss_gradients(params, cache, y, loss_cfg)
             total_loss += loss
-            grads = loss_gradients(params, cache, y, loss_cfg)
             emb_grads = None
             if table.trainable:
                 emb_grads = emb_mod.input_grads_to_embeddings(
-                    grads.d_inputs, ids, train_cfg.window, vocab.size, table.dim
+                    d_inputs, ids, train_cfg.window, vocab.size, table.dim
                 )
             sgd_step(params, grads, train_cfg.learning_rate,
                      train_cfg.clip_norm, table, emb_grads)
         dev_acc = _accuracy(current, dev)
         history.append((epoch, total_loss / len(encoded), dev_acc))
         if dev_acc >= best_acc:
-            best_acc = dev_acc
-            best = TrainedModel(
-                params=params.copy(),
-                table=EmbeddingTable(table.matrix.copy(), table.trainable),
-                vocab=vocab, label_set=list(split.label_set),
-                train_cfg=train_cfg, loss_cfg=loss_cfg,
-            )
+            best, best_acc = snapshot(), dev_acc
     best.history = history
     return best
 
@@ -462,128 +450,137 @@ def _fmt_row(row):
     return " ".join(_fmt(v) for v in row)
 
 
+# how a config field of each type is written and read back; a field's type
+# is the type of its default
+_CODECS = {
+    bool: (lambda v: str(int(v)), lambda s: bool(int(s))),
+    int: (str, int),
+    float: (_fmt, float),
+}
+
+
+def _config_line(keyword, cfg):
+    return " ".join([keyword] + [
+        f"{f.name}={_CODECS[type(f.default)][0](getattr(cfg, f.name))}"
+        for f in fields(cfg)
+    ])
+
+
+def _weight_head(name, shape):
+    kind = "matrix" if len(shape) == 2 else "vector"
+    return " ".join([kind, name, *map(str, shape)])
+
+
 def save_model(model, path):
-    cfg = model.train_cfg
-    lcfg = model.loss_cfg
-    lines = ["cbrnn-model 1"]
-    lines.append(
-        "train "
-        f"learning_rate={_fmt(cfg.learning_rate)} epochs={cfg.epochs} "
-        f"seed={cfg.seed} window={cfg.window} hidden_size={cfg.hidden_size} "
-        f"embed_dim={cfg.embed_dim} min_count={cfg.min_count} "
-        f"clip_norm={_fmt(cfg.clip_norm)} shuffle={int(cfg.shuffle)}"
-    )
-    lines.append(
-        f"loss gamma={_fmt(lcfg.gamma)} m_plus={_fmt(lcfg.m_plus)} "
-        f"m_minus={_fmt(lcfg.m_minus)}"
-    )
-    lines.append(f"labels {len(model.label_set)}")
-    lines.extend(model.label_set)
-    lines.append(f"vocab {model.vocab.size}")
-    lines.extend(model.vocab.id_to_token)
+    lines = [
+        "cbrnn-model 1",
+        _config_line("train", model.train_cfg),
+        _config_line("loss", model.loss_cfg),
+        f"labels {len(model.label_set)}",
+        *model.label_set,
+        f"vocab {model.vocab.size}",
+        *model.vocab.id_to_token,
+    ]
     m = model.table.matrix
     lines.append(f"embeddings {m.shape[0]} {m.shape[1]} {int(model.table.trainable)}")
     lines.extend(_fmt_row(row) for row in m)
     for name, array in model.params.arrays().items():
-        if array.ndim == 2:
-            lines.append(f"matrix {name} {array.shape[0]} {array.shape[1]}")
-            lines.extend(_fmt_row(row) for row in array)
-        else:
-            lines.append(f"vector {name} {array.shape[0]}")
-            lines.append(_fmt_row(array))
+        lines.append(_weight_head(name, array.shape))
+        lines.extend(_fmt_row(row) for row in np.atleast_2d(array))
     lines.append("end")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_kv(parts):
-    return dict(p.split("=", 1) for p in parts)
-
-
-def _finite(section, array):
-    if not np.all(np.isfinite(array)):
-        raise ModelFormatError(f"{section}: non-finite value")
-    return array
+def _read_config(line, keyword, cls):
+    """Build ``cls`` from the line ``_config_line`` writes for it."""
+    parts = line.split()
+    pairs = [part.partition("=") for part in parts[1:]]
+    names = [f.name for f in fields(cls)]
+    if parts[:1] != [keyword] or [name for name, _, _ in pairs] != names:
+        raise ModelFormatError(f"{keyword}: expected the keys {' '.join(names)}"
+                               f" in this order, found {line!r}")
+    try:
+        return cls(**{f.name: _CODECS[type(f.default)][1](raw)
+                      for f, (_, _, raw) in zip(fields(cls), pairs)})
+    except ValueError as exc:
+        raise ModelFormatError(f"{keyword}: {exc}") from None
 
 
 def load_model(path):
+    """Read a model file; any deviation from what ``save_model`` writes for
+    the file's own train, labels and vocab lines raises ``ModelFormatError``
+    naming the section."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != "cbrnn-model 1":
         raise ModelFormatError("not a cbrnn model file")
     pos = 1
 
-    def take():
+    def take(section):
         nonlocal pos
-        line = lines[pos]
+        if pos == len(lines):
+            raise ModelFormatError(f"{section}: unexpected end of file")
         pos += 1
-        return line
+        return lines[pos - 1]
 
-    head = take().split()
-    if head[0] != "train":
-        raise ModelFormatError("expected train line")
-    kv = _parse_kv(head[1:])
-    train_cfg = TrainConfig(
-        learning_rate=float(kv["learning_rate"]), epochs=int(kv["epochs"]),
-        seed=int(kv["seed"]), window=int(kv["window"]),
-        hidden_size=int(kv["hidden_size"]), embed_dim=int(kv["embed_dim"]),
-        min_count=int(kv["min_count"]), clip_norm=float(kv["clip_norm"]),
-        shuffle=bool(int(kv["shuffle"])),
-    )
-    head = take().split()
-    if head[0] != "loss":
-        raise ModelFormatError("expected loss line")
-    kv = _parse_kv(head[1:])
-    loss_cfg = LossConfig(
-        gamma=float(kv["gamma"]), m_plus=float(kv["m_plus"]),
-        m_minus=float(kv["m_minus"]),
-    )
+    def counts(keyword, n):
+        line = take(keyword)
+        parts = line.split()
+        if (len(parts) != n + 1 or parts[0] != keyword
+                or not all(p.isdigit() for p in parts[1:])):
+            raise ModelFormatError(f"{keyword}: expected {keyword!r} and {n} "
+                                   f"count(s), found {line!r}")
+        return [int(p) for p in parts[1:]]
 
-    head = take().split()
-    if head[0] != "labels":
-        raise ModelFormatError("expected labels section")
-    label_set = [take() for _ in range(int(head[1]))]
+    def rows(section, n, width):
+        out = []
+        for i in range(1, n + 1):
+            values = take(section).split()
+            if len(values) != width:
+                raise ModelFormatError(f"{section}: row {i} has {len(values)} "
+                                       f"values, expected {width}")
+            try:
+                out.append([float(v) for v in values])
+            except ValueError:
+                raise ModelFormatError(f"{section}: row {i} is not numeric") from None
+        array = np.array(out, dtype=float).reshape(n, width)
+        if not np.all(np.isfinite(array)):
+            raise ModelFormatError(f"{section}: non-finite value")
+        return array
 
-    head = take().split()
-    if head[0] != "vocab":
-        raise ModelFormatError("expected vocab section")
-    id_to_token = [take() for _ in range(int(head[1]))]
-    vocab = Vocabulary(
-        token_to_id={t: i for i, t in enumerate(id_to_token)},
-        id_to_token=id_to_token,
-    )
+    train_cfg = _read_config(take("train"), "train", TrainConfig)
+    loss_cfg = _read_config(take("loss"), "loss", LossConfig)
+    label_set = [take("labels") for _ in range(counts("labels", 1)[0])]
+    id_to_token = [take("vocab") for _ in range(counts("vocab", 1)[0])]
+    vocab = Vocabulary({t: i for i, t in enumerate(id_to_token)}, id_to_token)
 
-    head = take().split()
-    if head[0] != "embeddings":
-        raise ModelFormatError("expected embeddings section")
-    rows, dim, trainable = int(head[1]), int(head[2]), bool(int(head[3]))
-    matrix = _finite("embeddings", np.array(
-        [[float(v) for v in take().split()] for _ in range(rows)]
-    ).reshape(rows, dim))
-    if rows and np.any(matrix[PAD_ID]):
+    n_rows, dim, trainable = counts("embeddings", 3)
+    if (n_rows, dim) != (vocab.size, train_cfg.embed_dim):
+        raise ModelFormatError(
+            f"embeddings: {n_rows}x{dim} does not match vocab {vocab.size} "
+            f"and embed_dim {train_cfg.embed_dim}")
+    matrix = rows("embeddings", n_rows, dim)
+    if n_rows and np.any(matrix[PAD_ID]):
         # N-gram windows read this row where they leave the sentence
         raise ModelFormatError("embeddings: padding row must be zero")
-    table = EmbeddingTable(matrix=matrix, trainable=trainable)
+    table = EmbeddingTable(matrix=matrix, trainable=bool(trainable))
 
+    shapes = CBRNNParams.shapes(train_cfg.window * train_cfg.embed_dim,
+                                train_cfg.hidden_size, len(label_set))
     arrays = {}
-    while True:
-        head = take().split()
-        if head[0] == "end":
-            break
-        if head[0] == "matrix":
-            name, r, c = head[1], int(head[2]), int(head[3])
-            arrays[name] = _finite(f"matrix {name}", np.array(
-                [[float(v) for v in take().split()] for _ in range(r)]
-            ).reshape(r, c))
-        elif head[0] == "vector":
-            name, r = head[1], int(head[2])
-            arrays[name] = _finite(f"vector {name}", np.array(
-                [float(v) for v in take().split()]
-            ))
-        else:
-            raise ModelFormatError(f"unexpected section {head[0]}")
-    params = CBRNNParams(**arrays)
+    for name, shape in shapes.items():
+        head = _weight_head(name, shape)
+        section = " ".join(head.split()[:2])
+        line = take(section)
+        if line != head:
+            raise ModelFormatError(f"{section}: expected {head!r}, found {line!r}")
+        n_lines = shape[0] if len(shape) == 2 else 1
+        arrays[name] = rows(section, n_lines, shape[-1]).reshape(shape)
+    line = take("end")
+    if line != "end":
+        raise ModelFormatError(f"end: unexpected section {line!r}")
     return TrainedModel(
-        params=params, table=table, vocab=vocab, label_set=label_set,
-        train_cfg=train_cfg, loss_cfg=loss_cfg,
+        params=CBRNNParams(**arrays), table=table, vocab=vocab,
+        label_set=label_set, train_cfg=train_cfg, loss_cfg=loss_cfg,
     )

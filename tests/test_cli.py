@@ -52,17 +52,31 @@ def test_train_synthetic_flag(tmp_path, capsys):
     assert out.exists()
 
 
-def test_train_config_file_merged_under_flags(tmp_path, quick_model):
+@pytest.mark.parametrize("epochs", [2, 50])  # 50 is the flag's default
+def test_train_config_file_merged_under_flags(tmp_path, quick_model, epochs):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("epochs=1\nhidden=6\ndim=4\nseed=3\n")
     out1 = tmp_path / "m1.txt"
     rc = cli.main(["train", "--data", str(quick_model["data"]),
                    "--out", str(out1), "--config", str(cfg),
-                   "--epochs", "2"])  # explicit flag wins
+                   "--epochs", str(epochs)])  # explicit flag wins
     assert rc == 0
     m = load_model(out1)
-    assert m.train_cfg.epochs == 2
+    assert m.train_cfg.epochs == epochs
     assert m.train_cfg.hidden_size == 6
+
+
+def test_train_embeddings_seed_the_table(tmp_path, quick_model):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("2 4\nsignal 1 2 3 4\nnot-in-vocab 5 6 7 8\n")
+    out = tmp_path / "m.txt"
+    rc = cli.main(["train", "--data", str(quick_model["data"]),
+                   "--out", str(out), "--embeddings", str(vectors),
+                   *QUICK, "--epochs", "0"])
+    assert rc == 0
+    m = load_model(out)
+    assert m.train_cfg.embed_dim == m.table.dim == 4
+    assert list(m.table.matrix[m.vocab.id_of("signal")]) == [1, 2, 3, 4]
 
 
 def test_train_requires_data_or_synthetic(tmp_path, capsys):
@@ -164,6 +178,50 @@ def test_eval_rejects_bad_weights_exit_2(tmp_path, quick_model, capsys,
     lines = quick_model["model"].read_text().split("\n")
     head = next(i for i, line in enumerate(lines) if line.startswith(section))
     lines[head + 1] = " ".join(value for _ in lines[head + 1].split())
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines))
+    rc = cli.main(["eval", "--model", str(bad), "--data", str(quick_model["test"])])
+    assert rc == 2
+    assert section in capsys.readouterr().err
+
+
+def _truncate_in(section):
+    def edit(lines):
+        head = next(i for i, line in enumerate(lines) if line.startswith(section))
+        return lines[:head + 2]
+    return edit
+
+
+def _rename(section, to):
+    return lambda lines: [to if line.startswith(section) else line
+                          for line in lines]
+
+
+def _drop_section(section):
+    def edit(lines):
+        head = next(i for i, line in enumerate(lines) if line.startswith(section))
+        return lines[:head] + lines[head + 2:]
+    return edit
+
+
+def _drop_value_in(section):
+    def edit(lines):
+        head = next(i for i, line in enumerate(lines) if line.startswith(section))
+        lines[head + 1] = lines[head + 1].rsplit(" ", 1)[0]
+        return lines
+    return edit
+
+
+@pytest.mark.parametrize("section, edit", [
+    ("matrix rec_bwd", _truncate_in("matrix rec_bwd")),
+    ("train", lambda lines: [line.replace(" seed=3", "") for line in lines]),
+    ("matrix rec_comb", _rename("matrix rec_comb", "matrix rec_combined 6 6")),
+    ("vector out_b", _drop_section("vector out_b")),
+    ("matrix out_w", _drop_value_in("matrix out_w")),
+], ids=["truncated", "missing-key", "renamed", "missing-section", "short-row"])
+def test_eval_rejects_malformed_model_exit_2(tmp_path, quick_model, capsys,
+                                             section, edit):
+    lines = edit(quick_model["model"].read_text().split("\n"))
     bad = tmp_path / "bad.txt"
     bad.write_text("\n".join(lines))
     rc = cli.main(["eval", "--model", str(bad), "--data", str(quick_model["test"])])

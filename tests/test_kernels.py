@@ -17,7 +17,7 @@ from cbrnn.embeddings import (
     input_grads_to_embeddings,
 )
 from cbrnn.model import (
-    Gradients,
+    CBRNNParams,
     LossConfig,
     forward_pass,
     init_params,
@@ -68,7 +68,7 @@ def reference_loss_gradients(params, cache, y_plus, cfg):
     d_scores[c_minus] += cfg.gamma * sigmoid(
         cfg.gamma * (cfg.m_minus + cache.scores[c_minus]))
 
-    g = Gradients(
+    g = CBRNNParams(
         in_fwd=np.zeros_like(params.in_fwd),
         in_bwd=np.zeros_like(params.in_bwd),
         rec_fwd=np.zeros_like(params.rec_fwd),
@@ -76,8 +76,8 @@ def reference_loss_gradients(params, cache, y_plus, cfg):
         rec_comb=np.zeros_like(params.rec_comb),
         out_w=np.outer(cache.h_comb[n - 1], d_scores),
         out_b=d_scores.copy(),
-        d_inputs=np.zeros_like(x),
     )
+    d_inputs = np.zeros_like(x)
     d_h_fwd = np.zeros((n, hidden))
     d_h_bwd = np.zeros((n, hidden))
     d_h_comb = np.zeros((n, hidden))
@@ -97,7 +97,7 @@ def reference_loss_gradients(params, cache, y_plus, cfg):
         if t > 0:
             g.rec_fwd += np.outer(cache.h_fwd[t - 1], da)
             d_h_fwd[t - 1] += params.rec_fwd @ da
-        g.d_inputs[t] += params.in_fwd @ da
+        d_inputs[t] += params.in_fwd @ da
 
     for p in range(n):
         da = d_h_bwd[p] * (1.0 - cache.h_bwd[p] ** 2)
@@ -105,12 +105,12 @@ def reference_loss_gradients(params, cache, y_plus, cfg):
         if p < n - 1:
             g.rec_bwd += np.outer(cache.h_bwd[p + 1], da)
             d_h_bwd[p + 1] += params.rec_bwd @ da
-        g.d_inputs[p] += params.in_bwd @ da
-    return g
+        d_inputs[p] += params.in_bwd @ da
+    return g, d_inputs
 
 
 def reference_sgd_embeddings(matrix, grads, emb_grads, learning_rate, clip_norm):
-    arrays = [*grads.param_arrays().values(), emb_grads]
+    arrays = [*grads.arrays().values(), emb_grads]
     norm = np.sqrt(sum(float(np.sum(a ** 2)) for a in arrays))
     scale = 1.0 if norm <= clip_norm else clip_norm / norm
     return matrix - learning_rate * scale * emb_grads
@@ -164,13 +164,15 @@ def test_loss_gradients_match_per_step_bptt(n, window, dim, hidden,
     x = rng.uniform(-1.0, 1.0, size=(n, window * dim))
     y_plus = int(rng.integers(n_classes))
     cache = forward_pass(params, x)
-    fast = loss_gradients(params, cache, y_plus, LossConfig())
-    ref = reference_loss_gradients(params, cache, y_plus, LossConfig())
-    for name in [*ref.param_arrays(), "d_inputs"]:
-        want = getattr(ref, name)
+    loss, grads, d_inputs = loss_gradients(params, cache, y_plus, LossConfig())
+    ref, ref_d_inputs = reference_loss_gradients(params, cache, y_plus,
+                                                 LossConfig())
+    assert loss == ranking_loss(cache.scores, y_plus, LossConfig())[0]
+    fast = {**grads.arrays(), "d_inputs": d_inputs}
+    for name, want in {**ref.arrays(), "d_inputs": ref_d_inputs}.items():
         # the sums run in another order; an entry whose terms cancel keeps
         # only an absolute error of the size of the array's larger entries
-        np.testing.assert_allclose(getattr(fast, name), want, rtol=1e-12,
+        np.testing.assert_allclose(fast[name], want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max(),
                                    err_msg=name)
 
@@ -184,12 +186,11 @@ def test_sparse_sgd_step_matches_dense_update(ids, window, seed, clip_norm):
     table = random_table(seed, dim)
     params = init_params(window * dim, hidden, 3, rng)
     cache = forward_pass(params, compose_ngram_inputs(ids, table, window))
-    grads = loss_gradients(params, cache, 0, LossConfig())
-    emb_grads = input_grads_to_embeddings(grads.d_inputs, ids, window,
-                                          VOCAB, dim)
+    _, grads, d_inputs = loss_gradients(params, cache, 0, LossConfig())
+    emb_grads = input_grads_to_embeddings(d_inputs, ids, window, VOCAB, dim)
     expected = reference_sgd_embeddings(
         table.matrix, grads,
-        reference_scatter(grads.d_inputs, ids, window, VOCAB, dim),
+        reference_scatter(d_inputs, ids, window, VOCAB, dim),
         0.1, clip_norm)
     sgd_step(params, grads, 0.1, clip_norm, table, emb_grads)
     untouched = np.setdiff1d(np.arange(VOCAB), emb_grads[0])

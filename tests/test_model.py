@@ -11,7 +11,6 @@ from cbrnn.model import (
     CBRNNParams,
     EmptyEvalSet,
     EmptyTrainSet,
-    Gradients,
     LossConfig,
     ShapeMismatch,
     SingleClass,
@@ -33,6 +32,10 @@ from cbrnn.model import (
 
 def small_params(input_dim=6, hidden=3, n_classes=3, seed=0):
     return init_params(input_dim, hidden, n_classes, np.random.default_rng(seed))
+
+
+def zero_grads(params):
+    return CBRNNParams(**{k: np.zeros_like(v) for k, v in params.arrays().items()})
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +221,7 @@ def test_score_gradients_at_margins():
         a[...] = 0.0
     p.out_b[:] = [2.5, -0.5, -0.5]
     cache = forward_pass(p, np.zeros((2, 6)))
-    g = loss_gradients(p, cache, 0, LossConfig())
+    _, g, _ = loss_gradients(p, cache, 0, LossConfig())
     # sigmoid(0) = 1/2, so the score gradient magnitude is gamma/2 = 1
     assert np.allclose(g.out_b, [-1.0, 1.0, 0.0])
 
@@ -228,7 +231,7 @@ def test_zero_inputs_zero_input_weight_gradients():
     for a in p.arrays().values():
         a[...] = 0.0
     cache = forward_pass(p, np.zeros((3, 6)))
-    g = loss_gradients(p, cache, 0, LossConfig())
+    _, g, _ = loss_gradients(p, cache, 0, LossConfig())
     assert np.all(g.in_fwd == 0.0)
     assert np.all(g.in_bwd == 0.0)
 
@@ -246,11 +249,8 @@ def test_gradient_check_flags_broken_gradients():
     p = init_params(4, 2, 2, rng)
     x = rng.normal(size=(3, 4))
     cache = forward_pass(p, x)
-    g = loss_gradients(p, cache, 0, LossConfig())
-    zeroed = Gradients(
-        **{k: np.zeros_like(v) for k, v in g.param_arrays().items()},
-        d_inputs=np.zeros_like(g.d_inputs),
-    )
+    _, g, d_inputs = loss_gradients(p, cache, 0, LossConfig())
+    zeroed = (zero_grads(g), np.zeros_like(d_inputs))
     err = gradient_check(p, x, 0, LossConfig(), analytic=zeroed)
     assert abs(err - 1.0) < 0.05
 
@@ -268,10 +268,7 @@ def test_gradient_check_requires_positive_eps():
 def test_sgd_zero_gradients_keep_params():
     p = small_params()
     before = {k: v.copy() for k, v in p.arrays().items()}
-    g = Gradients(
-        **{k: np.zeros_like(v) for k, v in p.arrays().items()},
-        d_inputs=np.zeros((1, 6)),
-    )
+    g = zero_grads(p)
     sgd_step(p, g, 0.1, 5.0)
     for k, v in p.arrays().items():
         assert np.array_equal(v, before[k])
@@ -281,10 +278,7 @@ def test_sgd_scalar_arithmetic():
     p = small_params()
     p.out_b[:] = 0.0
     p.out_b[0] = 1.0
-    g = Gradients(
-        **{k: np.zeros_like(v) for k, v in p.arrays().items()},
-        d_inputs=np.zeros((1, 6)),
-    )
+    g = zero_grads(p)
     g.out_b[0] = 0.5
     sgd_step(p, g, 0.1, 100.0)
     assert abs(p.out_b[0] - 0.95) < 1e-15
@@ -293,10 +287,7 @@ def test_sgd_scalar_arithmetic():
 def test_sgd_clips_global_norm():
     p = small_params()
     before = p.out_b.copy()
-    g = Gradients(
-        **{k: np.zeros_like(v) for k, v in p.arrays().items()},
-        d_inputs=np.zeros((1, 6)),
-    )
+    g = zero_grads(p)
     g.out_b[:] = 100.0
     sgd_step(p, g, 1.0, 1.0)
     moved = np.linalg.norm(p.out_b - before)
