@@ -2,6 +2,7 @@
 
 from .corpus import (
     CorpusSplit,
+    InputError,
     LabeledSentence,
     SyntheticConfig,
     Vocabulary,

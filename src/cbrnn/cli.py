@@ -10,56 +10,59 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import fields
 
 from . import corpus, interpret, model as model_mod
-from .corpus import CorpusError, CorpusSplit, load_corpus_file
-from .embeddings import DimensionMismatch, EvenWindow, MalformedLine
-from .interpret import UnknownRelation
+from .corpus import CorpusSplit, InputError, load_corpus_file
 from .model import LossConfig, TrainConfig
 
-USAGE_ERRORS = (
-    CorpusError, DimensionMismatch, MalformedLine, EvenWindow,
-    UnknownRelation, model_mod.ModelFormatError, model_mod.EmptyTrainSet,
-    model_mod.EmptyEvalSet, FileNotFoundError, ValueError,
-)
+USAGE_ERRORS = (InputError, OSError, UnicodeDecodeError)
+
+# flags not spelled like their setting; a switch is --no-NAME or --NAME
+_FLAG_NAMES = {"learning_rate": "--lr", "hidden_size": "--hidden",
+               "embed_dim": "--dim", "window": "--ngram"}
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True,
+                  "0": False, "false": False, "no": False}
 
 
-def _read_config_file(path):
-    values = {}
+def _add_setting_flags(parser):
+    """One flag per TrainConfig/LossConfig field, typed and defaulted by the
+    field's default."""
+    for f in fields(TrainConfig) + fields(LossConfig):
+        name = f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            parser.add_argument(("--no-" if f.default else "--") + name,
+                                dest=f.name, action="store_const",
+                                const=not f.default, default=f.default)
+        else:
+            flag = _FLAG_NAMES.get(f.name, "--" + name)
+            parser.add_argument(flag, dest=f.name, type=type(f.default),
+                                default=f.default,
+                                metavar=flag[2:].replace("-", "_").upper())
+
+
+def _config_defaults(parser, path):
+    """Parser defaults from a ``flag-name=value`` file; argparse converts
+    them with each flag's type, and flags given in argv still win."""
+    defaults = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _merge_config(args, parser, argv):
-    """Values from --config fill in flags that ``argv`` does not give."""
-    if not getattr(args, "config", None):
-        return args
-    file_values = _read_config_file(args.config)
-    # argparse leaves a destination alone unless its flag is in argv
-    unset = object()
-    given = parser.parse_args(
-        argv, namespace=argparse.Namespace(**dict.fromkeys(vars(args), unset))
-    )
-    explicit = {dest for dest, value in vars(given).items() if value is not unset}
-    for key, raw in file_values.items():
-        if key in explicit or not hasattr(args, key):
-            continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, key, int(raw))
-        elif isinstance(current, float):
-            setattr(args, key, float(raw))
-        else:
-            setattr(args, key, raw)
-    return args
+            key, _, value = (part.strip() for part in line.partition("="))
+            action = parser._option_string_actions.get(
+                "--" + key.replace("_", "-"))
+            if action is None or action.dest in ("help", "config"):
+                raise InputError(f"{path}:{lineno}: unknown setting {key!r}")
+            if action.nargs == 0:
+                if value.lower() not in _SWITCH_VALUES:
+                    raise InputError(f"{path}:{lineno}: {key} takes 1/true/yes"
+                                     f" or 0/false/no, not {value!r}")
+                on = _SWITCH_VALUES[value.lower()]
+                value = action.const if on else not action.const
+            defaults[action.dest] = value
+    return defaults
 
 
 def _write_or_stdout(text, path):
@@ -71,10 +74,12 @@ def _write_or_stdout(text, path):
 
 
 def _load_split(args):
+    if bool(args.data) == bool(args.synthetic):
+        raise InputError("exactly one of --data / --synthetic is required")
     if args.synthetic:
         m = re.fullmatch(r"(\d+)x(\d+)", args.synthetic)
         if not m:
-            raise ValueError("--synthetic expects RELATIONSxSENTENCES, e.g. 4x50")
+            raise InputError("--synthetic expects RELATIONSxSENTENCES, e.g. 4x50")
         cfg = corpus.SyntheticConfig(
             n_relations=int(m.group(1)),
             sentences_per_relation=int(m.group(2)),
@@ -99,15 +104,9 @@ def _load_split(args):
 
 
 def cmd_train(args):
+    train_cfg, loss_cfg = (cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+                           for cls in (TrainConfig, LossConfig))
     split = _load_split(args)
-    train_cfg = TrainConfig(
-        learning_rate=args.lr, epochs=args.epochs, seed=args.seed,
-        window=args.ngram, hidden_size=args.hidden, embed_dim=args.dim,
-        min_count=args.min_count, clip_norm=args.clip_norm,
-        shuffle=not args.no_shuffle,
-    )
-    loss_cfg = LossConfig(gamma=args.gamma, m_plus=args.m_plus,
-                          m_minus=args.m_minus)
     model = model_mod.train(split, train_cfg, loss_cfg, pretrained=args.embeddings)
     model_mod.save_model(model, args.out)
     if args.metrics:
@@ -129,11 +128,13 @@ def _pick_sentence(args, model):
         tokens = tuple(args.sentence.split())
         corpus.validate_markers(tokens)
         return corpus.LabeledSentence(tokens=tokens, label=args.relation, id="cli")
+    if not (args.data and args.id):
+        raise InputError("give --sentence, or --data with --id")
     sentences = load_corpus_file(args.data)
     for s in sentences:
         if s.id == args.id:
             return s
-    raise ValueError(f"sentence id {args.id!r} not found in {args.data}")
+    raise InputError(f"sentence id {args.id!r} not found in {args.data}")
 
 
 def cmd_lisa(args):
@@ -191,18 +192,7 @@ def build_parser():
     p.add_argument("--metrics", help="per-epoch metrics log file")
     p.add_argument("--embeddings", help="pretrained vector text file")
     p.add_argument("--config", help="key=value file merged under explicit flags")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--dim", type=int, default=50)
-    p.add_argument("--ngram", type=int, default=3)
-    p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--clip-norm", type=float, default=5.0)
-    p.add_argument("--no-shuffle", action="store_true")
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--m-plus", type=float, default=2.5)
-    p.add_argument("--m-minus", type=float, default=0.5)
+    _add_setting_flags(p)
     p.set_defaults(func=cmd_train)
     parser.train_parser = p
 
@@ -245,19 +235,17 @@ def build_parser():
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "train":
-        args = _merge_config(args, parser.train_parser, argv[1:])
-        if bool(args.data) == bool(args.synthetic):
-            print("error: exactly one of --data / --synthetic is required",
-                  file=sys.stderr)
-            return 2
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            train_parser = parser.train_parser
+            train_parser.set_defaults(**_config_defaults(train_parser, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

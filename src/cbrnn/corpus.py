@@ -20,7 +20,12 @@ MARKERS = ("<e1>", "</e1>", "<e2>", "</e2>")
 _PUNCT = set(".,;:!?\"'()")
 
 
-class CorpusError(ValueError):
+class InputError(ValueError):
+    """Bad input from outside the program (files, flags, settings); the CLI
+    exits 2 on it and on nothing else from the library."""
+
+
+class CorpusError(InputError):
     pass
 
 
@@ -107,7 +112,11 @@ def load_corpus_file(path):
     with open(path, encoding="utf-8") as fh:
         for i, line in enumerate(fh):
             if line.strip():
-                sentences.append(parse_marked_sentence(line, sid=str(i)))
+                try:
+                    sentences.append(parse_marked_sentence(line, sid=str(i)))
+                except CorpusError as exc:
+                    exc.args = (f"{path}:{i + 1}: {exc}",)
+                    raise
     return sentences
 
 

@@ -6,23 +6,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PAD_ID
+from .corpus import PAD_ID, InputError
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(InputError):
     def __init__(self, expected, found):
         super().__init__(f"expected dimension {expected}, found {found}")
         self.expected = expected
         self.found = found
 
 
-class MalformedLine(ValueError):
+class MalformedLine(InputError):
     def __init__(self, lineno, message="malformed line"):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
 
 
-class EvenWindow(ValueError):
+class EvenWindow(InputError):
     pass
 
 

@@ -13,13 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PAD_TOKEN, LabeledSentence
+from .corpus import PAD_TOKEN, InputError, LabeledSentence
 from .embeddings import EvenWindow, compose_ngram_inputs
-from .model import forward_pass, model_inputs, predict
-
-
-class UnknownRelation(ValueError):
-    pass
+from .model import UnknownRelation, forward_pass, model_inputs, predict
 
 
 @dataclass(frozen=True)
@@ -141,7 +137,7 @@ def extract_pattern(model, sentence, relation, tau=0.5, window=3,
     reaches tau, or None when no prefix crosses. Prefixes after the
     crossing are not scored."""
     if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0, 1)")
+        raise InputError(f"tau must lie in (0, 1), got {tau}")
     if window < 1 or window % 2 == 0:
         raise EvenWindow(f"window size must be odd and positive, got {window}")
     tokens, sid = _tokens_of(sentence)

@@ -16,6 +16,7 @@ import numpy as np
 from . import embeddings as emb_mod
 from .corpus import (
     PAD_ID,
+    InputError,
     LabeledSentence,
     Vocabulary,
     build_vocabulary,
@@ -28,19 +29,27 @@ class ShapeMismatch(ValueError):
     pass
 
 
-class SingleClass(ValueError):
+class SingleClass(InputError):
     pass
 
 
-class EmptyTrainSet(ValueError):
+class EmptyTrainSet(InputError):
     pass
 
 
-class EmptyEvalSet(ValueError):
+class EmptyEvalSet(InputError):
     pass
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(InputError):
+    pass
+
+
+class TrainingDiverged(InputError):
+    pass
+
+
+class UnknownRelation(InputError):
     pass
 
 
@@ -52,9 +61,9 @@ class LossConfig:
 
     def __post_init__(self):
         if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+            raise InputError(f"gamma must be positive, got {self.gamma}")
         if self.m_plus <= self.m_minus:
-            raise ValueError("m_plus must exceed m_minus")
+            raise InputError("m_plus must exceed m_minus")
 
 
 @dataclass
@@ -70,12 +79,14 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
+        for name in ("learning_rate", "hidden_size", "embed_dim", "clip_norm"):
+            if getattr(self, name) <= 0:
+                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise InputError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.window < 1 or self.window % 2 == 0:
+            raise InputError(f"window must be odd and positive, got {self.window}")
 
 
 def _weight(*dims):
@@ -404,8 +415,14 @@ def train(split, train_cfg, loss_cfg=None, pretrained=None):
                 )
             sgd_step(params, grads, train_cfg.learning_rate,
                      train_cfg.clip_norm, table, emb_grads)
+        mean_loss = total_loss / len(encoded)
+        if not (np.isfinite(mean_loss) and np.isfinite(table.matrix).all()
+                and all(np.isfinite(a).all() for a in params.arrays().values())):
+            raise TrainingDiverged(
+                f"epoch {epoch}: training diverged to a non-finite loss or "
+                f"weight at learning_rate {train_cfg.learning_rate}")
         dev_acc = _accuracy(current, dev)
-        history.append((epoch, total_loss / len(encoded), dev_acc))
+        history.append((epoch, mean_loss, dev_acc))
         if dev_acc >= best_acc:
             best, best_acc = snapshot(), dev_acc
     best.history = history
@@ -416,11 +433,14 @@ def evaluate(model, sentences):
     if not sentences:
         raise EmptyEvalSet("no sentences to evaluate")
     gold = [s.label for s in sentences]
+    present = [lab for lab in model.label_set if lab in set(gold)]
+    if not present:
+        raise UnknownRelation(f"none of the labels {sorted(set(gold))} is in "
+                              f"the model's label set")
     pred = [predict(model, s)[0] for s in sentences]
     accuracy = sum(g == p for g, p in zip(gold, pred)) / len(gold)
 
     per_class_f1 = {}
-    present = [lab for lab in model.label_set if lab in set(gold)]
     for lab in model.label_set:
         tp = sum(1 for g, p in zip(gold, pred) if g == lab and p == lab)
         fp = sum(1 for g, p in zip(gold, pred) if g != lab and p == lab)
@@ -554,6 +574,9 @@ def load_model(path):
     label_set = [take("labels") for _ in range(counts("labels", 1)[0])]
     id_to_token = [take("vocab") for _ in range(counts("vocab", 1)[0])]
     vocab = Vocabulary({t: i for i, t in enumerate(id_to_token)}, id_to_token)
+    if len(vocab.token_to_id) != vocab.size:
+        token = next(t for i, t in enumerate(id_to_token) if vocab.token_to_id[t] != i)
+        raise ModelFormatError(f"vocab: token {token!r} repeated")
 
     n_rows, dim, trainable = counts("embeddings", 3)
     if (n_rows, dim) != (vocab.size, train_cfg.embed_dim):

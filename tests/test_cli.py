@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cbrnn import cli, interpret
+from cbrnn import model as model_mod
 from cbrnn.corpus import save_corpus_file
 from cbrnn.model import evaluate, load_model
 
@@ -64,6 +65,23 @@ def test_train_config_file_merged_under_flags(tmp_path, quick_model, epochs):
     m = load_model(out1)
     assert m.train_cfg.epochs == epochs
     assert m.train_cfg.hidden_size == 6
+
+
+@pytest.mark.parametrize("line, setting, value", [
+    ("lr=0.125", "learning_rate", 0.125),
+    ("ngram = 5", "window", 5),
+    ("no_shuffle=yes", "shuffle", False),
+    ("no-shuffle=0", "shuffle", True),
+])
+def test_train_config_keys_are_flag_names(tmp_path, quick_model, line, setting,
+                                          value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# one setting\n{line}\n")
+    out = tmp_path / "m.txt"
+    rc = cli.main(["train", "--data", str(quick_model["data"]), "--out", str(out),
+                   "--config", str(cfg), *QUICK, "--epochs", "0"])
+    assert rc == 0
+    assert getattr(load_model(out).train_cfg, setting) == value
 
 
 def test_train_embeddings_seed_the_table(tmp_path, quick_model):
@@ -185,6 +203,80 @@ def test_eval_rejects_bad_weights_exit_2(tmp_path, quick_model, capsys,
     assert section in capsys.readouterr().err
 
 
+SENTENCE = "<e1> a </e1> b <e2> c </e2>"
+TRAIN = ["train", "--synthetic", "2x20", "--hidden", "4", "--dim", "4",
+         "--out", "{tmp}/m.txt"]
+
+
+def _exit_code(argv):
+    """argparse reports its own errors by raising SystemExit."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("files, argv, expected", [
+    ({"run.cfg": "epochs=abc\n"}, [*TRAIN, "--config", "{tmp}/run.cfg"], "--epochs"),
+    ({"run.cfg": "seed=3\nhiden=6\n"}, [*TRAIN, "--config", "{tmp}/run.cfg"],
+     "run.cfg:2"),
+    ({"run.cfg": "no_shuffle=maybe\n"}, [*TRAIN, "--config", "{tmp}/run.cfg"],
+     "run.cfg:1"),
+    ({}, [*TRAIN, "--config", "{tmp}/nope.cfg"], "nope.cfg"),
+    ({}, [*TRAIN, "--hidden", "0"], "hidden_size"),
+    ({}, [*TRAIN, "--hidden", "-1"], "hidden_size"),
+    ({}, [*TRAIN, "--dim", "0"], "embed_dim"),
+    ({}, [*TRAIN, "--ngram", "-1"], "window"),
+    ({}, [*TRAIN, "--seed", "-1"], "seed"),
+    ({"one.tsv": f"r\t{SENTENCE}\nr\t{SENTENCE}\n"},
+     ["train", "--data", "{tmp}/one.tsv", "--out", "{tmp}/m.txt"], "two classes"),
+    ({}, ["eval", "--model", "{tmp}", "--data", "{test}"], "{tmp}"),
+    ({}, ["lisa", "--model", "{model}", "--relation", "rel-00",
+          "--sentence", SENTENCE, "--out", "{tmp}"], "{tmp}"),
+    ({}, ["lisa", "--model", "{model}", "--relation", "rel-00"], "--sentence"),
+    ({"unknown.tsv": f"zzz\t{SENTENCE}\n"},
+     ["eval", "--model", "{model}", "--data", "{tmp}/unknown.tsv"], "zzz"),
+    ({"bad.tsv": "rel-00\t<e1> a b <e2> c </e2>\n"},
+     ["eval", "--model", "{model}", "--data", "{tmp}/bad.tsv"], "bad.tsv:1"),
+    ({"latin1.tsv": b"rel-00\t\xe9t\xe9\n"},
+     ["eval", "--model", "{model}", "--data", "{tmp}/latin1.tsv"], "utf-8"),
+], ids=["config-bad-value", "config-unknown-key", "config-bad-switch",
+        "config-missing", "hidden-0", "hidden-negative", "dim-0", "ngram-negative",
+        "seed-negative", "single-label", "model-is-directory", "out-is-directory",
+        "lisa-without-sentence", "only-unknown-labels", "corpus-marker",
+        "not-utf-8"])
+def test_bad_input_exit_2(tmp_path, quick_model, capsys, files, argv, expected):
+    for name, content in files.items():
+        path = tmp_path / name
+        (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
+    places = {"tmp": tmp_path, "model": quick_model["model"],
+              "test": quick_model["test"]}
+    assert _exit_code([arg.format(**places) for arg in argv]) == 2
+    assert expected.format(**places) in capsys.readouterr().err
+    assert not (tmp_path / "m.txt").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_diverged_writes_no_model(tmp_path, capsys):
+    out = tmp_path / "m.txt"
+    rc = cli.main(["train", "--synthetic", "2x20", "--epochs", "2", "--dim", "4",
+                   "--hidden", "4", "--lr", "1e308", "--out", str(out)])
+    assert rc == 2
+    assert "epoch 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bug_exit_1(quick_model, monkeypatch, capsys):
+    def broken(model, sentences):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(model_mod, "evaluate", broken)
+    rc = cli.main(["eval", "--model", str(quick_model["model"]),
+                   "--data", str(quick_model["test"])])
+    assert rc == 1
+    assert "internal error: a bug" in capsys.readouterr().err
+
+
 def _truncate_in(section):
     def edit(lines):
         head = next(i for i, line in enumerate(lines) if line.startswith(section))
@@ -212,13 +304,21 @@ def _drop_value_in(section):
     return edit
 
 
+def _repeat_vocab_token(lines):
+    head = next(i for i, line in enumerate(lines) if line.startswith("vocab"))
+    lines[head + 8] = lines[head + 7]  # two words after the specials and markers
+    return lines
+
+
 @pytest.mark.parametrize("section, edit", [
     ("matrix rec_bwd", _truncate_in("matrix rec_bwd")),
     ("train", lambda lines: [line.replace(" seed=3", "") for line in lines]),
     ("matrix rec_comb", _rename("matrix rec_comb", "matrix rec_combined 6 6")),
     ("vector out_b", _drop_section("vector out_b")),
     ("matrix out_w", _drop_value_in("matrix out_w")),
-], ids=["truncated", "missing-key", "renamed", "missing-section", "short-row"])
+    ("vocab", _repeat_vocab_token),
+], ids=["truncated", "missing-key", "renamed", "missing-section", "short-row",
+        "duplicate-token"])
 def test_eval_rejects_malformed_model_exit_2(tmp_path, quick_model, capsys,
                                              section, edit):
     lines = edit(quick_model["model"].read_text().split("\n"))

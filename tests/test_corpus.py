@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from cbrnn.corpus import (
     encode_sentence,
     generate_synthetic,
     import_semeval,
+    load_corpus_file,
     parse_marked_sentence,
     serialize_sentence,
 )
@@ -197,3 +200,10 @@ def test_synthetic_invalid_config():
         generate_synthetic(SyntheticConfig(1, 50, seed=0))
     with pytest.raises(ConfigInvalid):
         generate_synthetic(SyntheticConfig(4, 5, seed=0))
+
+
+def test_load_corpus_file_names_path_and_line(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text(S1_LINE + "\n\nrel\t<e1> a </e1> b </e2> c <e2>\n")
+    with pytest.raises(MarkerOrder, match=f"^{re.escape(str(path))}:3: markers"):
+        load_corpus_file(path)
