@@ -13,10 +13,10 @@ import sys
 from dataclasses import fields
 
 from . import corpus, interpret, model as model_mod
-from .corpus import CorpusSplit, InputError, load_corpus_file
+from .corpus import CorpusSplit, InputError, load_corpus_file, read_text
 from .model import LossConfig, TrainConfig
 
-USAGE_ERRORS = (InputError, OSError, UnicodeDecodeError)
+USAGE_ERRORS = (InputError, OSError)
 
 # flags not spelled like their setting; a switch is --no-NAME or --NAME
 _FLAG_NAMES = {"learning_rate": "--lr", "hidden_size": "--hidden",
@@ -45,23 +45,21 @@ def _config_defaults(parser, path):
     """Parser defaults from a ``flag-name=value`` file; argparse converts
     them with each flag's type, and flags given in argv still win."""
     defaults = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = (part.strip() for part in line.partition("="))
-            action = parser._option_string_actions.get(
-                "--" + key.replace("_", "-"))
-            if action is None or action.dest in ("help", "config"):
-                raise InputError(f"{path}:{lineno}: unknown setting {key!r}")
-            if action.nargs == 0:
-                if value.lower() not in _SWITCH_VALUES:
-                    raise InputError(f"{path}:{lineno}: {key} takes 1/true/yes"
-                                     f" or 0/false/no, not {value!r}")
-                on = _SWITCH_VALUES[value.lower()]
-                value = action.const if on else not action.const
-            defaults[action.dest] = value
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = (part.strip() for part in line.partition("="))
+        action = parser._option_string_actions.get("--" + key.replace("_", "-"))
+        if action is None or action.dest in ("help", "config"):
+            raise InputError(f"{path}:{lineno}: unknown setting {key!r}")
+        if action.nargs == 0:
+            if value.lower() not in _SWITCH_VALUES:
+                raise InputError(f"{path}:{lineno}: {key} takes 1/true/yes"
+                                 f" or 0/false/no, not {value!r}")
+            on = _SWITCH_VALUES[value.lower()]
+            value = action.const if on else not action.const
+        defaults[action.dest] = value
     return defaults
 
 
@@ -108,7 +106,7 @@ def cmd_train(args):
                            for cls in (TrainConfig, LossConfig))
     split = _load_split(args)
     model = model_mod.train(split, train_cfg, loss_cfg, pretrained=args.embeddings)
-    model_mod.save_model(model, args.out)
+    # the metrics first: a run that cannot write them leaves no model behind
     if args.metrics:
         lines = [
             f"{epoch}\t{loss:.17g}\t{acc:.17g}"
@@ -116,6 +114,7 @@ def cmd_train(args):
         ]
         with open(args.metrics, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
+    model_mod.save_model(model, args.out)
     if split.test:
         metrics = model_mod.evaluate(model, split.test)
         sys.stdout.write(f"test_accuracy: {metrics['accuracy']:.17g}\n")

@@ -25,6 +25,10 @@ class InputError(ValueError):
     exits 2 on it and on nothing else from the library."""
 
 
+class NotUtf8(InputError):
+    pass
+
+
 class CorpusError(InputError):
     pass
 
@@ -107,16 +111,29 @@ def serialize_sentence(s):
     return f"{s.label}\t{' '.join(s.tokens)}"
 
 
+def read_text(path):
+    """The text of a UTF-8 file with ``\\r\\n`` and ``\\r`` read as ``\\n``, as
+    text-mode ``open`` reads it; bytes that are not UTF-8 raise ``NotUtf8``
+    naming ``path:line``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise NotUtf8(f"{path}:{line}: not valid utf-8 ({exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_corpus_file(path):
     sentences = []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            if line.strip():
-                try:
-                    sentences.append(parse_marked_sentence(line, sid=str(i)))
-                except CorpusError as exc:
-                    exc.args = (f"{path}:{i + 1}: {exc}",)
-                    raise
+    for i, line in enumerate(read_text(path).split("\n")):
+        if line.strip():
+            try:
+                sentences.append(parse_marked_sentence(line, sid=str(i)))
+            except CorpusError as exc:
+                exc.args = (f"{path}:{i + 1}: {exc}",)
+                raise
     return sentences
 
 

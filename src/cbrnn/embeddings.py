@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PAD_ID, InputError
+from .corpus import PAD_ID, InputError, read_text
 
 
 class DimensionMismatch(InputError):
@@ -48,8 +48,7 @@ def load_pretrained_text(path, vocab, dim, fallback_seed=0):
     """Load ``word v1 ... vd`` text vectors; vocabulary tokens missing from
     the file keep their seeded random rows."""
     table = init_random(vocab, dim, fallback_seed)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     start = 0
     if lines:
         head = lines[0].split()

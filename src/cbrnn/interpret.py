@@ -13,9 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PAD_TOKEN, InputError, LabeledSentence
+from .corpus import PAD_ID, PAD_TOKEN, InputError, LabeledSentence
 from .embeddings import EvenWindow, compose_ngram_inputs
-from .model import UnknownRelation, forward_pass, model_inputs, predict
+from .model import (
+    UnknownRelation,
+    forward_pass,
+    model_inputs,
+    predict,
+    prefix_probs,
+)
 
 
 @dataclass(frozen=True)
@@ -80,22 +86,36 @@ def _relation_index(model, relation):
     return model.label_set.index(relation)
 
 
+def prefix_inputs(ids, table, window, lookahead=False):
+    """Yield the input of each prefix ``ids[:k]``, shortest first: bit for
+    bit ``compose_ngram_inputs(ids[:k], table, window)``, or with
+    ``lookahead`` the first k rows of the whole sentence's composition,
+    whose last windows read on past word k."""
+    full = compose_ngram_inputs(ids, table, window)
+    dim, half = table.dim, window // 2
+    pad = table.matrix[[PAD_ID] * window].reshape(-1)
+    for k in range(1, len(ids) + 1):
+        if lookahead:
+            yield full[:k]
+            continue
+        x = full[:k].copy()
+        # the slots of a window that lie past word k read the padding row
+        for row in range(max(0, k - half), k):
+            start = (k - row + half) * dim
+            x[row, start:] = pad[start:]
+        yield x
+
+
 def _prefix_probs(model, tokens, lookahead=False):
     """Yield the class-probability row of each word-prefix, shortest first.
 
-    Each prefix is an independent forward run because the backward chain
-    depends on the prefix length; a caller that stops early scores no later
-    prefix.
+    Each prefix is scored as its own input because the backward chain
+    depends on the prefix length; a caller that stops early leaves later
+    prefixes unscored, up to the end of the block in progress.
     """
-    window = model.train_cfg.window
     ids = [model.vocab.id_of(t) for t in tokens]
-    full = compose_ngram_inputs(ids, model.table, window) if lookahead else None
-    for k in range(1, len(tokens) + 1):
-        if lookahead:
-            x = full[:k]
-        else:
-            x = compose_ngram_inputs(ids[:k], model.table, window)
-        yield forward_pass(model.params, x).probs
+    return prefix_probs(model.params, prefix_inputs(
+        ids, model.table, model.train_cfg.window, lookahead))
 
 
 def prefix_curve(model, sentence, relation, lookahead=False):
@@ -131,15 +151,19 @@ def _target_probs(model, tokens, relation):
     return (float(probs[r_idx]) for probs in _prefix_probs(model, tokens))
 
 
-def extract_pattern(model, sentence, relation, tau=0.5, window=3,
-                    lookahead=True):
-    """Return the last window of the first prefix whose target probability
-    reaches tau, or None when no prefix crosses. Prefixes after the
-    crossing are not scored."""
+def _check_pattern_settings(tau, window):
     if not 0.0 < tau < 1.0:
         raise InputError(f"tau must lie in (0, 1), got {tau}")
     if window < 1 or window % 2 == 0:
         raise EvenWindow(f"window size must be odd and positive, got {window}")
+
+
+def extract_pattern(model, sentence, relation, tau=0.5, window=3,
+                    lookahead=True):
+    """Return the last window of the first prefix whose target probability
+    reaches tau, or None when no prefix crosses. Prefixes after the
+    crossing's scoring block are not scored."""
+    _check_pattern_settings(tau, window)
     tokens, sid = _tokens_of(sentence)
     for k, p in enumerate(_target_probs(model, tokens, relation), start=1):
         if p >= tau:
@@ -155,6 +179,7 @@ def mine_patterns(model, sentences, tau=0.5, window=3, only_correct=True,
                   lookahead=True):
     """Aggregate extracted patterns per relation into support counts and
     mean scores, deterministically ordered."""
+    _check_pattern_settings(tau, window)
     buckets = {}
     for s in sentences:
         if only_correct and predict(model, s)[0] != s.label:

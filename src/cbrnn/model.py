@@ -9,6 +9,7 @@ final step. Training minimizes a margin ranking loss on the raw scores.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from .corpus import (
     LabeledSentence,
     Vocabulary,
     build_vocabulary,
+    read_text,
     validate_markers,
 )
 from .embeddings import EmbeddingTable, compose_ngram_inputs, init_random
@@ -153,11 +155,9 @@ class ForwardCache:
     probs: np.ndarray    # (n_classes,)
 
 
-def forward_pass(params, x):
-    """Run the three recurrences; the combined state at step t adds the
-    forward state after t steps and the backward state after t steps."""
-    # one memory layout for every caller: the input projections below are
-    # matrix products, whose rounding can depend on the layout
+def _checked_input(params, x):
+    # one memory layout for every caller: the input projections are matrix
+    # products, whose rounding can depend on the layout
     x = np.ascontiguousarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ShapeMismatch("input must be a non-empty (n, window*dim) array")
@@ -165,6 +165,13 @@ def forward_pass(params, x):
         raise ShapeMismatch(
             f"input dim {x.shape[1]} != weight dim {params.in_fwd.shape[0]}"
         )
+    return x
+
+
+def forward_pass(params, x):
+    """Run the three recurrences; the combined state at step t adds the
+    forward state after t steps and the backward state after t steps."""
+    x = _checked_input(params, x)
     n = x.shape[0]
     hidden = params.hidden_size
     h_fwd = np.empty((n, hidden))
@@ -194,6 +201,65 @@ def forward_pass(params, x):
         inputs=x, h_fwd=h_fwd, h_bwd=h_bwd, h_comb=h_comb,
         scores=scores, probs=softmax(scores),
     )
+
+
+# prefixes scored together: blocks of 1, 2, 4, ... prefixes, at most this
+# many, so a caller that stops after prefix k has scored fewer than 2k of
+# them and a block holds at most 2 * _MAX_BLOCK * n * hidden projections
+_MAX_BLOCK = 64
+
+
+def prefix_probs(params, inputs):
+    """Yield ``forward_pass(params, x).probs`` bit for bit for each ``x`` of
+    ``inputs``, where the k-th ``x`` has k rows: the input of a k-word
+    prefix. Inputs are drawn one block at a time, so a caller that stops
+    early leaves later prefixes unbuilt and unscored."""
+    inputs = iter(inputs)
+    rec = np.stack([params.rec_fwd, params.rec_bwd, params.rec_comb])[:, None]
+    first, size = 1, 1
+    while block := list(itertools.islice(inputs, size)):
+        for k, x in enumerate(block, start=first):
+            if len(x) != k:
+                raise ShapeMismatch(f"prefix {k} has {len(x)} input rows")
+        if len(block) == 1:
+            yield forward_pass(params, block[0]).probs
+        else:
+            yield from _lockstep_probs(params, rec, block)
+        first, size = first + len(block), min(2 * size, _MAX_BLOCK)
+
+
+def _lockstep_probs(params, rec, xs):
+    """``forward_pass(params, x).probs`` for prefixes of consecutive lengths,
+    all chains of all prefixes advanced together one step at a time; ``rec``
+    stacks the three recurrent matrices, shape (3, 1, h, h).
+
+    Every operation is the one ``forward_pass`` applies to the same values:
+    each prefix gets its own input products (gemm rows depend on the row
+    count), and the stacked ``np.matmul`` of 1×h states runs one gemv per
+    row, as ``v.dot(rec)`` does; adds and ``tanh`` are elementwise.
+    """
+    first, n = len(xs[0]), len(xs[-1])
+    hidden = params.hidden_size
+    # step t of prefix j adds proj[0, j, t] in its forward chain and
+    # proj[1, j, t] (position len-1-t) in its backward chain; states and
+    # projections are 1×h rows, the shape the matmul takes and gives
+    proj = np.zeros((2, len(xs), n, 1, hidden))
+    for j, x in enumerate(xs):
+        x = _checked_input(params, x)
+        proj[0, j, :len(x), 0] = x @ params.in_fwd
+        proj[1, j, :len(x), 0] = (x @ params.in_bwd)[::-1]
+    # forward, backward and combined state of every prefix after t steps
+    state = np.zeros((3, len(xs), 1, hidden))
+    for t in range(n):
+        # the prefixes shorter than t+1 words are done; the next one ends here
+        done = max(0, t + 1 - first)
+        h = state[:, done:]
+        carried = np.matmul(h, rec)
+        np.tanh(proj[:, done:, t] + carried[:2], out=h[:2])
+        # forward_pass's order: (forward + backward) + carried
+        np.tanh((h[0] + h[1]) + carried[2], out=h[2])
+        if t + 1 >= first:
+            yield softmax(h[2, 0, 0] @ params.out_w + params.out_b)
 
 
 def ranking_loss(scores, y_plus, cfg):
@@ -531,8 +597,7 @@ def load_model(path):
     """Read a model file; any deviation from what ``save_model`` writes for
     the file's own train, labels and vocab lines raises ``ModelFormatError``
     naming the section."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != "cbrnn-model 1":
         raise ModelFormatError("not a cbrnn model file")
     pos = 1

@@ -239,12 +239,24 @@ def _exit_code(argv):
     ({"bad.tsv": "rel-00\t<e1> a b <e2> c </e2>\n"},
      ["eval", "--model", "{model}", "--data", "{tmp}/bad.tsv"], "bad.tsv:1"),
     ({"latin1.tsv": b"rel-00\t\xe9t\xe9\n"},
-     ["eval", "--model", "{model}", "--data", "{tmp}/latin1.tsv"], "utf-8"),
+     ["eval", "--model", "{model}", "--data", "{tmp}/latin1.tsv"],
+     "latin1.tsv:1: not valid utf-8"),
+    ({"vec.txt": b"a 0.1 0.2 0.3 0.4\n\xe9 0.1 0.2 0.3 0.4\n"},
+     [*TRAIN, "--epochs", "1", "--embeddings", "{tmp}/vec.txt"], "vec.txt:2"),
+    ({}, [*TRAIN, "--epochs", "1", "--metrics", "{tmp}"], "{tmp}"),
+    # no sentence is mined, so only an up-front check can reject the settings
+    ({"unknown.tsv": f"zzz\t{SENTENCE}\n"},
+     ["patterns", "--model", "{model}", "--data", "{tmp}/unknown.tsv",
+      "--tau", "1.5"], "tau"),
+    ({"unknown.tsv": f"zzz\t{SENTENCE}\n"},
+     ["patterns", "--model", "{model}", "--data", "{tmp}/unknown.tsv",
+      "--ngram", "2"], "window"),
 ], ids=["config-bad-value", "config-unknown-key", "config-bad-switch",
         "config-missing", "hidden-0", "hidden-negative", "dim-0", "ngram-negative",
         "seed-negative", "single-label", "model-is-directory", "out-is-directory",
         "lisa-without-sentence", "only-unknown-labels", "corpus-marker",
-        "not-utf-8"])
+        "not-utf-8", "vectors-not-utf-8", "metrics-is-directory",
+        "patterns-tau", "patterns-even-window"])
 def test_bad_input_exit_2(tmp_path, quick_model, capsys, files, argv, expected):
     for name, content in files.items():
         path = tmp_path / name

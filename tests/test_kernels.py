@@ -1,12 +1,15 @@
-"""Vectorised training kernels against loop references.
+"""Vectorised kernels against loop references.
 
 The references below are the original per-step implementations: BPTT with
 one outer product per step and matrix, window composition and gradient
 scatter with one slice per window slot, and a dense embedding update. They
-live here only, as the specification the fast kernels must meet.
+live here only, as the specification the fast kernels must meet. The
+lockstep prefix scorer must give, bit for bit, what one ``forward_pass``
+per prefix gives.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,12 +19,15 @@ from cbrnn.embeddings import (
     compose_ngram_inputs,
     input_grads_to_embeddings,
 )
+from cbrnn.interpret import prefix_inputs
 from cbrnn.model import (
     CBRNNParams,
     LossConfig,
+    ShapeMismatch,
     forward_pass,
     init_params,
     loss_gradients,
+    prefix_probs,
     ranking_loss,
     sgd_step,
 )
@@ -196,3 +202,95 @@ def test_sparse_sgd_step_matches_dense_update(ids, window, seed, clip_norm):
     untouched = np.setdiff1d(np.arange(VOCAB), emb_grads[0])
     assert table.matrix[untouched].tobytes() == expected[untouched].tobytes()
     np.testing.assert_allclose(table.matrix, expected, rtol=1e-12)
+
+
+def assert_prefix_probs_bit_equal(params, ids, table, window):
+    full = compose_ngram_inputs(ids, table, window)
+    prefixes = [compose_ngram_inputs(ids[:k], table, window)
+                for k in range(1, len(ids) + 1)]
+    for lookahead, inputs in ((False, prefixes),
+                              (True, [full[:k] for k in range(1, len(ids) + 1)])):
+        rows = list(prefix_probs(params, prefix_inputs(ids, table, window,
+                                                       lookahead)))
+        assert len(rows) == len(ids)
+        for k, (x, row) in enumerate(zip(inputs, rows), start=1):
+            assert np.array_equal(row, forward_pass(params, x).probs), k
+
+
+@given(ids=sentences, window=windows, dim=st.integers(1, 4), seed=seeds)
+@example(ids=[PAD_ID], window=5, dim=2, seed=0)
+def test_prefix_inputs_bit_equal_to_compose(ids, window, dim, seed):
+    table = random_table(seed, dim)
+    full = compose_ngram_inputs(ids, table, window)
+    got = list(prefix_inputs(ids, table, window))
+    ahead = list(prefix_inputs(ids, table, window, lookahead=True))
+    for k in range(1, len(ids) + 1):
+        assert got[k - 1].tobytes() == compose_ngram_inputs(
+            ids[:k], table, window).tobytes()
+        assert ahead[k - 1].tobytes() == full[:k].tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(ids=st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=40),
+       window=windows, dim=st.integers(1, 4), hidden=st.integers(1, 8),
+       n_classes=st.integers(2, 4), scale=st.sampled_from([1.0, 30.0]),
+       seed=seeds)
+@example(ids=[PAD_ID], window=5, dim=1, hidden=1, n_classes=2, scale=1.0,
+         seed=0)
+def test_prefix_probs_bit_equal_to_forward_pass(ids, window, dim, hidden,
+                                                n_classes, scale, seed):
+    rng = np.random.default_rng(seed)
+    table = random_table(seed, dim)
+    params = init_params(window * dim, hidden, n_classes, rng)
+    # large weights drive tanh into saturation, where states round to +-1
+    for array in params.arrays().values():
+        array *= scale
+    assert_prefix_probs_bit_equal(params, ids, table, window)
+
+
+def test_prefix_probs_bit_equal_past_the_largest_block():
+    # the reference run's shape (h32, d16, window 3), 140 words: blocks
+    # 1, 2, 4, ..., 64 and a last one of 13
+    rng = np.random.default_rng(5)
+    ids = list(rng.integers(0, VOCAB, size=140))
+    params = init_params(3 * 16, 32, 4, rng)
+    assert_prefix_probs_bit_equal(params, ids, random_table(5, 16), 3)
+
+
+def test_prefix_probs_draws_blocks_of_doubling_size_up_to_64():
+    params = init_params(2, 2, 2, np.random.default_rng(0))
+    drawn = []
+
+    def inputs():
+        for k in range(1, 201):
+            drawn.append(k)
+            yield np.zeros((k, 2))
+
+    rows = prefix_probs(params, inputs())
+    next(rows)
+    assert drawn == [1]
+    for _ in range(127):
+        next(rows)
+    # blocks 1, 2-3, 4-7, ..., 64-127, then 128-191, not 128-255
+    assert drawn[-1] == 191
+
+
+def test_prefix_probs_rejects_inputs_out_of_order():
+    params = init_params(2, 3, 2, np.random.default_rng(0))
+    with pytest.raises(ShapeMismatch, match="prefix 2 has 3"):
+        list(prefix_probs(params, [np.zeros((1, 2)), np.zeros((3, 2))]))
+
+
+@given(hidden=st.sampled_from([1, 2, 3, 5, 8, 32, 100]),
+       rows=st.integers(1, 9), live=st.integers(0, 8), seed=seeds)
+def test_stacked_matmul_rows_equal_vector_dot(hidden, rows, live, seed):
+    """The scorer's one matmul per step, on the trailing rows it keeps."""
+    rng = np.random.default_rng(seed)
+    rec = rng.uniform(-1.0, 1.0, size=(3, hidden, hidden))
+    states = rng.uniform(-1.0, 1.0, size=(3, rows, 1, hidden))
+    live = min(live, rows - 1)
+    stacked = np.matmul(states[:, live:], rec[:, None])
+    for c in range(3):
+        for j in range(live, rows):
+            assert np.array_equal(stacked[c, j - live, 0],
+                                  states[c, j, 0].dot(rec[c]))

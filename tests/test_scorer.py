@@ -9,18 +9,25 @@ from cbrnn.interpret import FixedCurveModel, UnknownRelation, extract_pattern
 def test_extract_pattern_stops_scoring_at_the_crossing(trained_model,
                                                        synthetic_split,
                                                        monkeypatch):
-    forward_pass = interpret.forward_pass
+    prefix_inputs = interpret.prefix_inputs
     lengths = []
 
-    def spy(params, x):
-        lengths.append(len(x))
-        return forward_pass(params, x)
+    def spy(*args):
+        for x in prefix_inputs(*args):
+            lengths.append(len(x))
+            yield x
 
-    monkeypatch.setattr(interpret, "forward_pass", spy)
+    # the scorer draws each prefix's input before it scores the prefix
+    monkeypatch.setattr(interpret, "prefix_inputs", spy)
     s = synthetic_split.test[0]
     pat = extract_pattern(trained_model, s, s.label, tau=0.5, window=3)
-    assert pat is not None and pat.crossing_index < len(s.tokens)
-    assert lengths == list(range(1, pat.crossing_index + 1))
+    assert pat is not None
+    k = pat.crossing_index
+    assert 2 * k <= len(s.tokens)  # so a scorer that does not stop fails
+    # prefixes come in blocks 1, 2-3, 4-7, ...; the one holding k is the last
+    block_end = 2 ** k.bit_length() - 1
+    assert lengths == list(range(1, block_end + 1))
+    assert len(lengths) < 2 * k
 
 
 def test_extract_pattern_unknown_relation(trained_model, synthetic_split):
