@@ -42,8 +42,9 @@ def _add_setting_flags(parser):
 
 
 def _config_defaults(parser, path):
-    """Parser defaults from a ``flag-name=value`` file; argparse converts
-    them with each flag's type, and flags given in argv still win."""
+    """Parser defaults from a ``flag-name=value`` file, each converted with
+    its flag's type here, since argparse converts a default only when no
+    flag in argv overrides it; flags given in argv still win."""
     defaults = {}
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
@@ -59,6 +60,13 @@ def _config_defaults(parser, path):
                                  f" or 0/false/no, not {value!r}")
             on = _SWITCH_VALUES[value.lower()]
             value = action.const if on else not action.const
+        elif action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: {action.option_strings[0]}"
+                                 f" takes {action.type.__name__} values, not "
+                                 f"{value!r}") from None
         defaults[action.dest] = value
     return defaults
 

@@ -10,15 +10,16 @@ from .corpus import PAD_ID, InputError, read_text
 
 
 class DimensionMismatch(InputError):
-    def __init__(self, expected, found):
-        super().__init__(f"expected dimension {expected}, found {found}")
+    def __init__(self, path, lineno, expected, found):
+        super().__init__(f"{path}:{lineno}: expected dimension {expected}, "
+                         f"found {found}")
         self.expected = expected
         self.found = found
 
 
 class MalformedLine(InputError):
-    def __init__(self, lineno, message="malformed line"):
-        super().__init__(f"line {lineno}: {message}")
+    def __init__(self, path, lineno, message):
+        super().__init__(f"{path}:{lineno}: {message}")
         self.lineno = lineno
 
 
@@ -46,7 +47,8 @@ def init_random(vocab, dim, seed):
 
 def load_pretrained_text(path, vocab, dim, fallback_seed=0):
     """Load ``word v1 ... vd`` text vectors; vocabulary tokens missing from
-    the file keep their seeded random rows."""
+    the file keep their seeded random rows. Errors name ``path:line``; an
+    optional ``count dim`` header is line 1."""
     table = init_random(vocab, dim, fallback_seed)
     lines = read_text(path).splitlines()
     start = 0
@@ -54,21 +56,21 @@ def load_pretrained_text(path, vocab, dim, fallback_seed=0):
         head = lines[0].split()
         if len(head) == 2 and all(p.lstrip("-").isdigit() for p in head):
             if int(head[1]) != dim:
-                raise DimensionMismatch(dim, int(head[1]))
+                raise DimensionMismatch(path, 1, dim, int(head[1]))
             start = 1
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue
         parts = line.split()
         if len(parts) < 2:
-            raise MalformedLine(lineno, "expected word and vector")
+            raise MalformedLine(path, lineno, "expected word and vector")
         word, values = parts[0], parts[1:]
         if len(values) != dim:
-            raise DimensionMismatch(dim, len(values))
+            raise DimensionMismatch(path, lineno, dim, len(values))
         try:
             vector = np.array([float(v) for v in values])
         except ValueError:
-            raise MalformedLine(lineno, "non-numeric vector entry") from None
+            raise MalformedLine(path, lineno, "non-numeric vector entry") from None
         idx = vocab.token_to_id.get(word)
         if idx is not None and idx != PAD_ID:
             table.matrix[idx] = vector

@@ -4,7 +4,10 @@ A prefix of length k is scored as its own full input: the window sequence is
 recomposed on the truncated tokens, so the last window ends in padding rather
 than the next word. Pattern *reporting* can instead take the window from the
 full sentence (``lookahead=True``), which includes the right neighbor of the
-crossing word.
+crossing word. The inputs of all prefixes are the sentence's composition
+plus, for each prefix, the few rows that differ from it
+(``prefix_inputs``), and ``model.prefix_probs`` scores them sharing what
+the prefixes have in common.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from .corpus import PAD_ID, PAD_TOKEN, InputError, LabeledSentence
 from .embeddings import EvenWindow, compose_ngram_inputs
 from .model import (
     UnknownRelation,
+    classify,
     forward_pass,
     model_inputs,
-    predict,
     prefix_probs,
 )
 
@@ -87,35 +90,46 @@ def _relation_index(model, relation):
 
 
 def prefix_inputs(ids, table, window, lookahead=False):
-    """Yield the input of each prefix ``ids[:k]``, shortest first: bit for
-    bit ``compose_ngram_inputs(ids[:k], table, window)``, or with
-    ``lookahead`` the first k rows of the whole sentence's composition,
-    whose last windows read on past word k."""
+    """Return ``(full, tails)``: the whole sentence's composition and, for
+    each prefix ``ids[:k]``, shortest first, its tail.
+
+    A tail holds the rows of the prefix's input that differ from
+    ``full[:k]``: its last ``window // 2`` rows (all k when fewer), whose
+    windows reach past word k and read the padding row there. ``full[:k]``
+    with its last rows replaced by the tail is bit for bit
+    ``compose_ngram_inputs(ids[:k], table, window)``. With ``lookahead``
+    every tail is empty: the input is ``full[:k]``, whose last windows read
+    on past word k.
+    """
     full = compose_ngram_inputs(ids, table, window)
-    dim, half = table.dim, window // 2
+    n, dim, half = len(ids), table.dim, 0 if lookahead else window // 2
     pad = table.matrix[[PAD_ID] * window].reshape(-1)
-    for k in range(1, len(ids) + 1):
-        if lookahead:
-            yield full[:k]
-            continue
-        x = full[:k].copy()
-        # the slots of a window that lie past word k read the padding row
-        for row in range(max(0, k - half), k):
-            start = (k - row + half) * dim
-            x[row, start:] = pad[start:]
-        yield x
+    # the slots of row r of prefix k from (k - r + half) * dim on lie past
+    # word k; in a tail of half rows, row i has k - r = half - i
+    short = [full[:k].copy() for k in range(1, min(half, n + 1))]
+    for k, tail in enumerate(short, start=1):
+        for r, row in enumerate(tail):
+            row[(k - r + half) * dim:] = pad[(k - r + half) * dim:]
+    ends = np.arange(max(half, 1), n + 1)
+    tails = full[ends[:, None] - half + np.arange(half)]
+    for i in range(half):
+        tails[:, i, (2 * half - i) * dim:] = pad[(2 * half - i) * dim:]
+    return full, short + list(tails)
 
 
-def _prefix_probs(model, tokens, lookahead=False):
+def _prefix_probs(model, tokens, lookahead=False, h_fwd=None):
     """Yield the class-probability row of each word-prefix, shortest first.
 
-    Each prefix is scored as its own input because the backward chain
-    depends on the prefix length; a caller that stops early leaves later
-    prefixes unscored, up to the end of the block in progress.
+    Each prefix is scored as its own input, since its backward and combined
+    chains depend on where it ends; what it shares with the whole sentence,
+    the projections of its rows and its forward chain up to its last
+    windows, is computed once, or taken from ``h_fwd``, the sentence's
+    forward states from ``forward_pass``. A caller that stops early leaves
+    later prefixes unscored, up to the end of the block in progress.
     """
     ids = [model.vocab.id_of(t) for t in tokens]
-    return prefix_probs(model.params, prefix_inputs(
-        ids, model.table, model.train_cfg.window, lookahead))
+    return prefix_probs(model.params, *prefix_inputs(
+        ids, model.table, model.train_cfg.window, lookahead), h_fwd)
 
 
 def prefix_curve(model, sentence, relation, lookahead=False):
@@ -124,7 +138,7 @@ def prefix_curve(model, sentence, relation, lookahead=False):
     r_idx = _relation_index(model, relation)
     points = []
     for k, probs in enumerate(_prefix_probs(model, tokens, lookahead), start=1):
-        p_idx = int(np.argmax(probs))
+        p_idx = int(probs.argmax())
         points.append(CurvePoint(
             k=k, token=tokens[k - 1],
             prob_target=float(probs[r_idx]),
@@ -142,13 +156,14 @@ class FixedCurveModel:
     probs: tuple
 
 
-def _target_probs(model, tokens, relation):
+def _target_probs(model, tokens, relation, h_fwd):
     if isinstance(model, FixedCurveModel):
         if len(model.probs) != len(tokens):
             raise ValueError("curve length does not match sentence length")
         return model.probs
     r_idx = _relation_index(model, relation)
-    return (float(probs[r_idx]) for probs in _prefix_probs(model, tokens))
+    return (float(probs[r_idx])
+            for probs in _prefix_probs(model, tokens, h_fwd=h_fwd))
 
 
 def _check_pattern_settings(tau, window):
@@ -159,13 +174,15 @@ def _check_pattern_settings(tau, window):
 
 
 def extract_pattern(model, sentence, relation, tau=0.5, window=3,
-                    lookahead=True):
+                    lookahead=True, h_fwd=None):
     """Return the last window of the first prefix whose target probability
     reaches tau, or None when no prefix crosses. Prefixes after the
-    crossing's scoring block are not scored."""
+    crossing's scoring block are not scored. ``h_fwd``, the sentence's
+    forward states from ``forward_pass``, spares the scorer its own."""
     _check_pattern_settings(tau, window)
     tokens, sid = _tokens_of(sentence)
-    for k, p in enumerate(_target_probs(model, tokens, relation), start=1):
+    for k, p in enumerate(_target_probs(model, tokens, relation, h_fwd),
+                          start=1):
         if p >= tau:
             source = tokens if lookahead else tokens[:k]
             return SaliencyPattern(
@@ -182,10 +199,14 @@ def mine_patterns(model, sentences, tau=0.5, window=3, only_correct=True,
     _check_pattern_settings(tau, window)
     buckets = {}
     for s in sentences:
-        if only_correct and predict(model, s)[0] != s.label:
-            continue
+        h_fwd = None
+        if only_correct:
+            label, cache = classify(model, s)
+            if label != s.label:
+                continue
+            h_fwd = cache.h_fwd
         pat = extract_pattern(model, s, s.label, tau=tau, window=window,
-                              lookahead=lookahead)
+                              lookahead=lookahead, h_fwd=h_fwd)
         if pat is None:
             continue
         buckets.setdefault((pat.relation, pat.ngram), []).append(pat.score)

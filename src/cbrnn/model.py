@@ -140,8 +140,7 @@ def init_params(input_dim, hidden_size, n_classes, rng):
 
 
 def softmax(scores):
-    shifted = scores - np.max(scores)
-    e = np.exp(shifted)
+    e = np.exp(scores - scores.max())
     return e / e.sum()
 
 
@@ -155,46 +154,76 @@ class ForwardCache:
     probs: np.ndarray    # (n_classes,)
 
 
+# rows per block of the input projections, see _checked_input
+_ROW_BLOCK = 4
+
+
 def _checked_input(params, x):
-    # one memory layout for every caller: the input projections are matrix
-    # products, whose rounding can depend on the layout
-    x = np.ascontiguousarray(x, dtype=float)
+    """Return ``(x, padded)``: the input as floats, and its rows in a fresh
+    array zero-padded to whole blocks of ``_ROW_BLOCK`` rows, the operand of
+    ``_project``.
+
+    BLAS rounds a row of a matrix product by the path it takes, and the
+    path depends on the shape of the product. ``_project`` therefore runs
+    one gemm per block of ``_ROW_BLOCK`` rows, anchored at row 0: the product
+    of row r depends only on row r and on r mod ``_ROW_BLOCK``, not on the
+    input's length, so a prefix of a sentence projects each of its rows as
+    the whole sentence does. Rows projected apart from the rest of their
+    input keep this only in the blocks they occupy in that input: rows
+    ``r // _ROW_BLOCK * _ROW_BLOCK`` on, the input's own rows before them
+    and zeros after its end. A row moved to another place in a block may
+    round differently.
+    """
+    x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ShapeMismatch("input must be a non-empty (n, window*dim) array")
     if x.shape[1] != params.in_fwd.shape[0]:
         raise ShapeMismatch(
             f"input dim {x.shape[1]} != weight dim {params.in_fwd.shape[0]}"
         )
-    return x
+    padded = np.zeros((-(-len(x) // _ROW_BLOCK) * _ROW_BLOCK, x.shape[1]))
+    padded[:len(x)] = x
+    return padded[:len(x)], padded
+
+
+def _project(padded, w):
+    """``padded @ w``, one gemm per block of ``_ROW_BLOCK`` rows; ``w`` is an
+    (input, h) matrix or a stack of them, shape (s, 1, input, h)."""
+    out = np.matmul(padded.reshape(-1, _ROW_BLOCK, padded.shape[1]), w)
+    return out.reshape(out.shape[:-3] + (len(padded), w.shape[-1]))
 
 
 def forward_pass(params, x):
     """Run the three recurrences; the combined state at step t adds the
-    forward state after t steps and the backward state after t steps."""
-    x = _checked_input(params, x)
+    forward state after t steps and the backward state after t steps.
+
+    The input projections run in blocks of ``_ROW_BLOCK`` rows anchored at
+    row 0 (see ``_checked_input``): a row's product depends on the row and
+    its place in its block, not on the input's length. Rows projected apart
+    give the same bits only in the blocks they occupy in their input."""
+    x, padded = _checked_input(params, x)
     n = x.shape[0]
     hidden = params.hidden_size
     h_fwd = np.empty((n, hidden))
     h_bwd = np.empty((n, hidden))
     h_comb = np.empty((n, hidden))
 
-    in_fwd = x @ params.in_fwd
+    # ``v.dot(m)`` is the same BLAS call as ``v @ m`` with less overhead,
+    # and iterating over rows costs less than indexing them
     prev = np.zeros(hidden)
-    # ``v.dot(m)`` is the same BLAS call as ``v @ m`` with less overhead
-    for t in range(n):
-        prev = np.tanh(in_fwd[t] + prev.dot(params.rec_fwd), out=h_fwd[t])
+    for row, out in zip(_project(padded, params.in_fwd), h_fwd):
+        prev = np.tanh(row + prev.dot(params.rec_fwd), out=out)
 
-    in_bwd = x @ params.in_bwd
     nxt = np.zeros(hidden)
-    for p in range(n - 1, -1, -1):
-        nxt = np.tanh(in_bwd[p] + nxt.dot(params.rec_bwd), out=h_bwd[p])
+    for row, out in zip(_project(padded, params.in_bwd)[n - 1::-1],
+                        h_bwd[::-1]):
+        nxt = np.tanh(row + nxt.dot(params.rec_bwd), out=out)
 
     # after t+1 steps the backward chain has consumed words n..n-t, whose
     # state sits at position n-1-t
-    in_comb = h_fwd + h_bwd[::-1]
     prev = np.zeros(hidden)
-    for t in range(n):
-        prev = np.tanh(in_comb[t] + prev.dot(params.rec_comb), out=h_comb[t])
+    for row, out in zip(h_fwd + h_bwd[::-1], h_comb):
+        prev = np.tanh(row + prev.dot(params.rec_comb), out=out)
 
     scores = h_comb[n - 1] @ params.out_w + params.out_b
     return ForwardCache(
@@ -205,61 +234,133 @@ def forward_pass(params, x):
 
 # prefixes scored together: blocks of 1, 2, 4, ... prefixes, at most this
 # many, so a caller that stops after prefix k has scored fewer than 2k of
-# them and a block holds at most 2 * _MAX_BLOCK * n * hidden projections
+# them and a block projects at most _MAX_BLOCK prefixes' tail rows at once
 _MAX_BLOCK = 64
 
 
-def prefix_probs(params, inputs):
-    """Yield ``forward_pass(params, x).probs`` bit for bit for each ``x`` of
-    ``inputs``, where the k-th ``x`` has k rows: the input of a k-word
-    prefix. Inputs are drawn one block at a time, so a caller that stops
-    early leaves later prefixes unbuilt and unscored."""
-    inputs = iter(inputs)
-    rec = np.stack([params.rec_fwd, params.rec_bwd, params.rec_comb])[:, None]
+def prefix_probs(params, full, tails, h_fwd=None):
+    """Yield ``forward_pass(params, x).probs`` bit for bit for the input
+    ``x`` of each prefix of a sentence, shortest first.
+
+    ``full`` is the whole sentence's input, n rows. ``tails`` yields, for
+    k = 1, 2, ..., the rows of the k-word prefix's input that differ from
+    ``full[:k]``: its last ``min(k, m)`` rows, for one m. Tails are drawn
+    one block of prefixes at a time, so a caller that stops early leaves
+    the tails of later blocks undrawn and their prefixes unscored.
+
+    The whole sentence is projected once, and one forward chain over it is
+    advanced as far as the block being scored needs: a prefix's forward
+    chain leaves it only at its tail. The backward and combined chains
+    depend on where the prefix ends, so every prefix keeps its own,
+    advanced in lockstep with the others of its block. A block of one
+    prefix, and a prefix that is all tail, shares nothing and is one
+    ``forward_pass`` call. ``h_fwd``, when given, is that chain:
+    ``forward_pass(params, full).h_fwd``.
+    """
+    full, padded = _checked_input(params, full)
+    (n, width), hidden = full.shape, params.hidden_size
+    w_in = np.array([params.in_fwd, params.in_bwd])[:, None]
+    proj_fwd, proj_bwd = _project(padded, w_in)
+    # the shared forward chain: chain[t] is the state after t words
+    chain = np.zeros((n + 1, hidden))
+    reached = 0
+    if h_fwd is not None:
+        chain[1:], reached = h_fwd, n
+    rec = np.array([params.rec_bwd, params.rec_comb])[:, None]
+    tails = iter(tails)
     first, size = 1, 1
-    while block := list(itertools.islice(inputs, size)):
-        for k, x in enumerate(block, start=first):
-            if len(x) != k:
-                raise ShapeMismatch(f"prefix {k} has {len(x)} input rows")
-        if len(block) == 1:
-            yield forward_pass(params, block[0]).probs
-        else:
-            yield from _lockstep_probs(params, rec, block)
+    while block := list(itertools.islice(tails, min(size, n + 1 - first))):
+        depth = len(block[-1])
+        for k, tail in enumerate(block, start=first):
+            if tail.shape != (min(k, depth), width):
+                raise ShapeMismatch(
+                    f"prefix {k} has a tail of shape {tail.shape}, not "
+                    f"{min(k, depth)} rows of width {width}")
+        alone = 1 if len(block) == 1 else sum(len(t) < depth for t in block)
+        for k, tail in enumerate(block[:alone], start=first):
+            x = np.concatenate([full[:k - len(tail)], tail])
+            yield forward_pass(params, x).probs
+        if alone < len(block):
+            need = first + len(block) - 1 - depth
+            for row, prev, nxt in zip(proj_fwd[reached:need], chain[reached:],
+                                      chain[reached + 1:need + 1]):
+                np.tanh(row + prev.dot(params.rec_fwd), out=nxt)
+            reached = max(reached, need)
+            yield from _lockstep_probs(params, w_in, rec, first + alone,
+                                       block[alone:], padded,
+                                       proj_bwd[:, None], chain)
         first, size = first + len(block), min(2 * size, _MAX_BLOCK)
 
 
-def _lockstep_probs(params, rec, xs):
-    """``forward_pass(params, x).probs`` for prefixes of consecutive lengths,
-    all chains of all prefixes advanced together one step at a time; ``rec``
-    stacks the three recurrent matrices, shape (3, 1, h, h).
+def _lockstep_probs(params, w_in, rec, first, tails, padded, proj_bwd, chain):
+    """``forward_pass(params, x).probs`` for the prefixes of ``first``,
+    ``first + 1``, ... words, whose tails have one length; ``w_in`` and
+    ``rec`` stack the forward and backward input matrices and the backward
+    and combined recurrent matrices.
 
-    Every operation is the one ``forward_pass`` applies to the same values:
-    each prefix gets its own input products (gemm rows depend on the row
-    count), and the stacked ``np.matmul`` of 1×h states runs one gemv per
+    Every operation is the one ``forward_pass`` applies to the same values.
+    A tail's rows are projected in the blocks they occupy in the prefix's
+    input (see ``_checked_input``); every other row's product is the whole
+    sentence's. The stacked ``np.matmul`` of 1×h states runs one gemv per
     row, as ``v.dot(rec)`` does; adds and ``tanh`` are elementwise.
     """
-    first, n = len(xs[0]), len(xs[-1])
+    n_pre, depth = len(tails), len(tails[0])
     hidden = params.hidden_size
-    # step t of prefix j adds proj[0, j, t] in its forward chain and
-    # proj[1, j, t] (position len-1-t) in its backward chain; states and
-    # projections are 1×h rows, the shape the matmul takes and gives
-    proj = np.zeros((2, len(xs), n, 1, hidden))
-    for j, x in enumerate(xs):
-        x = _checked_input(params, x)
-        proj[0, j, :len(x), 0] = x @ params.in_fwd
-        proj[1, j, :len(x), 0] = (x @ params.in_bwd)[::-1]
-    # forward, backward and combined state of every prefix after t steps
-    state = np.zeros((3, len(xs), 1, hidden))
-    for t in range(n):
-        # the prefixes shorter than t+1 words are done; the next one ends here
-        done = max(0, t + 1 - first)
-        h = state[:, done:]
-        carried = np.matmul(h, rec)
-        np.tanh(proj[:, done:, t] + carried[:2], out=h[:2])
-        # forward_pass's order: (forward + backward) + carried
-        np.tanh((h[0] + h[1]) + carried[2], out=h[2])
+    # prefix j's tail holds its rows cut + j ... cut + j + depth - 1
+    cut = first - depth
+    if depth:
+        # each tail in its prefix's blocks: the sentence's rows from the
+        # start of the block holding the tail's first row, the tail, zeros
+        span = -(-(_ROW_BLOCK - 1 + depth) // _ROW_BLOCK) * _ROW_BLOCK
+        blocks = np.zeros((n_pre * span, padded.shape[1]))
+        places = []
+        for j, tail in enumerate(tails):
+            start = (cut + j) // _ROW_BLOCK * _ROW_BLOCK
+            at = j * span + cut + j - start
+            blocks[j * span:at] = padded[start:cut + j]
+            blocks[at:at + depth] = tail
+            places.extend(range(at, at + depth))
+        tail_fwd, tail_bwd = _project(blocks, w_in)[:, places].reshape(
+            2, n_pre, depth, 1, hidden)
+        # each forward chain leaves the shared one at its first tail row;
+        # forward[i][j] is prefix j's state after its tail row i
+        forward, prev = [], chain[cut:cut + n_pre, None]
+        for i in range(depth):
+            prev = np.tanh(tail_fwd[:, i] + np.matmul(prev, params.rec_fwd))
+            forward.append(prev)
+
+    # backward and combined state of every prefix after t steps; the
+    # prefixes shorter than t+1 words are done, and the next one ends here
+    state = np.zeros((2, n_pre, 1, hidden))
+    comb = np.empty((n_pre, 1, hidden))
+    done, live, comb_in = 0, state, comb
+    bwd_state, comb_state = live
+    for t, shared in enumerate(chain[1:first + n_pre]):
+        if t >= first:
+            done += 1
+            live, comb_in = state[:, done:], comb[done:]
+            bwd_state, comb_state = live
+        carried_bwd, carried_comb = np.matmul(live, rec)
+        # prefix j reads its row first - 1 + j - t, a tail row for t < depth
+        if t < depth:
+            bwd_in = tail_bwd[done:, depth - 1 - t]
+        else:
+            row = first - 1 + done - t
+            bwd_in = proj_bwd[row:row + n_pre - done]
+        np.add(bwd_in, carried_bwd, bwd_state)
+        np.tanh(bwd_state, bwd_state)
+        # forward_pass's order: (forward + backward) + carried; the sum of
+        # two is the same either way round
+        np.add(bwd_state, shared, comb_in)
+        # the prefixes whose step t reads tail row i of their forward chain
+        for i in range(depth):
+            j = t - cut - i
+            if done <= j < n_pre:
+                np.add(forward[i][j], bwd_state[j - done], comb_in[j - done])
+        comb_in += carried_comb
+        np.tanh(comb_in, comb_state)
         if t + 1 >= first:
-            yield softmax(h[2, 0, 0] @ params.out_w + params.out_b)
+            yield softmax(comb_state[0, 0] @ params.out_w + params.out_b)
 
 
 def ranking_loss(scores, y_plus, cfg):
@@ -269,7 +370,7 @@ def ranking_loss(scores, y_plus, cfg):
         raise SingleClass("need at least two classes")
     masked = scores.copy()
     masked[y_plus] = -np.inf
-    c_minus = int(np.argmax(masked))
+    c_minus = int(masked.argmax())
     z_plus = cfg.gamma * (cfg.m_plus - scores[y_plus])
     z_minus = cfg.gamma * (cfg.m_minus + scores[c_minus])
     loss = float(np.logaddexp(0.0, z_plus) + np.logaddexp(0.0, z_minus))
@@ -416,12 +517,17 @@ def model_inputs(model, tokens):
     return compose_ngram_inputs(ids, model.table, model.train_cfg.window)
 
 
-def predict(model, sentence):
+def classify(model, sentence):
+    """The label ``predict`` gives, with the ``ForwardCache`` behind it."""
     tokens = sentence.tokens if isinstance(sentence, LabeledSentence) else tuple(sentence)
     validate_markers(tokens)
     cache = forward_pass(model.params, model_inputs(model, tokens))
-    idx = int(np.argmax(cache.probs))
-    return model.label_set[idx], cache.probs
+    return model.label_set[int(cache.probs.argmax())], cache
+
+
+def predict(model, sentence):
+    label, cache = classify(model, sentence)
+    return label, cache.probs
 
 
 def _accuracy(model, sentences):

@@ -218,6 +218,8 @@ def _exit_code(argv):
 
 @pytest.mark.parametrize("files, argv, expected", [
     ({"run.cfg": "epochs=abc\n"}, [*TRAIN, "--config", "{tmp}/run.cfg"], "--epochs"),
+    ({"run.cfg": "seed=3\nepochs=abc\n"},
+     [*TRAIN, "--config", "{tmp}/run.cfg", "--epochs", "1"], "run.cfg:2"),
     ({"run.cfg": "seed=3\nhiden=6\n"}, [*TRAIN, "--config", "{tmp}/run.cfg"],
      "run.cfg:2"),
     ({"run.cfg": "no_shuffle=maybe\n"}, [*TRAIN, "--config", "{tmp}/run.cfg"],
@@ -243,6 +245,15 @@ def _exit_code(argv):
      "latin1.tsv:1: not valid utf-8"),
     ({"vec.txt": b"a 0.1 0.2 0.3 0.4\n\xe9 0.1 0.2 0.3 0.4\n"},
      [*TRAIN, "--epochs", "1", "--embeddings", "{tmp}/vec.txt"], "vec.txt:2"),
+    ({"short.vec": "a 0.1 0.2 0.3 0.4\nb 0.1 0.2 0.3\n"},
+     [*TRAIN, "--epochs", "1", "--embeddings", "{tmp}/short.vec"],
+     "short.vec:2: expected dimension 4, found 3"),
+    ({"short.vec": "a 0.1 0.2 0.3 0.4\nb\n"},
+     [*TRAIN, "--epochs", "1", "--embeddings", "{tmp}/short.vec"],
+     "short.vec:2: expected word and vector"),
+    ({"head.vec": "2 2\na 0.1 0.2\n"},
+     [*TRAIN, "--epochs", "1", "--embeddings", "{tmp}/head.vec"],
+     "head.vec:1: expected dimension 4, found 2"),
     ({}, [*TRAIN, "--epochs", "1", "--metrics", "{tmp}"], "{tmp}"),
     # no sentence is mined, so only an up-front check can reject the settings
     ({"unknown.tsv": f"zzz\t{SENTENCE}\n"},
@@ -251,11 +262,12 @@ def _exit_code(argv):
     ({"unknown.tsv": f"zzz\t{SENTENCE}\n"},
      ["patterns", "--model", "{model}", "--data", "{tmp}/unknown.tsv",
       "--ngram", "2"], "window"),
-], ids=["config-bad-value", "config-unknown-key", "config-bad-switch",
+], ids=["config-bad-value", "config-bad-value-overridden", "config-unknown-key", "config-bad-switch",
         "config-missing", "hidden-0", "hidden-negative", "dim-0", "ngram-negative",
         "seed-negative", "single-label", "model-is-directory", "out-is-directory",
         "lisa-without-sentence", "only-unknown-labels", "corpus-marker",
-        "not-utf-8", "vectors-not-utf-8", "metrics-is-directory",
+        "not-utf-8", "vectors-not-utf-8", "vectors-short-row",
+        "vectors-no-vector", "vectors-header-dim", "metrics-is-directory",
         "patterns-tau", "patterns-even-window"])
 def test_bad_input_exit_2(tmp_path, quick_model, capsys, files, argv, expected):
     for name, content in files.items():

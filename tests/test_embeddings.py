@@ -47,21 +47,23 @@ def test_load_pretrained_copies_file_rows(tmp_path, vocab):
 def test_load_pretrained_header_dimension_mismatch(tmp_path, vocab):
     path = tmp_path / "vecs.txt"
     path.write_text("2 50\n")
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=r"vecs.txt:1: expected "
+                       r"dimension 60, found 50"):
         load_pretrained_text(path, vocab, 60)
 
 
 def test_load_pretrained_row_dimension_mismatch(tmp_path, vocab):
     path = tmp_path / "vecs.txt"
     path.write_text("cause 0.1 0.2\n")
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=r"vecs.txt:1: expected "
+                       r"dimension 5, found 2"):
         load_pretrained_text(path, vocab, 5)
 
 
 def test_load_pretrained_malformed_line(tmp_path, vocab):
     path = tmp_path / "vecs.txt"
     path.write_text("cause 0.1 oops 0.3 0.4 0.5\n")
-    with pytest.raises(MalformedLine) as exc:
+    with pytest.raises(MalformedLine, match="vecs.txt:1: non-numeric") as exc:
         load_pretrained_text(path, vocab, 5)
     assert exc.value.lineno == 1
 

@@ -5,8 +5,11 @@ one outer product per step and matrix, window composition and gradient
 scatter with one slice per window slot, and a dense embedding update. They
 live here only, as the specification the fast kernels must meet. The
 lockstep prefix scorer must give, bit for bit, what one ``forward_pass``
-per prefix gives.
+per prefix gives; it rests on the input projection giving each row the
+same bits whatever the number of rows projected with it.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,11 +22,15 @@ from cbrnn.embeddings import (
     compose_ngram_inputs,
     input_grads_to_embeddings,
 )
+from cbrnn import model
 from cbrnn.interpret import prefix_inputs
 from cbrnn.model import (
     CBRNNParams,
     LossConfig,
     ShapeMismatch,
+    _ROW_BLOCK,
+    _checked_input,
+    _project,
     forward_pass,
     init_params,
     loss_gradients,
@@ -208,26 +215,65 @@ def assert_prefix_probs_bit_equal(params, ids, table, window):
     full = compose_ngram_inputs(ids, table, window)
     prefixes = [compose_ngram_inputs(ids[:k], table, window)
                 for k in range(1, len(ids) + 1)]
+    # the scorer's own forward chain, and the one forward_pass gives
+    h_fwd = forward_pass(params, full).h_fwd
     for lookahead, inputs in ((False, prefixes),
                               (True, [full[:k] for k in range(1, len(ids) + 1)])):
-        rows = list(prefix_probs(params, prefix_inputs(ids, table, window,
-                                                       lookahead)))
-        assert len(rows) == len(ids)
-        for k, (x, row) in enumerate(zip(inputs, rows), start=1):
-            assert np.array_equal(row, forward_pass(params, x).probs), k
+        for chain in (None, h_fwd):
+            rows = list(prefix_probs(params, *prefix_inputs(
+                ids, table, window, lookahead), chain))
+            assert len(rows) == len(ids)
+            for k, (x, row) in enumerate(zip(inputs, rows), start=1):
+                assert np.array_equal(row, forward_pass(params, x).probs), k
+
+
+def prefix_input(full, tail, k):
+    return np.concatenate([full[:k - len(tail)], tail])
 
 
 @given(ids=sentences, window=windows, dim=st.integers(1, 4), seed=seeds)
 @example(ids=[PAD_ID], window=5, dim=2, seed=0)
+@example(ids=[1, 2], window=7, dim=1, seed=0)
 def test_prefix_inputs_bit_equal_to_compose(ids, window, dim, seed):
     table = random_table(seed, dim)
-    full = compose_ngram_inputs(ids, table, window)
-    got = list(prefix_inputs(ids, table, window))
-    ahead = list(prefix_inputs(ids, table, window, lookahead=True))
-    for k in range(1, len(ids) + 1):
-        assert got[k - 1].tobytes() == compose_ngram_inputs(
+    full, tails = prefix_inputs(ids, table, window)
+    ahead_full, ahead = prefix_inputs(ids, table, window, lookahead=True)
+    assert full.tobytes() == compose_ngram_inputs(ids, table, window).tobytes()
+    assert len(tails) == len(ahead) == len(ids)
+    for k, (tail, empty) in enumerate(zip(tails, ahead), start=1):
+        assert len(tail) == min(k, window // 2)
+        assert prefix_input(full, tail, k).tobytes() == compose_ngram_inputs(
             ids[:k], table, window).tobytes()
-        assert ahead[k - 1].tobytes() == full[:k].tobytes()
+        assert empty.shape == (0, full.shape[1])
+        assert prefix_input(ahead_full, empty, k).tobytes() == full[:k].tobytes()
+
+
+def projection(x, w):
+    """The input projection ``forward_pass`` applies to ``x``."""
+    return _project(_checked_input(SimpleNamespace(in_fwd=w), x)[1], w)[:len(x)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(shape=st.sampled_from([(48, 32), (150, 100), (900, 300)]),
+       n=st.integers(1, 140), data=st.data(), seed=seeds)
+def test_projection_rows_do_not_depend_on_the_row_count(shape, n, data, seed):
+    """Row r of the projection of a prefix, also of one whose last rows
+    differ from the sentence's, is row r of the whole sentence's: OpenBLAS
+    takes other paths on either side of its small-matrix cut-off, and the
+    shapes sit on both sides of it."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(n, shape[0]))
+    w = rng.uniform(-1.0, 1.0, size=shape)
+    whole = projection(x, w)
+    k = data.draw(st.integers(1, n))
+    changed = data.draw(st.integers(0, min(k, 3)))
+    prefix = x[:k].copy()
+    prefix[k - changed:] = rng.uniform(-1.0, 1.0, size=(changed, shape[0]))
+    rows = projection(prefix, w)
+    assert rows[:k - changed].tobytes() == whole[:k - changed].tobytes()
+    # and the changed rows do not depend on the rows that follow them
+    longer = projection(np.concatenate([prefix, x[k:]]), w)
+    assert longer[:k].tobytes() == rows.tobytes()
 
 
 @settings(deadline=None, max_examples=60)
@@ -237,6 +283,8 @@ def test_prefix_inputs_bit_equal_to_compose(ids, window, dim, seed):
        seed=seeds)
 @example(ids=[PAD_ID], window=5, dim=1, hidden=1, n_classes=2, scale=1.0,
          seed=0)
+@example(ids=[1, 2, 3, 4, 5, 1, 2, 3, 4, 5], window=7, dim=1, hidden=2,
+         n_classes=2, scale=1.0, seed=0)
 def test_prefix_probs_bit_equal_to_forward_pass(ids, window, dim, hidden,
                                                 n_classes, scale, seed):
     rng = np.random.default_rng(seed)
@@ -257,16 +305,60 @@ def test_prefix_probs_bit_equal_past_the_largest_block():
     assert_prefix_probs_bit_equal(params, ids, random_table(5, 16), 3)
 
 
+def test_prefix_probs_bit_equal_at_the_semeval_shape():
+    # h100 d50, 140 words: plain gemm would take another path from 67 rows
+    # on, so every prefix crosses that switch
+    rng = np.random.default_rng(6)
+    table = EmbeddingTable(rng.uniform(-0.1, 0.1, size=(300, 50)))
+    table.matrix[PAD_ID] = 0.0
+    ids = list(rng.integers(0, 300, size=140))
+    params = init_params(3 * 50, 100, 19, rng)
+    assert_prefix_probs_bit_equal(params, ids, table, 3)
+
+
+@pytest.mark.parametrize("window", [3, 5])
+def test_tails_are_projected_in_the_blocks_of_their_prefix(monkeypatch, window):
+    """Each tail goes through the gemm in the blocks it occupies in its own
+    prefix's input: that input's rows from the start of the block holding
+    the tail's first row, zeros after its end. On this machine's BLAS a row
+    rounds the same anywhere in a 4-row block, so the bit-equality tests
+    cannot tell a moved row; on another build it may not."""
+    calls = []
+
+    def spy(padded, w):
+        if w.ndim == 4:  # the scorer's stacked forward and backward weights
+            calls.append(padded.copy())
+        return project(padded, w)
+
+    project = model._project
+    monkeypatch.setattr(model, "_project", spy)
+    rng = np.random.default_rng(7)
+    table = random_table(7, 2)
+    ids = list(rng.integers(0, VOCAB, size=23))
+    params = init_params(window * 2, 3, 2, rng)
+    list(prefix_probs(params, *prefix_inputs(ids, table, window)))
+    # the sentence's projection, then one call per block of prefixes 2 ... 23
+    got = np.concatenate(calls[1:])
+    half, span = window // 2, len(got) // (len(ids) - 1)
+    for k in range(2, len(ids) + 1):
+        x = compose_ngram_inputs(ids[:k], table, window)
+        start = (k - half) // _ROW_BLOCK * _ROW_BLOCK
+        want = np.zeros((span, x.shape[1]))
+        rows = x[start:start + span]
+        want[:len(rows)] = rows
+        assert got[(k - 2) * span:(k - 1) * span].tobytes() == want.tobytes(), k
+
+
 def test_prefix_probs_draws_blocks_of_doubling_size_up_to_64():
     params = init_params(2, 2, 2, np.random.default_rng(0))
     drawn = []
 
-    def inputs():
+    def tails():
         for k in range(1, 201):
             drawn.append(k)
-            yield np.zeros((k, 2))
+            yield np.zeros((1, 2))
 
-    rows = prefix_probs(params, inputs())
+    rows = prefix_probs(params, np.zeros((200, 2)), tails())
     next(rows)
     assert drawn == [1]
     for _ in range(127):
@@ -277,20 +369,36 @@ def test_prefix_probs_draws_blocks_of_doubling_size_up_to_64():
 
 def test_prefix_probs_rejects_inputs_out_of_order():
     params = init_params(2, 3, 2, np.random.default_rng(0))
-    with pytest.raises(ShapeMismatch, match="prefix 2 has 3"):
-        list(prefix_probs(params, [np.zeros((1, 2)), np.zeros((3, 2))]))
+    # the second tail is longer than its prefix
+    with pytest.raises(ShapeMismatch, match=r"prefix 2 has a tail of shape \(3, 2\)"):
+        list(prefix_probs(params, np.zeros((3, 2)),
+                          [np.zeros((1, 2)), np.zeros((3, 2))]))
+    # tails of one block must share a length
+    with pytest.raises(ShapeMismatch, match="prefix 2 has a tail of shape"):
+        list(prefix_probs(params, np.zeros((3, 2)),
+                          [np.zeros((1, 2)), np.zeros((0, 2)),
+                           np.zeros((1, 2))]))
 
 
 @given(hidden=st.sampled_from([1, 2, 3, 5, 8, 32, 100]),
        rows=st.integers(1, 9), live=st.integers(0, 8), seed=seeds)
 def test_stacked_matmul_rows_equal_vector_dot(hidden, rows, live, seed):
-    """The scorer's one matmul per step, on the trailing rows it keeps."""
+    """The scorer's one matmul per step, on the trailing rows it keeps, its
+    forward tail steps and its stacked input projections."""
     rng = np.random.default_rng(seed)
-    rec = rng.uniform(-1.0, 1.0, size=(3, hidden, hidden))
-    states = rng.uniform(-1.0, 1.0, size=(3, rows, 1, hidden))
+    rec = rng.uniform(-1.0, 1.0, size=(2, hidden, hidden))
+    states = rng.uniform(-1.0, 1.0, size=(2, rows, 1, hidden))
     live = min(live, rows - 1)
     stacked = np.matmul(states[:, live:], rec[:, None])
-    for c in range(3):
+    for c in range(2):
         for j in range(live, rows):
             assert np.array_equal(stacked[c, j - live, 0],
                                   states[c, j, 0].dot(rec[c]))
+    one = np.matmul(states[0], rec[1])
+    for j in range(rows):
+        assert np.array_equal(one[j, 0], states[0, j, 0].dot(rec[1]))
+    blocks = rng.uniform(-1.0, 1.0, size=(rows * _ROW_BLOCK, 3 * hidden))
+    w = rng.uniform(-1.0, 1.0, size=(2, 3 * hidden, hidden))
+    both = _project(blocks, w[:, None])
+    for c in range(2):
+        assert np.array_equal(both[c], _project(blocks, w[c]))

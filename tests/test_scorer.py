@@ -10,14 +10,19 @@ def test_extract_pattern_stops_scoring_at_the_crossing(trained_model,
                                                        synthetic_split,
                                                        monkeypatch):
     prefix_inputs = interpret.prefix_inputs
-    lengths = []
+    drawn = []
 
     def spy(*args):
-        for x in prefix_inputs(*args):
-            lengths.append(len(x))
-            yield x
+        full, tails = prefix_inputs(*args)
 
-    # the scorer draws each prefix's input before it scores the prefix
+        def counted():
+            for k, tail in enumerate(tails, start=1):
+                drawn.append(k)
+                yield tail
+
+        return full, counted()
+
+    # the scorer draws each prefix's tail before it scores the prefix
     monkeypatch.setattr(interpret, "prefix_inputs", spy)
     s = synthetic_split.test[0]
     pat = extract_pattern(trained_model, s, s.label, tau=0.5, window=3)
@@ -26,8 +31,8 @@ def test_extract_pattern_stops_scoring_at_the_crossing(trained_model,
     assert 2 * k <= len(s.tokens)  # so a scorer that does not stop fails
     # prefixes come in blocks 1, 2-3, 4-7, ...; the one holding k is the last
     block_end = 2 ** k.bit_length() - 1
-    assert lengths == list(range(1, block_end + 1))
-    assert len(lengths) < 2 * k
+    assert drawn == list(range(1, block_end + 1))
+    assert len(drawn) < 2 * k
 
 
 def test_extract_pattern_unknown_relation(trained_model, synthetic_split):
