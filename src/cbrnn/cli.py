@@ -44,8 +44,9 @@ def _add_setting_flags(parser):
 def _config_defaults(parser, path):
     """Parser defaults from a ``flag-name=value`` file, each converted with
     its flag's type here, since argparse converts a default only when no
-    flag in argv overrides it; flags given in argv still win."""
-    defaults = {}
+    flag in argv overrides it; flags given in argv still win. The default
+    ``config_lines`` maps each setting the file gives to its line and value."""
+    defaults, lines = {}, {}
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -68,7 +69,8 @@ def _config_defaults(parser, path):
                                  f" takes {action.type.__name__} values, not "
                                  f"{value!r}") from None
         defaults[action.dest] = value
-    return defaults
+        lines[action.dest] = (lineno, value)
+    return {**defaults, "config_lines": lines}
 
 
 def _write_or_stdout(text, path):
@@ -109,11 +111,25 @@ def _load_split(args):
     return CorpusSplit(train=train_set, dev=dev, test=test, label_set=labels)
 
 
+def _setting_error(exc, args):
+    """Name the ``--config`` line of the last setting ``exc`` is about whose
+    value came from that file."""
+    lines = getattr(args, "config_lines", {})
+    from_file = [lines[n][0] for n in exc.names
+                 if n in lines and lines[n][1] == getattr(args, n)]
+    if from_file:
+        exc.args = (f"{args.config}:{max(from_file)}: {exc}",)
+    return exc
+
+
 def cmd_train(args):
-    train_cfg, loss_cfg = (cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
-                           for cls in (TrainConfig, LossConfig))
-    split = _load_split(args)
-    model = model_mod.train(split, train_cfg, loss_cfg, pretrained=args.embeddings)
+    try:
+        train_cfg, loss_cfg = (cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+                               for cls in (TrainConfig, LossConfig))
+        split = _load_split(args)
+        model = model_mod.train(split, train_cfg, loss_cfg, pretrained=args.embeddings)
+    except model_mod.SettingInvalid as exc:
+        raise _setting_error(exc, args)
     # the metrics first: a run that cannot write them leaves no model behind
     if args.metrics:
         lines = [

@@ -10,6 +10,7 @@ final step. Training minimizes a margin ranking loss on the raw scores.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -51,6 +52,14 @@ class TrainingDiverged(InputError):
     pass
 
 
+class SettingInvalid(InputError):
+    """A setting out of its range; ``names`` are the settings it is about."""
+
+    def __init__(self, message, *names):
+        super().__init__(message)
+        self.names = names
+
+
 class UnknownRelation(InputError):
     pass
 
@@ -63,9 +72,9 @@ class LossConfig:
 
     def __post_init__(self):
         if self.gamma <= 0:
-            raise InputError(f"gamma must be positive, got {self.gamma}")
+            raise SettingInvalid(f"gamma must be positive, got {self.gamma}", "gamma")
         if self.m_plus <= self.m_minus:
-            raise InputError("m_plus must exceed m_minus")
+            raise SettingInvalid("m_plus must exceed m_minus", "m_plus", "m_minus")
 
 
 @dataclass
@@ -83,12 +92,15 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("learning_rate", "hidden_size", "embed_dim", "clip_norm"):
             if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
+                raise SettingInvalid(f"{name} must be positive, got "
+                                     f"{getattr(self, name)}", name)
         for name in ("epochs", "seed"):
             if getattr(self, name) < 0:
-                raise InputError(f"{name} must be non-negative, got {getattr(self, name)}")
+                raise SettingInvalid(f"{name} must be non-negative, got "
+                                     f"{getattr(self, name)}", name)
         if self.window < 1 or self.window % 2 == 0:
-            raise InputError(f"window must be odd and positive, got {self.window}")
+            raise SettingInvalid(f"window must be odd and positive, got {self.window}",
+                                 "window")
 
 
 def _weight(*dims):
@@ -543,14 +555,19 @@ def train(split, train_cfg, loss_cfg=None, pretrained=None):
         raise EmptyTrainSet("training split is empty")
     loss_cfg = loss_cfg or LossConfig()
     vocab = build_vocabulary(split.train, min_count=train_cfg.min_count)
+    sizes = ("hidden_size", "embed_dim", "window")
+    rng = np.random.default_rng(train_cfg.seed)
+    try:
+        table = init_random(vocab, train_cfg.embed_dim, train_cfg.seed)
+        params = init_params(train_cfg.window * table.dim, train_cfg.hidden_size,
+                             len(split.label_set), rng)
+    except (ValueError, MemoryError):
+        # numpy refuses a shape past its index range, the system the memory
+        raise SettingInvalid(", ".join(f"{n} {getattr(train_cfg, n)}" for n in sizes)
+                             + ": too many weights to allocate", *sizes) from None
     if pretrained:
         table = emb_mod.load_pretrained_text(pretrained, vocab, train_cfg.embed_dim,
                                              fallback_seed=train_cfg.seed)
-    else:
-        table = init_random(vocab, train_cfg.embed_dim, train_cfg.seed)
-    rng = np.random.default_rng(train_cfg.seed)
-    input_dim = train_cfg.window * table.dim
-    params = init_params(input_dim, train_cfg.hidden_size, len(split.label_set), rng)
 
     label_index = {lab: i for i, lab in enumerate(split.label_set)}
     encoded = [
@@ -638,10 +655,6 @@ def _fmt(v):
     return f"{v:.17g}"
 
 
-def _fmt_row(row):
-    return " ".join(_fmt(v) for v in row)
-
-
 # how a config field of each type is written and read back; a field's type
 # is the type of its default
 _CODECS = {
@@ -663,6 +676,13 @@ def _weight_head(name, shape):
     return " ".join([kind, name, *map(str, shape)])
 
 
+def _format_rows(array):
+    """One line per row of a 2-D array, each value as ``_fmt`` writes it:
+    ``%.17g`` of a Python float gives the same characters as its f-string."""
+    row_fmt = " ".join(["%.17g"] * array.shape[1])
+    return [row_fmt % tuple(row) for row in array.tolist()]
+
+
 def save_model(model, path):
     lines = [
         "cbrnn-model 1",
@@ -675,10 +695,10 @@ def save_model(model, path):
     ]
     m = model.table.matrix
     lines.append(f"embeddings {m.shape[0]} {m.shape[1]} {int(model.table.trainable)}")
-    lines.extend(_fmt_row(row) for row in m)
+    lines.extend(_format_rows(m))
     for name, array in model.params.arrays().items():
         lines.append(_weight_head(name, array.shape))
-        lines.extend(_fmt_row(row) for row in np.atleast_2d(array))
+        lines.extend(_format_rows(np.atleast_2d(array)))
     lines.append("end")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -699,20 +719,33 @@ def _read_config(line, keyword, cls):
         raise ModelFormatError(f"{keyword}: {exc}") from None
 
 
+def _parse_rows(block, n, width):
+    """The ``n`` lines of ``block`` as an ``(n, width)`` array in one C-level
+    parse, or None where a row-by-row ``float()`` read may disagree: a line
+    missing, blank or of another width, or a token numpy does not parse
+    (``float()`` also takes ``1_0`` and non-ASCII digits)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a block of blank lines
+        try:
+            array = np.loadtxt(block, dtype=float, comments=None, ndmin=2)
+        except ValueError:
+            return None
+    return array if array.shape == (n, width) else None
+
+
 def load_model(path):
     """Read a model file; any deviation from what ``save_model`` writes for
     the file's own train, labels and vocab lines raises ``ModelFormatError``
-    naming the section."""
+    naming ``path:line`` and the section. Lines are numbered as
+    ``str.splitlines`` splits them."""
     lines = read_text(path).splitlines()
-    if not lines or lines[0] != "cbrnn-model 1":
-        raise ModelFormatError("not a cbrnn model file")
-    pos = 1
+    pos = 1  # the 1-based number of the line read last: the one an error names
 
     def take(section):
         nonlocal pos
-        if pos == len(lines):
-            raise ModelFormatError(f"{section}: unexpected end of file")
         pos += 1
+        if pos > len(lines):
+            raise ModelFormatError(f"{section}: unexpected end of file")
         return lines[pos - 1]
 
     def counts(keyword, n):
@@ -725,56 +758,79 @@ def load_model(path):
         return [int(p) for p in parts[1:]]
 
     def rows(section, n, width):
-        out = []
-        for i in range(1, n + 1):
-            values = take(section).split()
-            if len(values) != width:
-                raise ModelFormatError(f"{section}: row {i} has {len(values)} "
-                                       f"values, expected {width}")
-            try:
-                out.append([float(v) for v in values])
-            except ValueError:
-                raise ModelFormatError(f"{section}: row {i} is not numeric") from None
-        array = np.array(out, dtype=float).reshape(n, width)
-        if not np.all(np.isfinite(array)):
+        nonlocal pos
+        start = pos
+        array = _parse_rows(lines[start:start + n], n, width)
+        if array is None:
+            # find the row the parse failed on, or read what only float() reads
+            out = []
+            for i in range(1, n + 1):
+                values = take(section).split()
+                if len(values) != width:
+                    raise ModelFormatError(f"{section}: row {i} has {len(values)} "
+                                           f"values, expected {width}")
+                try:
+                    out.append([float(v) for v in values])
+                except ValueError:
+                    raise ModelFormatError(f"{section}: row {i} is not numeric") from None
+            array = np.array(out, dtype=float).reshape(n, width)
+        finite = np.isfinite(array).all(axis=1)
+        if not finite.all():
+            pos = start + 1 + int(np.argmin(finite))
             raise ModelFormatError(f"{section}: non-finite value")
+        pos = start + n
         return array
 
-    train_cfg = _read_config(take("train"), "train", TrainConfig)
-    loss_cfg = _read_config(take("loss"), "loss", LossConfig)
-    label_set = [take("labels") for _ in range(counts("labels", 1)[0])]
-    id_to_token = [take("vocab") for _ in range(counts("vocab", 1)[0])]
-    vocab = Vocabulary({t: i for i, t in enumerate(id_to_token)}, id_to_token)
-    if len(vocab.token_to_id) != vocab.size:
-        token = next(t for i, t in enumerate(id_to_token) if vocab.token_to_id[t] != i)
-        raise ModelFormatError(f"vocab: token {token!r} repeated")
+    def read():
+        nonlocal pos
+        if not lines or lines[0] != "cbrnn-model 1":
+            raise ModelFormatError("not a cbrnn model file")
+        train_cfg = _read_config(take("train"), "train", TrainConfig)
+        loss_cfg = _read_config(take("loss"), "loss", LossConfig)
+        label_set = [take("labels") for _ in range(counts("labels", 1)[0])]
+        n_vocab = counts("vocab", 1)[0]
+        start = pos
+        id_to_token = [take("vocab") for _ in range(n_vocab)]
+        vocab = Vocabulary({t: i for i, t in enumerate(id_to_token)}, id_to_token)
+        if len(vocab.token_to_id) != vocab.size:
+            token = next(t for i, t in enumerate(id_to_token) if vocab.token_to_id[t] != i)
+            pos = start + 1 + vocab.token_to_id[token]  # its last occurrence
+            raise ModelFormatError(f"vocab: token {token!r} repeated")
 
-    n_rows, dim, trainable = counts("embeddings", 3)
-    if (n_rows, dim) != (vocab.size, train_cfg.embed_dim):
-        raise ModelFormatError(
-            f"embeddings: {n_rows}x{dim} does not match vocab {vocab.size} "
-            f"and embed_dim {train_cfg.embed_dim}")
-    matrix = rows("embeddings", n_rows, dim)
-    if n_rows and np.any(matrix[PAD_ID]):
-        # N-gram windows read this row where they leave the sentence
-        raise ModelFormatError("embeddings: padding row must be zero")
-    table = EmbeddingTable(matrix=matrix, trainable=bool(trainable))
+        n_rows, dim, trainable = counts("embeddings", 3)
+        if (n_rows, dim) != (vocab.size, train_cfg.embed_dim):
+            raise ModelFormatError(
+                f"embeddings: {n_rows}x{dim} does not match vocab {vocab.size} "
+                f"and embed_dim {train_cfg.embed_dim}")
+        start = pos
+        matrix = rows("embeddings", n_rows, dim)
+        if n_rows and np.any(matrix[PAD_ID]):
+            # N-gram windows read this row where they leave the sentence
+            pos = start + 1 + PAD_ID
+            raise ModelFormatError("embeddings: padding row must be zero")
+        table = EmbeddingTable(matrix=matrix, trainable=bool(trainable))
 
-    shapes = CBRNNParams.shapes(train_cfg.window * train_cfg.embed_dim,
-                                train_cfg.hidden_size, len(label_set))
-    arrays = {}
-    for name, shape in shapes.items():
-        head = _weight_head(name, shape)
-        section = " ".join(head.split()[:2])
-        line = take(section)
-        if line != head:
-            raise ModelFormatError(f"{section}: expected {head!r}, found {line!r}")
-        n_lines = shape[0] if len(shape) == 2 else 1
-        arrays[name] = rows(section, n_lines, shape[-1]).reshape(shape)
-    line = take("end")
-    if line != "end":
-        raise ModelFormatError(f"end: unexpected section {line!r}")
-    return TrainedModel(
-        params=CBRNNParams(**arrays), table=table, vocab=vocab,
-        label_set=label_set, train_cfg=train_cfg, loss_cfg=loss_cfg,
-    )
+        shapes = CBRNNParams.shapes(train_cfg.window * train_cfg.embed_dim,
+                                    train_cfg.hidden_size, len(label_set))
+        arrays = {}
+        for name, shape in shapes.items():
+            head = _weight_head(name, shape)
+            section = " ".join(head.split()[:2])
+            line = take(section)
+            if line != head:
+                raise ModelFormatError(f"{section}: expected {head!r}, found {line!r}")
+            n_lines = shape[0] if len(shape) == 2 else 1
+            arrays[name] = rows(section, n_lines, shape[-1]).reshape(shape)
+        line = take("end")
+        if line != "end":
+            raise ModelFormatError(f"end: unexpected section {line!r}")
+        return TrainedModel(
+            params=CBRNNParams(**arrays), table=table, vocab=vocab,
+            label_set=label_set, train_cfg=train_cfg, loss_cfg=loss_cfg,
+        )
+
+    try:
+        return read()
+    except ModelFormatError as exc:
+        exc.args = (f"{path}:{pos}: {exc}",)
+        raise

@@ -200,7 +200,8 @@ def test_eval_rejects_bad_weights_exit_2(tmp_path, quick_model, capsys,
     bad.write_text("\n".join(lines))
     rc = cli.main(["eval", "--model", str(bad), "--data", str(quick_model["test"])])
     assert rc == 2
-    assert section in capsys.readouterr().err
+    # the first row sits on the line after the head, 1-based head + 2
+    assert f"bad.txt:{head + 2}: {section}" in capsys.readouterr().err
 
 
 SENTENCE = "<e1> a </e1> b <e2> c </e2>"
@@ -225,6 +226,13 @@ def _exit_code(argv):
     ({"run.cfg": "no_shuffle=maybe\n"}, [*TRAIN, "--config", "{tmp}/run.cfg"],
      "run.cfg:1"),
     ({}, [*TRAIN, "--config", "{tmp}/nope.cfg"], "nope.cfg"),
+    ({"run.cfg": "seed=3\nlr=-1\n"}, [*TRAIN, "--config", "{tmp}/run.cfg"],
+     "run.cfg:2: learning_rate must be positive"),
+    ({"run.cfg": "m_minus=3\nseed=3\n"}, [*TRAIN, "--config", "{tmp}/run.cfg"],
+     "run.cfg:1: m_plus must exceed m_minus"),
+    ({"run.cfg": "ngram=99999999999999999999\n"}, [*TRAIN, "--config", "{tmp}/run.cfg"],
+     "run.cfg:1: hidden_size 4, embed_dim 4, window 99999999999999999999: too many"),
+    ({}, [*TRAIN, "--hidden", "99999999999999999999"], "too many weights to allocate"),
     ({}, [*TRAIN, "--hidden", "0"], "hidden_size"),
     ({}, [*TRAIN, "--hidden", "-1"], "hidden_size"),
     ({}, [*TRAIN, "--dim", "0"], "embed_dim"),
@@ -263,7 +271,8 @@ def _exit_code(argv):
      ["patterns", "--model", "{model}", "--data", "{tmp}/unknown.tsv",
       "--ngram", "2"], "window"),
 ], ids=["config-bad-value", "config-bad-value-overridden", "config-unknown-key", "config-bad-switch",
-        "config-missing", "hidden-0", "hidden-negative", "dim-0", "ngram-negative",
+        "config-missing", "config-out-of-range", "config-margins", "config-huge-window",
+        "hidden-huge", "hidden-0", "hidden-negative", "dim-0", "ngram-negative",
         "seed-negative", "single-label", "model-is-directory", "out-is-directory",
         "lisa-without-sentence", "only-unknown-labels", "corpus-marker",
         "not-utf-8", "vectors-not-utf-8", "vectors-short-row",
@@ -334,20 +343,32 @@ def _repeat_vocab_token(lines):
     return lines
 
 
-@pytest.mark.parametrize("section, edit", [
-    ("matrix rec_bwd", _truncate_in("matrix rec_bwd")),
-    ("train", lambda lines: [line.replace(" seed=3", "") for line in lines]),
-    ("matrix rec_comb", _rename("matrix rec_comb", "matrix rec_combined 6 6")),
-    ("vector out_b", _drop_section("vector out_b")),
-    ("matrix out_w", _drop_value_in("matrix out_w")),
-    ("vocab", _repeat_vocab_token),
+def _line_of(section, offset):
+    """The 1-based number of the line ``offset`` lines after the head of
+    ``section`` in the unedited file."""
+    return lambda lines: next(i for i, line in enumerate(lines)
+                              if line.startswith(section)) + 1 + offset
+
+
+@pytest.mark.parametrize("section, edit, line", [
+    # one row kept, so the end of file is 2 lines after the head
+    ("matrix rec_bwd", _truncate_in("matrix rec_bwd"), _line_of("matrix rec_bwd", 2)),
+    ("train", lambda lines: [line.replace(" seed=3", "") for line in lines],
+     lambda lines: 2),
+    ("matrix rec_comb", _rename("matrix rec_comb", "matrix rec_combined 6 6"),
+     _line_of("matrix rec_comb", 0)),
+    # "end" moves up to where the dropped head was
+    ("vector out_b", _drop_section("vector out_b"), _line_of("vector out_b", 0)),
+    ("matrix out_w", _drop_value_in("matrix out_w"), _line_of("matrix out_w", 1)),
+    ("vocab", _repeat_vocab_token, _line_of("vocab", 8)),
 ], ids=["truncated", "missing-key", "renamed", "missing-section", "short-row",
         "duplicate-token"])
 def test_eval_rejects_malformed_model_exit_2(tmp_path, quick_model, capsys,
-                                             section, edit):
-    lines = edit(quick_model["model"].read_text().split("\n"))
+                                             section, edit, line):
+    original = quick_model["model"].read_text().split("\n")
+    lines = edit(list(original))
     bad = tmp_path / "bad.txt"
     bad.write_text("\n".join(lines))
     rc = cli.main(["eval", "--model", str(bad), "--data", str(quick_model["test"])])
     assert rc == 2
-    assert section in capsys.readouterr().err
+    assert f"bad.txt:{line(original)}: {section}" in capsys.readouterr().err

@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbrnn import SyntheticConfig, generate_synthetic
-from cbrnn.corpus import LabeledSentence
+from cbrnn.corpus import LabeledSentence, Vocabulary
+from cbrnn.embeddings import EmbeddingTable
 from cbrnn.model import (
     CBRNNParams,
     EmptyEvalSet,
     EmptyTrainSet,
     LossConfig,
+    ModelFormatError,
     ShapeMismatch,
     SingleClass,
     TrainConfig,
@@ -26,6 +28,8 @@ from cbrnn.model import (
     save_model,
     sgd_step,
     softmax,
+    TrainedModel,
+    _format_rows,
     train,
 )
 
@@ -406,3 +410,127 @@ def test_model_save_load_round_trip(synthetic_split, tmp_path):
     assert np.array_equal(loaded.table.matrix, m.table.matrix)
     assert loaded.train_cfg == m.train_cfg
     assert loaded.loss_cfg == m.loss_cfg
+
+
+def random_model(vocab_size, dim, hidden, n_classes, seed=0):
+    """An untrained model of the given size with normal weights."""
+    rng = np.random.default_rng(seed)
+    tokens = ["__PAD__", "__UNK__"] + [f"w{i}" for i in range(vocab_size - 2)]
+    matrix = rng.standard_normal((vocab_size, dim)) * 0.1
+    matrix[0] = 0.0
+    cfg = TrainConfig(hidden_size=hidden, embed_dim=dim)
+    return TrainedModel(
+        params=init_params(cfg.window * dim, hidden, n_classes, rng),
+        table=EmbeddingTable(matrix), label_set=[f"r{i}" for i in range(n_classes)],
+        vocab=Vocabulary({t: i for i, t in enumerate(tokens)}, tokens),
+        train_cfg=cfg, loss_cfg=LossConfig(),
+    )
+
+
+def reference_format_row(row):
+    """The per-value formatter model files were written with before whole rows
+    were formatted at once."""
+    return " ".join(f"{v:.17g}" for v in row)
+
+
+def reference_rows(lines, head, section, n, width):
+    """The row-by-row loader model files were read with before whole sections
+    were parsed at once. ``head`` is the 1-based line of the section head.
+    Returns the array, or the 1-based line and the message of the error."""
+    out = []
+    for i in range(1, n + 1):
+        if head + i > len(lines):
+            return None, head + i, f"{section}: unexpected end of file"
+        values = lines[head + i - 1].split()
+        if len(values) != width:
+            return (None, head + i,
+                    f"{section}: row {i} has {len(values)} values, expected {width}")
+        try:
+            out.append([float(v) for v in values])
+        except ValueError:
+            return None, head + i, f"{section}: row {i} is not numeric"
+    array = np.array(out, dtype=float).reshape(n, width)
+    finite = np.isfinite(array).all(axis=1)
+    if not finite.all():
+        return None, head + 1 + int(np.argmin(finite)), f"{section}: non-finite value"
+    return array, None, None
+
+
+finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(finite_doubles, min_size=1, max_size=6), min_size=1,
+                max_size=4).filter(lambda rows: len({len(r) for r in rows}) == 1))
+@example([[-0.0, 0.0, 5e-324, -2.2250738585072014e-308]])
+@example([[1.7e308, -1.7e308, 1.7976931348623157e308, 0.1]])
+def test_format_rows_match_per_value_reference(rows):
+    array = np.array(rows, dtype=float)
+    assert _format_rows(array) == [reference_format_row(row) for row in array]
+
+
+# what a hand edit can leave in a weight section; 1_0 and the full-width digit
+# are read only by float(), not by numpy's parser
+BAD_TOKENS = ["nan", "1e999", "1_0", "0x10", "#", "-inf", "\uff11", "-0"]
+SECTION_EDITS = ["token", "drop", "add", "tab", "blank", "cut"]
+
+
+@pytest.fixture(scope="module")
+def small_model_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("small") / "model.txt"
+    save_model(random_model(8, 2, 5, 3), path)
+    return path
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_load_matches_row_reference_on_edited_section(small_model_file, data):
+    """Edit one row of the last matrix section; the loader must give the
+    reference's array bit for bit, or its message on its line."""
+    lines = small_model_file.read_text(encoding="utf-8").splitlines()
+    head = max(i for i, line in enumerate(lines) if line.startswith("matrix")) + 1
+    _, name, n, width = lines[head - 1].split()
+    n, width = int(n), int(width)
+    row = data.draw(st.integers(0, n - 1)) + head  # 0-based index of the row
+    values = lines[row].split()
+    at = data.draw(st.integers(0, width - 1))
+    edit = data.draw(st.sampled_from(SECTION_EDITS))
+    if edit == "token":
+        values[at] = data.draw(st.sampled_from(BAD_TOKENS))
+        lines[row] = " ".join(values)
+    elif edit == "drop":
+        lines[row] = " ".join(values[:at] + values[at + 1:])
+    elif edit == "add":
+        lines[row] = " ".join(values + [data.draw(st.sampled_from(BAD_TOKENS + ["0.5"]))])
+    elif edit == "tab":
+        lines[row] = "\t".join(values)
+    elif edit == "blank":
+        lines[row] = ""
+    edited = "\n".join(lines) + "\n"
+    if edit == "cut":
+        offset = sum(len(line) + 1 for line in lines[:row])
+        edited = edited[:offset + data.draw(st.integers(0, len(lines[row])))]
+    path = small_model_file.with_name("edited.txt")
+    path.write_text(edited, encoding="utf-8")
+
+    expected, line, message = reference_rows(edited.splitlines(), head,
+                                             f"matrix {name}", n, width)
+    if edit == "cut" and expected is not None:
+        # the cut row still reads, so the file ends where the next head was
+        after = " ".join(lines[head + n].split()[:2])
+        expected, line, message = None, row + 2, f"{after}: unexpected end of file"
+    if expected is None:
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}:{line}: {message}"
+    else:
+        loaded = load_model(path).params.arrays()[name]
+        assert loaded.tobytes() == expected.reshape(loaded.shape).tobytes()
+
+
+def test_semeval_sized_round_trip_byte_identical(tmp_path):
+    model = random_model(4300, 50, 100, 19)
+    p1, p2 = tmp_path / "m1.txt", tmp_path / "m2.txt"
+    save_model(model, p1)
+    save_model(load_model(p1), p2)
+    assert p1.read_bytes() == p2.read_bytes()
