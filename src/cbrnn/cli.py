@@ -111,15 +111,16 @@ def _load_split(args):
     return CorpusSplit(train=train_set, dev=dev, test=test, label_set=labels)
 
 
-def _setting_error(exc, args):
-    """Name the ``--config`` line of the last setting ``exc`` is about whose
-    value came from that file."""
+def _config_error(exc, args, names):
+    """``exc``, prefixed with the ``--config`` line of the last of the
+    settings ``names`` whose value came from that file, if there is one."""
     lines = getattr(args, "config_lines", {})
-    from_file = [lines[n][0] for n in exc.names
-                 if n in lines and lines[n][1] == getattr(args, n)]
-    if from_file:
-        exc.args = (f"{args.config}:{max(from_file)}: {exc}",)
-    return exc
+    # ``in`` matches by identity first, so a nan from the file matches itself
+    from_file = [lines[n][0] for n in names
+                 if n in lines and lines[n][1] in (getattr(args, n),)]
+    if not from_file:
+        return exc
+    return InputError(f"{args.config}:{max(from_file)}: {exc}")
 
 
 def cmd_train(args):
@@ -129,7 +130,11 @@ def cmd_train(args):
         split = _load_split(args)
         model = model_mod.train(split, train_cfg, loss_cfg, pretrained=args.embeddings)
     except model_mod.SettingInvalid as exc:
-        raise _setting_error(exc, args)
+        raise _config_error(exc, args, exc.names)
+    except OSError as exc:
+        # an input file named by a setting, such as embeddings=...
+        raise _config_error(exc, args, [n for n, value in vars(args).items()
+                                        if value == exc.filename])
     # the metrics first: a run that cannot write them leaves no model behind
     if args.metrics:
         lines = [

@@ -47,7 +47,8 @@ def init_random(vocab, dim, seed):
 
 def load_pretrained_text(path, vocab, dim, fallback_seed=0):
     """Load ``word v1 ... vd`` text vectors; vocabulary tokens missing from
-    the file keep their seeded random rows. Errors name ``path:line``; an
+    the file keep their seeded random rows. Every row must be finite, also
+    one for a word outside the vocabulary. Errors name ``path:line``; an
     optional ``count dim`` header is line 1."""
     table = init_random(vocab, dim, fallback_seed)
     lines = read_text(path).splitlines()
@@ -71,6 +72,8 @@ def load_pretrained_text(path, vocab, dim, fallback_seed=0):
             vector = np.array([float(v) for v in values])
         except ValueError:
             raise MalformedLine(path, lineno, "non-numeric vector entry") from None
+        if not np.isfinite(vector).all():
+            raise MalformedLine(path, lineno, "non-finite vector entry")
         idx = vocab.token_to_id.get(word)
         if idx is not None and idx != PAD_ID:
             table.matrix[idx] = vector

@@ -4,20 +4,21 @@ A prefix of length k is scored as its own full input: the window sequence is
 recomposed on the truncated tokens, so the last window ends in padding rather
 than the next word. Pattern *reporting* can instead take the window from the
 full sentence (``lookahead=True``), which includes the right neighbor of the
-crossing word. The inputs of all prefixes are the sentence's composition
-plus, for each prefix, the few rows that differ from it
-(``prefix_inputs``), and ``model.prefix_probs`` scores them sharing what
-the prefixes have in common.
+crossing word. ``model.prefix_probs`` scores all prefixes: it composes the
+sentence once, builds for each prefix the few rows that differ from it, and
+shares what the prefixes have in common.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .corpus import PAD_ID, PAD_TOKEN, InputError, LabeledSentence
-from .embeddings import EvenWindow, compose_ngram_inputs
+from .corpus import PAD_TOKEN, InputError, LabeledSentence
+from .embeddings import EvenWindow
+# not called here since model.prefix_probs composes the prefixes; kept
+# because the benchmark's self-tests check that its probes patch and
+# restore compose_ngram_inputs in this module too
+from .embeddings import compose_ngram_inputs  # noqa: F401
 from .model import (
     UnknownRelation,
     classify,
@@ -89,34 +90,6 @@ def _relation_index(model, relation):
     return model.label_set.index(relation)
 
 
-def prefix_inputs(ids, table, window, lookahead=False):
-    """Return ``(full, tails)``: the whole sentence's composition and, for
-    each prefix ``ids[:k]``, shortest first, its tail.
-
-    A tail holds the rows of the prefix's input that differ from
-    ``full[:k]``: its last ``window // 2`` rows (all k when fewer), whose
-    windows reach past word k and read the padding row there. ``full[:k]``
-    with its last rows replaced by the tail is bit for bit
-    ``compose_ngram_inputs(ids[:k], table, window)``. With ``lookahead``
-    every tail is empty: the input is ``full[:k]``, whose last windows read
-    on past word k.
-    """
-    full = compose_ngram_inputs(ids, table, window)
-    n, dim, half = len(ids), table.dim, 0 if lookahead else window // 2
-    pad = table.matrix[[PAD_ID] * window].reshape(-1)
-    # the slots of row r of prefix k from (k - r + half) * dim on lie past
-    # word k; in a tail of half rows, row i has k - r = half - i
-    short = [full[:k].copy() for k in range(1, min(half, n + 1))]
-    for k, tail in enumerate(short, start=1):
-        for r, row in enumerate(tail):
-            row[(k - r + half) * dim:] = pad[(k - r + half) * dim:]
-    ends = np.arange(max(half, 1), n + 1)
-    tails = full[ends[:, None] - half + np.arange(half)]
-    for i in range(half):
-        tails[:, i, (2 * half - i) * dim:] = pad[(2 * half - i) * dim:]
-    return full, short + list(tails)
-
-
 def _prefix_probs(model, tokens, lookahead=False, h_fwd=None):
     """Yield the class-probability row of each word-prefix, shortest first.
 
@@ -127,9 +100,9 @@ def _prefix_probs(model, tokens, lookahead=False, h_fwd=None):
     forward states from ``forward_pass``. A caller that stops early leaves
     later prefixes unscored, up to the end of the block in progress.
     """
-    ids = [model.vocab.id_of(t) for t in tokens]
-    return prefix_probs(model.params, *prefix_inputs(
-        ids, model.table, model.train_cfg.window, lookahead), h_fwd)
+    return prefix_probs(model.params, model.table,
+                        [model.vocab.id_of(t) for t in tokens],
+                        model.train_cfg.window, lookahead, h_fwd)
 
 
 def prefix_curve(model, sentence, relation, lookahead=False):

@@ -9,7 +9,6 @@ final step. Training minimizes a margin ranking loss on the raw scores.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field, fields, replace
 
@@ -71,9 +70,10 @@ class LossConfig:
     m_minus: float = 0.5
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        # written as ``not`` a comparison, so that nan fails the checks
+        if not self.gamma > 0:
             raise SettingInvalid(f"gamma must be positive, got {self.gamma}", "gamma")
-        if self.m_plus <= self.m_minus:
+        if not self.m_plus > self.m_minus:
             raise SettingInvalid("m_plus must exceed m_minus", "m_plus", "m_minus")
 
 
@@ -90,8 +90,9 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
+        # nan fails ``not value > 0``; an infinite clip_norm never clips
         for name in ("learning_rate", "hidden_size", "embed_dim", "clip_norm"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise SettingInvalid(f"{name} must be positive, got "
                                      f"{getattr(self, name)}", name)
         for name in ("epochs", "seed"):
@@ -250,27 +251,31 @@ def forward_pass(params, x):
 _MAX_BLOCK = 64
 
 
-def prefix_probs(params, full, tails, h_fwd=None):
+def prefix_probs(params, table, ids, window, lookahead=False, h_fwd=None):
     """Yield ``forward_pass(params, x).probs`` bit for bit for the input
-    ``x`` of each prefix of a sentence, shortest first.
+    ``x = compose_ngram_inputs(ids[:k], table, window)`` of each prefix,
+    k = 1, 2, ..., shortest first; with ``lookahead``, for ``x = full[:k]``
+    of the whole sentence's input ``full``, whose last windows read on past
+    word k.
 
-    ``full`` is the whole sentence's input, n rows. ``tails`` yields, for
-    k = 1, 2, ..., the rows of the k-word prefix's input that differ from
-    ``full[:k]``: its last ``min(k, m)`` rows, for one m. Tails are drawn
-    one block of prefixes at a time, so a caller that stops early leaves
-    the tails of later blocks undrawn and their prefixes unscored.
+    A prefix's input is ``full[:k]`` but for its tail: its last
+    ``window // 2`` rows, whose windows reach past word k and read the
+    padding row there. The tails are built one block of prefixes at a time,
+    so a caller that stops early leaves later blocks unbuilt and unscored.
 
-    The whole sentence is projected once, and one forward chain over it is
-    advanced as far as the block being scored needs: a prefix's forward
-    chain leaves it only at its tail. The backward and combined chains
-    depend on where the prefix ends, so every prefix keeps its own,
-    advanced in lockstep with the others of its block. A block of one
-    prefix, and a prefix that is all tail, shares nothing and is one
-    ``forward_pass`` call. ``h_fwd``, when given, is that chain:
-    ``forward_pass(params, full).h_fwd``.
+    The whole sentence is composed and projected once, and one forward chain
+    over it is advanced as far as the block being scored needs: a prefix's
+    forward chain leaves it only at its tail. The backward and combined
+    chains depend on where the prefix ends, so every prefix keeps its own,
+    advanced in lockstep with the others of its block. A prefix of at most
+    ``window // 2`` words is all tail: it shares no row with the sentence
+    and is one ``forward_pass`` call. ``h_fwd``, when given, is the
+    sentence's forward chain: ``forward_pass(params, full).h_fwd``.
     """
-    full, padded = _checked_input(params, full)
-    (n, width), hidden = full.shape, params.hidden_size
+    full, padded = _checked_input(params, compose_ngram_inputs(ids, table, window))
+    n, hidden = len(full), params.hidden_size
+    half, dim = 0 if lookahead else window // 2, table.dim
+    pad = table.matrix[[PAD_ID] * window].reshape(-1)
     w_in = np.array([params.in_fwd, params.in_bwd])[:, None]
     proj_fwd, proj_bwd = _project(padded, w_in)
     # the shared forward chain: chain[t] is the state after t words
@@ -279,36 +284,36 @@ def prefix_probs(params, full, tails, h_fwd=None):
     if h_fwd is not None:
         chain[1:], reached = h_fwd, n
     rec = np.array([params.rec_bwd, params.rec_comb])[:, None]
-    tails = iter(tails)
     first, size = 1, 1
-    while block := list(itertools.islice(tails, min(size, n + 1 - first))):
-        depth = len(block[-1])
-        for k, tail in enumerate(block, start=first):
-            if tail.shape != (min(k, depth), width):
-                raise ShapeMismatch(
-                    f"prefix {k} has a tail of shape {tail.shape}, not "
-                    f"{min(k, depth)} rows of width {width}")
-        alone = 1 if len(block) == 1 else sum(len(t) < depth for t in block)
-        for k, tail in enumerate(block[:alone], start=first):
-            x = np.concatenate([full[:k - len(tail)], tail])
+    while first <= n:
+        end = min(first + size, n + 1)
+        for k in range(first, min(half + 1, end)):
+            x = compose_ngram_inputs(ids[:k], table, window)
             yield forward_pass(params, x).probs
-        if alone < len(block):
-            need = first + len(block) - 1 - depth
+        lo = max(first, half + 1)
+        if lo < end:
+            # tail row i of prefix k is its row k - half + i, whose slots
+            # from (2 * half - i) * dim on lie past word k
+            ends = np.arange(lo, end)
+            tails = full[ends[:, None] - half + np.arange(half)]
+            for i in range(half):
+                tails[:, i, (2 * half - i) * dim:] = pad[(2 * half - i) * dim:]
+            need = end - 1 - half
             for row, prev, nxt in zip(proj_fwd[reached:need], chain[reached:],
                                       chain[reached + 1:need + 1]):
                 np.tanh(row + prev.dot(params.rec_fwd), out=nxt)
             reached = max(reached, need)
-            yield from _lockstep_probs(params, w_in, rec, first + alone,
-                                       block[alone:], padded,
+            yield from _lockstep_probs(params, w_in, rec, lo, tails, padded,
                                        proj_bwd[:, None], chain)
-        first, size = first + len(block), min(2 * size, _MAX_BLOCK)
+        first, size = end, min(2 * size, _MAX_BLOCK)
 
 
 def _lockstep_probs(params, w_in, rec, first, tails, padded, proj_bwd, chain):
     """``forward_pass(params, x).probs`` for the prefixes of ``first``,
-    ``first + 1``, ... words, whose tails have one length; ``w_in`` and
-    ``rec`` stack the forward and backward input matrices and the backward
-    and combined recurrent matrices.
+    ``first + 1``, ... words, whose tails ``tails`` stacks, one (depth,
+    width) array per prefix; ``w_in`` and ``rec`` stack the forward and
+    backward input matrices and the backward and combined recurrent
+    matrices.
 
     Every operation is the one ``forward_pass`` applies to the same values.
     A tail's rows are projected in the blocks they occupy in the prefix's
@@ -316,7 +321,7 @@ def _lockstep_probs(params, w_in, rec, first, tails, padded, proj_bwd, chain):
     sentence's. The stacked ``np.matmul`` of 1×h states runs one gemv per
     row, as ``v.dot(rec)`` does; adds and ``tanh`` are elementwise.
     """
-    n_pre, depth = len(tails), len(tails[0])
+    n_pre, depth = tails.shape[:2]
     hidden = params.hidden_size
     # prefix j's tail holds its rows cut + j ... cut + j + depth - 1
     cut = first - depth

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,12 @@ def _exit_code(argv):
      "run.cfg:2: learning_rate must be positive"),
     ({"run.cfg": "m_minus=3\nseed=3\n"}, [*TRAIN, "--config", "{tmp}/run.cfg"],
      "run.cfg:1: m_plus must exceed m_minus"),
+    ({"run.cfg": "seed=3\nlr=nan\n"}, [*TRAIN, "--config", "{tmp}/run.cfg"],
+     "run.cfg:2: learning_rate must be positive, got nan"),
+    ({"run.cfg": "seed=3\nembeddings=1\n"}, [*TRAIN, "--config", "{tmp}/run.cfg"],
+     "run.cfg:2: [Errno 2] No such file or directory: '1'"),
+    ({}, [*TRAIN, "--lr", "nan"], "learning_rate must be positive, got nan"),
+    ({}, [*TRAIN, "--m-plus", "nan"], "m_plus must exceed m_minus"),
     ({"run.cfg": "ngram=99999999999999999999\n"}, [*TRAIN, "--config", "{tmp}/run.cfg"],
      "run.cfg:1: hidden_size 4, embed_dim 4, window 99999999999999999999: too many"),
     ({}, [*TRAIN, "--hidden", "99999999999999999999"], "too many weights to allocate"),
@@ -259,6 +267,9 @@ def _exit_code(argv):
     ({"short.vec": "a 0.1 0.2 0.3 0.4\nb\n"},
      [*TRAIN, "--epochs", "1", "--embeddings", "{tmp}/short.vec"],
      "short.vec:2: expected word and vector"),
+    ({"nan.vec": "a 0.1 0.2 0.3 0.4\n<e1> nan 1 2 3\n"},
+     [*TRAIN, "--epochs", "1", "--embeddings", "{tmp}/nan.vec"],
+     "nan.vec:2: non-finite vector entry"),
     ({"head.vec": "2 2\na 0.1 0.2\n"},
      [*TRAIN, "--epochs", "1", "--embeddings", "{tmp}/head.vec"],
      "head.vec:1: expected dimension 4, found 2"),
@@ -271,13 +282,14 @@ def _exit_code(argv):
      ["patterns", "--model", "{model}", "--data", "{tmp}/unknown.tsv",
       "--ngram", "2"], "window"),
 ], ids=["config-bad-value", "config-bad-value-overridden", "config-unknown-key", "config-bad-switch",
-        "config-missing", "config-out-of-range", "config-margins", "config-huge-window",
+        "config-missing", "config-out-of-range", "config-margins", "config-nan",
+        "config-names-missing-file", "lr-nan", "m-plus-nan", "config-huge-window",
         "hidden-huge", "hidden-0", "hidden-negative", "dim-0", "ngram-negative",
         "seed-negative", "single-label", "model-is-directory", "out-is-directory",
         "lisa-without-sentence", "only-unknown-labels", "corpus-marker",
         "not-utf-8", "vectors-not-utf-8", "vectors-short-row",
-        "vectors-no-vector", "vectors-header-dim", "metrics-is-directory",
-        "patterns-tau", "patterns-even-window"])
+        "vectors-no-vector", "vectors-non-finite", "vectors-header-dim",
+        "metrics-is-directory", "patterns-tau", "patterns-even-window"])
 def test_bad_input_exit_2(tmp_path, quick_model, capsys, files, argv, expected):
     for name, content in files.items():
         path = tmp_path / name
@@ -343,6 +355,11 @@ def _repeat_vocab_token(lines):
     return lines
 
 
+def _set(name, value):
+    return lambda lines: [re.sub(rf"\b{name}=\S+", f"{name}={value}", line)
+                          for line in lines]
+
+
 def _line_of(section, offset):
     """The 1-based number of the line ``offset`` lines after the head of
     ``section`` in the unedited file."""
@@ -361,8 +378,10 @@ def _line_of(section, offset):
     ("vector out_b", _drop_section("vector out_b"), _line_of("vector out_b", 0)),
     ("matrix out_w", _drop_value_in("matrix out_w"), _line_of("matrix out_w", 1)),
     ("vocab", _repeat_vocab_token, _line_of("vocab", 8)),
+    ("train", _set("learning_rate", "nan"), lambda lines: 2),
+    ("loss", _set("m_minus", "nan"), lambda lines: 3),
 ], ids=["truncated", "missing-key", "renamed", "missing-section", "short-row",
-        "duplicate-token"])
+        "duplicate-token", "nan-setting", "nan-margin"])
 def test_eval_rejects_malformed_model_exit_2(tmp_path, quick_model, capsys,
                                              section, edit, line):
     original = quick_model["model"].read_text().split("\n")

@@ -68,6 +68,17 @@ def test_load_pretrained_malformed_line(tmp_path, vocab):
     assert exc.value.lineno == 1
 
 
+@pytest.mark.parametrize("word", ["cause", "unseen"])
+@pytest.mark.parametrize("value", ["nan", "-inf", "1e999"])
+def test_load_pretrained_rejects_non_finite_entries(tmp_path, vocab, word, value):
+    """Also in the row of a word outside the vocabulary, which is not used."""
+    path = tmp_path / "vecs.txt"
+    path.write_text(f"cause 0.1 0.2 0.3 0.4 0.5\n{word} 0.1 {value} 0.3 0.4 0.5\n")
+    with pytest.raises(MalformedLine, match="vecs.txt:2: non-finite") as exc:
+        load_pretrained_text(path, vocab, 5)
+    assert exc.value.lineno == 2
+
+
 def test_load_pretrained_missing_tokens_reproducible(tmp_path, vocab):
     path = tmp_path / "vecs.txt"
     path.write_text("cause 0.1 0.2 0.3 0.4 0.5\n")

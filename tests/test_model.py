@@ -14,6 +14,7 @@ from cbrnn.model import (
     EmptyTrainSet,
     LossConfig,
     ModelFormatError,
+    SettingInvalid,
     ShapeMismatch,
     SingleClass,
     TrainConfig,
@@ -306,6 +307,20 @@ def quick_cfg(**kw):
     base = dict(epochs=2, seed=3, window=3, hidden_size=6, embed_dim=4)
     base.update(kw)
     return TrainConfig(**base)
+
+
+@pytest.mark.parametrize("cls, name", [
+    (TrainConfig, "learning_rate"), (TrainConfig, "clip_norm"),
+    (LossConfig, "gamma"), (LossConfig, "m_plus"), (LossConfig, "m_minus"),
+])
+def test_settings_reject_nan(cls, name):
+    with pytest.raises(SettingInvalid) as exc:
+        cls(**{name: math.nan})
+    assert name in exc.value.names
+
+
+def test_infinite_clip_norm_means_no_clipping():
+    assert TrainConfig(clip_norm=math.inf).clip_norm == math.inf
 
 
 def test_train_empty_raises(synthetic_split):
