@@ -25,6 +25,11 @@ _SWITCH_VALUES = {"1": True, "true": True, "yes": True,
                   "0": False, "false": False, "no": False}
 
 
+def _flag(name):
+    """The flag that sets the setting ``name``."""
+    return _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+
+
 def _add_setting_flags(parser):
     """One flag per TrainConfig/LossConfig field, typed and defaulted by the
     field's default."""
@@ -35,7 +40,7 @@ def _add_setting_flags(parser):
                                 dest=f.name, action="store_const",
                                 const=not f.default, default=f.default)
         else:
-            flag = _FLAG_NAMES.get(f.name, "--" + name)
+            flag = _flag(f.name)
             parser.add_argument(flag, dest=f.name, type=type(f.default),
                                 default=f.default,
                                 metavar=flag[2:].replace("-", "_").upper())
@@ -130,7 +135,10 @@ def cmd_train(args):
         split = _load_split(args)
         model = model_mod.train(split, train_cfg, loss_cfg, pretrained=args.embeddings)
     except model_mod.SettingInvalid as exc:
-        raise _config_error(exc, args, exc.names)
+        located = _config_error(exc, args, exc.names)
+        if located is exc:
+            located = InputError(f"{', '.join(map(_flag, exc.names))}: {exc}")
+        raise located
     except OSError as exc:
         # an input file named by a setting, such as embeddings=...
         raise _config_error(exc, args, [n for n, value in vars(args).items()

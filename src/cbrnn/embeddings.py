@@ -84,41 +84,76 @@ def load_pretrained_text(path, vocab, dim, fallback_seed=0):
 def _window_ids(ids, window):
     """Row k holds the ids at positions k-half .. k+half, with PAD_ID where
     the window leaves the sentence."""
+    if window < 1 or window % 2 == 0:
+        raise EvenWindow(f"window size must be odd and positive, got {window}")
     n = len(ids)
+    if not n:
+        raise ValueError("empty id sequence")
     half = window // 2
     padded = np.full(n + 2 * half, PAD_ID, dtype=np.intp)
     padded[half:half + n] = ids
     return padded[np.arange(n)[:, None] + np.arange(window)]
 
 
+class SentenceWindows:
+    """A sentence's N-gram windows, worked out once for composing its inputs
+    and scattering their gradients back: O(n * window) ints, no vectors.
+
+    ``index`` is the (n, window) id of every slot, PAD_ID where the window
+    leaves the sentence; ``slots`` the flat numbers of the slots that read a
+    row other than the padding row; ``rows`` the sorted ids those slots read;
+    ``positions`` the place of each such slot's id in ``rows``.
+    """
+
+    def __init__(self, ids, window):
+        self.window = window
+        self.index = _window_ids(ids, window)
+        flat = self.index.reshape(-1)
+        self.slots = np.flatnonzero(flat != PAD_ID)
+        self.rows, self.positions = np.unique(flat[self.slots], return_inverse=True)
+
+    def __len__(self):
+        return len(self.index)
+
+
+def _prebuilt(ids, window):
+    """``ids`` when it is a ``SentenceWindows`` of ``window``, else None."""
+    if not isinstance(ids, SentenceWindows):
+        return None
+    if ids.window != window:
+        raise ValueError(f"windows built for size {ids.window}, not {window}")
+    return ids
+
+
 def compose_ngram_inputs(ids, table, window):
     """Concatenate `window` consecutive embedding rows per position, with
-    zero vectors where the window leaves the sentence (the padding row)."""
-    if window < 1 or window % 2 == 0:
-        raise EvenWindow(f"window size must be odd and positive, got {window}")
-    if not len(ids):
-        raise ValueError("empty id sequence")
-    return table.matrix[_window_ids(ids, window)].reshape(len(ids), -1)
+    zero vectors where the window leaves the sentence (the padding row).
+    ``ids`` is the sentence's ids or its ``SentenceWindows``."""
+    windows = _prebuilt(ids, window)
+    index = _window_ids(ids, window) if windows is None else windows.index
+    return table.matrix.take(index.reshape(-1), axis=0).reshape(len(index), -1)
 
 
 def input_grads_to_embeddings(d_inputs, ids, window, vocab_size, dim):
     """Scatter gradients w.r.t. composed windows back onto embedding rows.
 
-    Returns ``(row_ids, row_grads)``: the sorted ids of the rows the
-    sentence touches and their summed gradients. The padding row is never
-    among them: it receives no updates.
+    ``ids`` is the sentence's ids or its ``SentenceWindows``; the table has
+    ``vocab_size`` rows of ``dim`` values. Returns ``(row_ids, row_grads)``:
+    the sorted ids of the rows the sentence touches and their summed
+    gradients. The padding row is never among them: it receives no updates.
     """
-    win_ids = _window_ids(ids, window).reshape(-1)
-    slots = win_ids != PAD_ID
-    win_ids = win_ids[slots]
-    touched = np.zeros(vocab_size, dtype=bool)
-    touched[win_ids] = True
-    row_ids = np.flatnonzero(touched)
+    windows = _prebuilt(ids, window)
+    if windows is None:
+        windows = SentenceWindows(ids, window)
+    row_ids = windows.rows
+    if len(row_ids) and not 0 <= row_ids[0] <= row_ids[-1] < vocab_size:
+        raise IndexError(f"row ids outside the table's {vocab_size} rows")
     # one flat bincount adds each slot's vector into its row in slot order,
     # the order a loop over windows would use
-    cells = np.searchsorted(row_ids, win_ids)[:, None] * dim + np.arange(dim)
+    cells = windows.positions[:, None] * dim + np.arange(dim)
     row_grads = np.bincount(
-        cells.reshape(-1), weights=d_inputs.reshape(-1, dim)[slots].reshape(-1),
+        cells.reshape(-1),
+        weights=d_inputs.reshape(-1, dim).take(windows.slots, axis=0).reshape(-1),
         minlength=len(row_ids) * dim,
     )
     # an empty bincount comes back as integers

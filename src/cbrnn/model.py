@@ -10,7 +10,8 @@ final step. Training minimizes a margin ranking loss on the raw scores.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -95,7 +96,7 @@ class TrainConfig:
             if not getattr(self, name) > 0:
                 raise SettingInvalid(f"{name} must be positive, got "
                                      f"{getattr(self, name)}", name)
-        for name in ("epochs", "seed"):
+        for name in ("epochs", "seed", "min_count"):
             if getattr(self, name) < 0:
                 raise SettingInvalid(f"{name} must be non-negative, got "
                                      f"{getattr(self, name)}", name)
@@ -108,9 +109,25 @@ def _weight(*dims):
     return field(metadata={"dims": dims})
 
 
+def _aligned_empty(size):
+    """An uninitialised float64 array of ``size`` values starting on a
+    64-byte boundary, for weights. Where a weight matrix starts relative to
+    a cache line moves BLAS's speed: at h100 a ``forward_pass`` ran about 8%
+    slower from 16 or 48 bytes past a boundary than from one."""
+    raw = np.empty(size + 7)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + size]
+
+
 @dataclass
 class CBRNNParams:
-    """The weight arrays; their gradients come in the same container."""
+    """The weight arrays; their gradients come in the same container.
+
+    However it is built, the arrays are views, in field order, into the one
+    contiguous float64 array ``buffer``, so that an update of every weight
+    is one operation on it. Given arrays are copied into a new buffer; the
+    ``buffer`` argument is for arrays that already are such views of it.
+    """
     in_fwd: np.ndarray = _weight("input", "hidden")
     in_bwd: np.ndarray = _weight("input", "hidden")
     rec_fwd: np.ndarray = _weight("hidden", "hidden")
@@ -118,6 +135,15 @@ class CBRNNParams:
     rec_comb: np.ndarray = _weight("hidden", "hidden")
     out_w: np.ndarray = _weight("hidden", "classes")
     out_b: np.ndarray = _weight("classes")
+    buffer: InitVar[np.ndarray | None] = None
+
+    def __post_init__(self, buffer):
+        if buffer is None:
+            arrays = [np.ravel(a) for a in self.arrays().values()]
+            buffer = np.concatenate(arrays, out=_aligned_empty(sum(map(len, arrays))))
+            for name, start, stop, shape in self._layout:
+                setattr(self, name, buffer[start:stop].reshape(shape))
+        self.buffer = buffer
 
     @staticmethod
     def shapes(input_dim, hidden_size, n_classes):
@@ -125,6 +151,16 @@ class CBRNNParams:
         size = {"input": input_dim, "hidden": hidden_size, "classes": n_classes}
         return {f.name: tuple(size[d] for d in f.metadata["dims"])
                 for f in fields(CBRNNParams)}
+
+    @cached_property
+    def _layout(self):
+        """``(name, start, stop, shape)`` of every array in the buffer."""
+        layout, start = [], 0
+        for name, array in self.arrays().items():
+            array = np.asarray(array)
+            layout.append((name, start, start + array.size, array.shape))
+            start += array.size
+        return layout
 
     @property
     def hidden_size(self):
@@ -135,10 +171,27 @@ class CBRNNParams:
         return self.out_b.shape[0]
 
     def arrays(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _NAMES}
+
+    def _over(self, buffer):
+        """A container of the same shapes whose arrays are views of ``buffer``."""
+        return CBRNNParams(**{name: buffer[start:stop].reshape(shape)
+                              for name, start, stop, shape in self._layout},
+                           buffer=buffer)
+
+    def empty_like(self):
+        """A container of the same shapes, its values not set: one
+        example's gradients."""
+        return self._over(np.empty(len(self.buffer)))
 
     def copy(self):
-        return CBRNNParams(**{k: v.copy() for k, v in self.arrays().items()})
+        buffer = _aligned_empty(len(self.buffer))
+        buffer[...] = self.buffer
+        return self._over(buffer)
+
+
+# the weight arrays' names, in field order
+_NAMES = tuple(f.name for f in fields(CBRNNParams))
 
 
 def init_params(input_dim, hidden_size, n_classes, rng):
@@ -442,15 +495,14 @@ def loss_gradients(params, cache, y_plus, cfg):
     dA_fwd = _bptt(params.rec_fwd, cache.h_fwd, dA_comb)
     dA_bwd = _bptt(params.rec_bwd, cache.h_bwd[::-1], dA_comb)[::-1]
 
-    grads = CBRNNParams(
-        in_fwd=x.T @ dA_fwd,
-        in_bwd=x.T @ dA_bwd,
-        rec_fwd=cache.h_fwd[:-1].T @ dA_fwd[1:],
-        rec_bwd=cache.h_bwd[1:].T @ dA_bwd[:-1],
-        rec_comb=cache.h_comb[:-1].T @ dA_comb[1:],
-        out_w=np.outer(cache.h_comb[n - 1], d_scores),
-        out_b=d_scores.copy(),
-    )
+    grads = params.empty_like()
+    np.matmul(x.T, dA_fwd, out=grads.in_fwd)
+    np.matmul(x.T, dA_bwd, out=grads.in_bwd)
+    np.matmul(cache.h_fwd[:-1].T, dA_fwd[1:], out=grads.rec_fwd)
+    np.matmul(cache.h_bwd[1:].T, dA_bwd[:-1], out=grads.rec_bwd)
+    np.matmul(cache.h_comb[:-1].T, dA_comb[1:], out=grads.rec_comb)
+    np.outer(cache.h_comb[n - 1], d_scores, out=grads.out_w)
+    grads.out_b[...] = d_scores
     return loss, grads, dA_fwd @ params.in_fwd.T + dA_bwd @ params.in_bwd.T
 
 
@@ -505,17 +557,17 @@ def global_grad_norm(grads, emb_grads=None):
 
 def sgd_step(params, grads, learning_rate, clip_norm,
              table=None, emb_grads=None):
-    """Clip by global norm, then take one gradient step in place; only the
-    embedding rows listed in ``emb_grads`` move."""
+    """Clip by global norm, then take one gradient step in place, leaving
+    the gradients as they are; only the embedding rows listed in
+    ``emb_grads`` move. Returns the global norm before clipping."""
     norm = global_grad_norm(grads, emb_grads)
     scale = 1.0 if norm <= clip_norm else clip_norm / norm
     step = learning_rate * scale
-    for array, grad in zip(params.arrays().values(), grads.arrays().values()):
-        array -= step * grad
+    params.buffer -= step * grads.buffer
     if table is not None and emb_grads is not None and table.trainable:
         row_ids, row_grads = emb_grads
         table.matrix[row_ids] -= step * row_grads
-    return params
+    return norm
 
 
 @dataclass
@@ -576,7 +628,9 @@ def train(split, train_cfg, loss_cfg=None, pretrained=None):
 
     label_index = {lab: i for i, lab in enumerate(split.label_set)}
     encoded = [
-        ([vocab.id_of(t) for t in s.tokens], label_index[s.label])
+        (emb_mod.SentenceWindows([vocab.id_of(t) for t in s.tokens],
+                                 train_cfg.window),
+         label_index[s.label])
         for s in split.train
     ]
     dev = split.dev if split.dev else split.train
@@ -597,21 +651,21 @@ def train(split, train_cfg, loss_cfg=None, pretrained=None):
         order = rng.permutation(len(encoded)) if train_cfg.shuffle else range(len(encoded))
         total_loss = 0.0
         for i in order:
-            ids, y = encoded[i]
-            x = compose_ngram_inputs(ids, table, train_cfg.window)
+            windows, y = encoded[i]
+            x = compose_ngram_inputs(windows, table, train_cfg.window)
             cache = forward_pass(params, x)
             loss, grads, d_inputs = loss_gradients(params, cache, y, loss_cfg)
             total_loss += loss
             emb_grads = None
             if table.trainable:
                 emb_grads = emb_mod.input_grads_to_embeddings(
-                    d_inputs, ids, train_cfg.window, vocab.size, table.dim
+                    d_inputs, windows, train_cfg.window, vocab.size, table.dim
                 )
             sgd_step(params, grads, train_cfg.learning_rate,
                      train_cfg.clip_norm, table, emb_grads)
         mean_loss = total_loss / len(encoded)
         if not (np.isfinite(mean_loss) and np.isfinite(table.matrix).all()
-                and all(np.isfinite(a).all() for a in params.arrays().values())):
+                and np.isfinite(params.buffer).all()):
             raise TrainingDiverged(
                 f"epoch {epoch}: training diverged to a non-finite loss or "
                 f"weight at learning_rate {train_cfg.learning_rate}")

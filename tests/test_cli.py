@@ -246,6 +246,10 @@ def _exit_code(argv):
     ({}, [*TRAIN, "--dim", "0"], "embed_dim"),
     ({}, [*TRAIN, "--ngram", "-1"], "window"),
     ({}, [*TRAIN, "--seed", "-1"], "seed"),
+    ({}, [*TRAIN, "--min-count", "-3"],
+     "--min-count: min_count must be non-negative, got -3"),
+    ({"run.cfg": "seed=3\nmin_count=-3\n"}, [*TRAIN, "--config", "{tmp}/run.cfg"],
+     "run.cfg:2: min_count must be non-negative, got -3"),
     ({"one.tsv": f"r\t{SENTENCE}\nr\t{SENTENCE}\n"},
      ["train", "--data", "{tmp}/one.tsv", "--out", "{tmp}/m.txt"], "two classes"),
     ({}, ["eval", "--model", "{tmp}", "--data", "{test}"], "{tmp}"),
@@ -285,7 +289,8 @@ def _exit_code(argv):
         "config-missing", "config-out-of-range", "config-margins", "config-nan",
         "config-names-missing-file", "lr-nan", "m-plus-nan", "config-huge-window",
         "hidden-huge", "hidden-0", "hidden-negative", "dim-0", "ngram-negative",
-        "seed-negative", "single-label", "model-is-directory", "out-is-directory",
+        "seed-negative", "min-count-negative", "config-min-count-negative",
+        "single-label", "model-is-directory", "out-is-directory",
         "lisa-without-sentence", "only-unknown-labels", "corpus-marker",
         "not-utf-8", "vectors-not-utf-8", "vectors-short-row",
         "vectors-no-vector", "vectors-non-finite", "vectors-header-dim",
@@ -380,8 +385,9 @@ def _line_of(section, offset):
     ("vocab", _repeat_vocab_token, _line_of("vocab", 8)),
     ("train", _set("learning_rate", "nan"), lambda lines: 2),
     ("loss", _set("m_minus", "nan"), lambda lines: 3),
+    ("train", _set("min_count", "-1"), lambda lines: 2),
 ], ids=["truncated", "missing-key", "renamed", "missing-section", "short-row",
-        "duplicate-token", "nan-setting", "nan-margin"])
+        "duplicate-token", "nan-setting", "nan-margin", "negative-min-count"])
 def test_eval_rejects_malformed_model_exit_2(tmp_path, quick_model, capsys,
                                              section, edit, line):
     original = quick_model["model"].read_text().split("\n")

@@ -2,11 +2,12 @@
 
 The references below are the original per-step implementations: BPTT with
 one outer product per step and matrix, window composition and gradient
-scatter with one slice per window slot, and a dense embedding update. They
-live here only, as the specification the fast kernels must meet. The
-lockstep prefix scorer must give, bit for bit, what one ``forward_pass``
-per prefix gives; it rests on the input projection giving each row the
-same bits whatever the number of rows projected with it.
+scatter with one slice per window slot, a dense embedding update, and a
+training loop over separate weight arrays updated one by one. They live
+here only, as the specification the fast kernels must meet. The lockstep
+prefix scorer must give, bit for bit, what one ``forward_pass`` per prefix
+gives; it rests on the input projection giving each row the same bits
+whatever the number of rows projected with it.
 """
 
 from types import SimpleNamespace
@@ -16,25 +17,34 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbrnn.corpus import PAD_ID
+from cbrnn.corpus import PAD_ID, SyntheticConfig, build_vocabulary, generate_synthetic
 from cbrnn.embeddings import (
     EmbeddingTable,
+    SentenceWindows,
     compose_ngram_inputs,
+    init_random,
     input_grads_to_embeddings,
+    load_pretrained_text,
 )
 from cbrnn import model
 from cbrnn.model import (
     CBRNNParams,
     LossConfig,
+    TrainConfig,
+    TrainedModel,
     _ROW_BLOCK,
     _checked_input,
     _project,
     forward_pass,
     init_params,
+    load_model,
     loss_gradients,
+    predict,
     prefix_probs,
     ranking_loss,
+    save_model,
     sgd_step,
+    train,
 )
 
 VOCAB = 6  # small, so that ids repeat and PAD_ID turns up inside sentences
@@ -207,6 +217,187 @@ def test_sparse_sgd_step_matches_dense_update(ids, window, seed, clip_norm):
     untouched = np.setdiff1d(np.arange(VOCAB), emb_grads[0])
     assert table.matrix[untouched].tobytes() == expected[untouched].tobytes()
     np.testing.assert_allclose(table.matrix, expected, rtol=1e-12)
+
+
+@given(ids=sentences, window=windows, dim=st.integers(1, 4), seed=seeds)
+@example(ids=[PAD_ID], window=5, dim=2, seed=0)
+def test_sentence_windows_compose_and_scatter_bit_equal(ids, window, dim, seed):
+    """A sentence's windows, built once, give the composition and the
+    scatter that the sentence's ids give."""
+    table = random_table(seed, dim)
+    prebuilt = SentenceWindows(ids, window)
+    assert len(prebuilt) == len(ids)
+    x = compose_ngram_inputs(prebuilt, table, window)
+    assert x.tobytes() == compose_ngram_inputs(ids, table, window).tobytes()
+    assert x.tobytes() == reference_compose(ids, table.matrix, window).tobytes()
+    d_inputs = np.random.default_rng(seed).normal(size=x.shape)
+    row_ids, row_grads = input_grads_to_embeddings(d_inputs, prebuilt, window,
+                                                   VOCAB, dim)
+    assert list(row_ids) == sorted(set(ids) - {PAD_ID})
+    dense = np.zeros((VOCAB, dim))
+    dense[row_ids] = row_grads
+    assert dense.tobytes() == reference_scatter(d_inputs, ids, window,
+                                                VOCAB, dim).tobytes()
+    with pytest.raises(ValueError):
+        compose_ngram_inputs(prebuilt, table, window + 2)
+
+
+@pytest.mark.parametrize("bad", [-1, VOCAB])
+def test_scatter_rejects_ids_outside_the_table(bad):
+    with pytest.raises(IndexError):
+        input_grads_to_embeddings(np.ones((2, 2)), [1, bad], 1, VOCAB, 2)
+
+
+def reference_weight_grads(p, cache, y_plus, cfg):
+    """``loss_gradients`` with every weight gradient its own new array."""
+    x = cache.inputs
+    n = len(x)
+    _, c_minus = ranking_loss(cache.scores, y_plus, cfg)
+    d_scores = np.zeros(len(p["out_b"]))
+    d_scores[y_plus] -= cfg.gamma * model._sigmoid(
+        cfg.gamma * (cfg.m_plus - cache.scores[y_plus]))
+    d_scores[c_minus] += cfg.gamma * model._sigmoid(
+        cfg.gamma * (cfg.m_minus + cache.scores[c_minus]))
+    d_top = np.zeros(cache.h_comb.shape)
+    d_top[n - 1] = p["out_w"] @ d_scores
+    dA_comb = model._bptt(p["rec_comb"], cache.h_comb, d_top)
+    dA_fwd = model._bptt(p["rec_fwd"], cache.h_fwd, dA_comb)
+    dA_bwd = model._bptt(p["rec_bwd"], cache.h_bwd[::-1], dA_comb)[::-1]
+    grads = {
+        "in_fwd": x.T @ dA_fwd,
+        "in_bwd": x.T @ dA_bwd,
+        "rec_fwd": cache.h_fwd[:-1].T @ dA_fwd[1:],
+        "rec_bwd": cache.h_bwd[1:].T @ dA_bwd[:-1],
+        "rec_comb": cache.h_comb[:-1].T @ dA_comb[1:],
+        "out_w": np.outer(cache.h_comb[n - 1], d_scores),
+        "out_b": d_scores.copy(),
+    }
+    return grads, dA_fwd @ p["in_fwd"].T + dA_bwd @ p["in_bwd"].T
+
+
+def reference_train(split, cfg, loss_cfg, pretrained=None):
+    """``train`` over separate weight arrays, each updated on its own, with
+    every step composing and scattering through the loop references.
+    Returns the model and the number of steps that clipped."""
+    vocab = build_vocabulary(split.train, min_count=cfg.min_count)
+    rng = np.random.default_rng(cfg.seed)
+    table = init_random(vocab, cfg.embed_dim, cfg.seed)
+    shapes = CBRNNParams.shapes(cfg.window * cfg.embed_dim, cfg.hidden_size,
+                                len(split.label_set))
+    p = {name: rng.uniform(-0.1, 0.1, size=shape)
+         for name, shape in shapes.items() if name != "out_b"}
+    p["out_b"] = np.zeros(shapes["out_b"])
+    if pretrained:
+        table = load_pretrained_text(pretrained, vocab, cfg.embed_dim,
+                                     fallback_seed=cfg.seed)
+    labels = {lab: i for i, lab in enumerate(split.label_set)}
+    encoded = [([vocab.id_of(t) for t in s.tokens], labels[s.label])
+               for s in split.train]
+
+    def as_model(arrays, matrix, params=None):
+        params = params or SimpleNamespace(**arrays, hidden_size=cfg.hidden_size)
+        return TrainedModel(params, EmbeddingTable(matrix), vocab,
+                            list(split.label_set), cfg, loss_cfg)
+
+    def snapshot():
+        return {k: v.copy() for k, v in p.items()}, table.matrix.copy()
+
+    best, best_acc, history, clipped = snapshot(), -1.0, [], 0
+    for epoch in range(1, cfg.epochs + 1):
+        total = 0.0
+        for i in rng.permutation(len(encoded)):
+            ids, y = encoded[i]
+            x = reference_compose(ids, table.matrix, cfg.window)
+            cache = forward_pass(SimpleNamespace(**p, hidden_size=cfg.hidden_size), x)
+            total += ranking_loss(cache.scores, y, loss_cfg)[0]
+            grads, d_inputs = reference_weight_grads(p, cache, y, loss_cfg)
+            rows = np.array(sorted(set(ids) - {PAD_ID}), dtype=np.intp)
+            row_grads = reference_scatter(d_inputs, ids, cfg.window, vocab.size,
+                                          cfg.embed_dim)[rows]
+            norm = np.sqrt(sum(float(np.vdot(a, a))
+                               for a in [*grads.values(), row_grads]))
+            clipped += bool(norm > cfg.clip_norm)
+            scale = 1.0 if norm <= cfg.clip_norm else cfg.clip_norm / norm
+            step = cfg.learning_rate * scale
+            for name, grad in grads.items():
+                p[name] -= step * grad
+            table.matrix[rows] -= step * row_grads
+        dev = split.dev or split.train
+        current = as_model(p, table.matrix)
+        acc = sum(1 for s in dev if predict(current, s)[0] == s.label) / len(dev)
+        history.append((epoch, total / len(encoded), acc))
+        if acc >= best_acc:
+            best, best_acc = snapshot(), acc
+    result = as_model(*best, params=CBRNNParams(**best[0]))
+    result.history = history
+    return result, clipped
+
+
+@pytest.mark.parametrize("window", [1, 3, 5])
+@pytest.mark.parametrize("clip_norm", [1e-3, 5.0])
+@pytest.mark.parametrize("pretrained", [False, True])
+def test_train_bit_equal_to_per_array_loop(tmp_path, window, clip_norm, pretrained):
+    """The one-buffer update and the per-sentence windows write the model
+    file the per-array loop writes, byte for byte; a clip norm of 1e-3
+    clips every step."""
+    split = generate_synthetic(SyntheticConfig(2, 20, seed=window))
+    cfg = TrainConfig(epochs=3, seed=window, window=window, hidden_size=5,
+                      embed_dim=3, clip_norm=clip_norm)
+    vectors = None
+    if pretrained:
+        vectors = tmp_path / "vectors.txt"
+        words = sorted({t for s in split.train for t in s.tokens})[::2]
+        rng = np.random.default_rng(window)
+        vectors.write_text("".join(
+            f"{w} {' '.join(f'{v:.17g}' for v in rng.uniform(-0.5, 0.5, 3))}\n"
+            for w in words))
+    want, clipped = reference_train(split, cfg, LossConfig(), vectors)
+    if clip_norm == 1e-3:
+        assert clipped == cfg.epochs * len(split.train)
+    got = train(split, cfg, LossConfig(), pretrained=vectors)
+    assert got.history == want.history
+    save_model(want, tmp_path / "want.txt")
+    save_model(got, tmp_path / "got.txt")
+    assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+
+def test_every_params_container_is_one_buffer(tmp_path):
+    """However a ``CBRNNParams`` is built, its arrays are consecutive views,
+    in field order, of one float64 buffer; a copy shares no memory, and
+    weights, unlike one example's gradients, start on a cache line."""
+    rng = np.random.default_rng(0)
+    drawn = init_params(6, 3, 2, rng)
+    cache = forward_pass(drawn, rng.uniform(-1.0, 1.0, size=(5, 6)))
+    trained = train(generate_synthetic(SyntheticConfig(2, 20, seed=1)),
+                    TrainConfig(epochs=1, hidden_size=3, embed_dim=2))
+    save_model(trained, tmp_path / "m.txt")
+    built = {
+        "init_params": drawn,
+        "direct": CBRNNParams(**{k: v.tolist() for k, v in drawn.arrays().items()}),
+        "copy": drawn.copy(),
+        "empty_like": drawn.empty_like(),
+        "loss_gradients": loss_gradients(drawn, cache, 1, LossConfig())[1],
+        "train": trained.params,
+        "load_model": load_model(tmp_path / "m.txt").params,
+    }
+    for how, params in built.items():
+        buffer = params.buffer
+        assert buffer.dtype == np.float64 and buffer.ndim == 1, how
+        assert buffer.flags.c_contiguous, how
+        start = 0
+        for name, array in params.arrays().items():
+            assert np.shares_memory(array, buffer), (how, name)
+            assert array.flags.c_contiguous, (how, name)
+            offset = array.ctypes.data - buffer.ctypes.data
+            assert offset == start * buffer.itemsize, (how, name)
+            start += array.size
+        assert start == buffer.size, how
+        if how not in ("empty_like", "loss_gradients"):
+            assert buffer.ctypes.data % 64 == 0, how
+    assert built["direct"].buffer.tobytes() == drawn.buffer.tobytes()
+    assert built["copy"].buffer.tobytes() == drawn.buffer.tobytes()
+    for how in ("copy", "direct", "empty_like"):
+        assert not np.shares_memory(built[how].buffer, drawn.buffer), how
 
 
 def assert_prefix_probs_bit_equal(params, ids, table, window):

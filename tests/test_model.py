@@ -20,6 +20,7 @@ from cbrnn.model import (
     TrainConfig,
     evaluate,
     forward_pass,
+    global_grad_norm,
     gradient_check,
     init_params,
     load_model,
@@ -287,6 +288,21 @@ def test_sgd_scalar_arithmetic():
     g.out_b[0] = 0.5
     sgd_step(p, g, 0.1, 100.0)
     assert abs(p.out_b[0] - 0.95) < 1e-15
+
+
+@pytest.mark.parametrize("clip_norm", [1e-3, 1e3])
+def test_sgd_returns_pre_clip_norm_and_keeps_gradients(clip_norm):
+    rng = np.random.default_rng(3)
+    p = small_params()
+    g = zero_grads(p)
+    g.buffer[...] = rng.normal(size=g.buffer.shape)
+    table = EmbeddingTable(rng.uniform(-0.1, 0.1, size=(5, 2)))
+    emb_grads = (np.array([1, 3]), rng.normal(size=(2, 2)))
+    before = [a.copy() for a in (*g.arrays().values(), *emb_grads)]
+    norm = sgd_step(p, g, 0.1, clip_norm, table, emb_grads)
+    assert norm == global_grad_norm(g, emb_grads)
+    for was, now in zip(before, (*g.arrays().values(), *emb_grads)):
+        assert was.tobytes() == now.tobytes()
 
 
 def test_sgd_clips_global_norm():
