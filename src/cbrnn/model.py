@@ -189,6 +189,23 @@ class CBRNNParams:
         buffer[...] = self.buffer
         return self._over(buffer)
 
+    def _stack(self, first, second):
+        """Two arrays of one shape that are neighbours in field order, as
+        one (2, ...) view of the buffer."""
+        (_, start, _, shape), (_, _, stop, _) = (
+            entry for entry in self._layout if entry[0] in (first, second))
+        return self.buffer[start:stop].reshape((2,) + shape)
+
+    @cached_property
+    def in_pair(self):
+        """``in_fwd`` and ``in_bwd`` stacked: a (2, input, hidden) view."""
+        return self._stack("in_fwd", "in_bwd")
+
+    @cached_property
+    def rec_pair(self):
+        """``rec_bwd`` and ``rec_comb`` stacked: a (2, hidden, hidden) view."""
+        return self._stack("rec_bwd", "rec_comb")
+
 
 # the weight arrays' names, in field order
 _NAMES = tuple(f.name for f in fields(CBRNNParams))
@@ -274,15 +291,15 @@ def forward_pass(params, x):
     h_bwd = np.empty((n, hidden))
     h_comb = np.empty((n, hidden))
 
+    proj_fwd, proj_bwd = _project(padded, params.in_pair[:, None])
     # ``v.dot(m)`` is the same BLAS call as ``v @ m`` with less overhead,
     # and iterating over rows costs less than indexing them
     prev = np.zeros(hidden)
-    for row, out in zip(_project(padded, params.in_fwd), h_fwd):
+    for row, out in zip(proj_fwd, h_fwd):
         prev = np.tanh(row + prev.dot(params.rec_fwd), out=out)
 
     nxt = np.zeros(hidden)
-    for row, out in zip(_project(padded, params.in_bwd)[n - 1::-1],
-                        h_bwd[::-1]):
+    for row, out in zip(proj_bwd[n - 1::-1], h_bwd[::-1]):
         nxt = np.tanh(row + nxt.dot(params.rec_bwd), out=out)
 
     # after t+1 steps the backward chain has consumed words n..n-t, whose
@@ -298,10 +315,18 @@ def forward_pass(params, x):
     )
 
 
-# prefixes scored together: blocks of 1, 2, 4, ... prefixes, at most this
-# many, so a caller that stops after prefix k has scored fewer than 2k of
-# them and a block projects at most _MAX_BLOCK prefixes' tail rows at once
+# prefixes scored together: a block holds as many as were scored before it
+# plus one, at most _MAX_BLOCK, so the tails a block projects at once stay
+# few. The first block holds _FIRST_BLOCK_AREA // hidden**2 of them (at least
+# 1, at most _MAX_BLOCK): 64 up to hidden 16, 16 at h32, 4 at h64, 1 from
+# h91 on. A lockstep step makes the same dozen numpy calls however many
+# prefixes it holds; one more prefix adds about 0.3 µs to its stacked matmul
+# at h32 but about 3 µs at h100 (one BLAS thread). So at h32 a sentence of
+# up to 16 words is one block, a 10-word curve 1.4x faster than in blocks of
+# 1, 2, 4, ..., while at h100 a caller that stops early saves more by small
+# blocks than their extra steps cost.
 _MAX_BLOCK = 64
+_FIRST_BLOCK_AREA = 2 ** 14
 
 
 def prefix_probs(params, table, ids, window, lookahead=False, h_fwd=None):
@@ -314,7 +339,11 @@ def prefix_probs(params, table, ids, window, lookahead=False, h_fwd=None):
     A prefix's input is ``full[:k]`` but for its tail: its last
     ``window // 2`` rows, whose windows reach past word k and read the
     padding row there. The tails are built one block of prefixes at a time,
-    so a caller that stops early leaves later blocks unbuilt and unscored.
+    so a caller that stops early leaves later blocks unbuilt and unscored:
+    the first block holds ``first`` prefixes, sized by the hidden size
+    (see ``_FIRST_BLOCK_AREA``), each later one as many as came before it
+    plus one, at most ``_MAX_BLOCK``. A caller that stops after prefix k has
+    scored fewer than ``max(2k, first + 1)`` prefixes.
 
     The whole sentence is composed and projected once, and one forward chain
     over it is advanced as far as the block being scored needs: a prefix's
@@ -329,15 +358,13 @@ def prefix_probs(params, table, ids, window, lookahead=False, h_fwd=None):
     n, hidden = len(full), params.hidden_size
     half, dim = 0 if lookahead else window // 2, table.dim
     pad = table.matrix[[PAD_ID] * window].reshape(-1)
-    w_in = np.array([params.in_fwd, params.in_bwd])[:, None]
-    proj_fwd, proj_bwd = _project(padded, w_in)
+    proj_fwd, proj_bwd = _project(padded, params.in_pair[:, None])
     # the shared forward chain: chain[t] is the state after t words
     chain = np.zeros((n + 1, hidden))
     reached = 0
     if h_fwd is not None:
         chain[1:], reached = h_fwd, n
-    rec = np.array([params.rec_bwd, params.rec_comb])[:, None]
-    first, size = 1, 1
+    first, size = 1, min(max(1, _FIRST_BLOCK_AREA // hidden ** 2), _MAX_BLOCK)
     while first <= n:
         end = min(first + size, n + 1)
         for k in range(first, min(half + 1, end)):
@@ -356,17 +383,15 @@ def prefix_probs(params, table, ids, window, lookahead=False, h_fwd=None):
                                       chain[reached + 1:need + 1]):
                 np.tanh(row + prev.dot(params.rec_fwd), out=nxt)
             reached = max(reached, need)
-            yield from _lockstep_probs(params, w_in, rec, lo, tails, padded,
+            yield from _lockstep_probs(params, lo, tails, padded,
                                        proj_bwd[:, None], chain)
-        first, size = end, min(2 * size, _MAX_BLOCK)
+        first, size = end, min(end, _MAX_BLOCK)
 
 
-def _lockstep_probs(params, w_in, rec, first, tails, padded, proj_bwd, chain):
+def _lockstep_probs(params, first, tails, padded, proj_bwd, chain):
     """``forward_pass(params, x).probs`` for the prefixes of ``first``,
     ``first + 1``, ... words, whose tails ``tails`` stacks, one (depth,
-    width) array per prefix; ``w_in`` and ``rec`` stack the forward and
-    backward input matrices and the backward and combined recurrent
-    matrices.
+    width) array per prefix.
 
     Every operation is the one ``forward_pass`` applies to the same values.
     A tail's rows are projected in the blocks they occupy in the prefix's
@@ -390,8 +415,8 @@ def _lockstep_probs(params, w_in, rec, first, tails, padded, proj_bwd, chain):
             blocks[j * span:at] = padded[start:cut + j]
             blocks[at:at + depth] = tail
             places.extend(range(at, at + depth))
-        tail_fwd, tail_bwd = _project(blocks, w_in)[:, places].reshape(
-            2, n_pre, depth, 1, hidden)
+        projected = _project(blocks, params.in_pair[:, None])
+        tail_fwd, tail_bwd = projected[:, places].reshape(2, n_pre, depth, 1, hidden)
         # each forward chain leaves the shared one at its first tail row;
         # forward[i][j] is prefix j's state after its tail row i
         forward, prev = [], chain[cut:cut + n_pre, None]
@@ -405,6 +430,7 @@ def _lockstep_probs(params, w_in, rec, first, tails, padded, proj_bwd, chain):
     comb = np.empty((n_pre, 1, hidden))
     done, live, comb_in = 0, state, comb
     bwd_state, comb_state = live
+    rec = params.rec_pair[:, None]
     for t, shared in enumerate(chain[1:first + n_pre]):
         if t >= first:
             done += 1
@@ -599,9 +625,19 @@ def predict(model, sentence):
     return label, cache.probs
 
 
-def _accuracy(model, sentences):
-    correct = sum(1 for s in sentences if predict(model, s)[0] == s.label)
-    return correct / len(sentences)
+def _windows(vocab, sentences, window):
+    return [emb_mod.SentenceWindows([vocab.id_of(t) for t in s.tokens], window)
+            for s in sentences]
+
+
+def _accuracy(model, dev):
+    """The share of ``(windows, label)`` pairs that ``predict`` labels right."""
+    correct = 0
+    for windows, label in dev:
+        x = compose_ngram_inputs(windows, model.table, model.train_cfg.window)
+        probs = forward_pass(model.params, x).probs
+        correct += model.label_set[int(probs.argmax())] == label
+    return correct / len(dev)
 
 
 def train(split, train_cfg, loss_cfg=None, pretrained=None):
@@ -627,13 +663,11 @@ def train(split, train_cfg, loss_cfg=None, pretrained=None):
                                              fallback_seed=train_cfg.seed)
 
     label_index = {lab: i for i, lab in enumerate(split.label_set)}
-    encoded = [
-        (emb_mod.SentenceWindows([vocab.id_of(t) for t in s.tokens],
-                                 train_cfg.window),
-         label_index[s.label])
-        for s in split.train
-    ]
-    dev = split.dev if split.dev else split.train
+    encoded = list(zip(_windows(vocab, split.train, train_cfg.window),
+                       [label_index[s.label] for s in split.train]))
+    dev_set = split.dev or split.train
+    dev = list(zip(_windows(vocab, dev_set, train_cfg.window),
+                   [s.label for s in dev_set]))
 
     current = TrainedModel(
         params=params, table=table, vocab=vocab,

@@ -3,8 +3,8 @@ from hypothesis import settings
 
 from cbrnn import SyntheticConfig, TrainConfig, generate_synthetic, train
 
-# ten times the default budget, for CI's fuzz step:
-# pytest tests/test_fuzz_inputs.py --hypothesis-profile=fuzz
+# ten times the default budget, for CI's fuzz step and its bit-equality
+# step: pytest tests/test_fuzz_inputs.py --hypothesis-profile=fuzz
 settings.register_profile("fuzz", max_examples=1000, derandomize=True)
 
 # the reference desk-scale run: 4 relations x 50 sentences, seed 7

@@ -10,6 +10,7 @@ gives; it rests on the input projection giving each row the same bits
 whatever the number of rows projected with it.
 """
 
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -294,8 +295,13 @@ def reference_train(split, cfg, loss_cfg, pretrained=None):
     encoded = [([vocab.id_of(t) for t in s.tokens], labels[s.label])
                for s in split.train]
 
+    def loose(arrays):
+        # forward_pass reads the input matrices stacked, as CBRNNParams.in_pair
+        return SimpleNamespace(**arrays, hidden_size=cfg.hidden_size,
+                               in_pair=np.array([arrays["in_fwd"], arrays["in_bwd"]]))
+
     def as_model(arrays, matrix, params=None):
-        params = params or SimpleNamespace(**arrays, hidden_size=cfg.hidden_size)
+        params = params or loose(arrays)
         return TrainedModel(params, EmbeddingTable(matrix), vocab,
                             list(split.label_set), cfg, loss_cfg)
 
@@ -308,7 +314,7 @@ def reference_train(split, cfg, loss_cfg, pretrained=None):
         for i in rng.permutation(len(encoded)):
             ids, y = encoded[i]
             x = reference_compose(ids, table.matrix, cfg.window)
-            cache = forward_pass(SimpleNamespace(**p, hidden_size=cfg.hidden_size), x)
+            cache = forward_pass(loose(p), x)
             total += ranking_loss(cache.scores, y, loss_cfg)[0]
             grads, d_inputs = reference_weight_grads(p, cache, y, loss_cfg)
             rows = np.array(sorted(set(ids) - {PAD_ID}), dtype=np.intp)
@@ -400,9 +406,34 @@ def test_every_params_container_is_one_buffer(tmp_path):
         assert not np.shares_memory(built[how].buffer, drawn.buffer), how
 
 
-def assert_prefix_probs_bit_equal(params, ids, table, window):
+def test_weight_pairs_are_views_of_the_buffer(tmp_path, trained_model):
+    """``in_pair`` and ``rec_pair`` stack two weight arrays without a copy,
+    so an update of the buffer shows in them."""
+    save_model(trained_model, tmp_path / "m.txt")
+    drawn = init_params(6, 3, 2, np.random.default_rng(0))
+    built = {
+        "init_params": drawn,
+        "copy": drawn.copy(),
+        "empty_like": drawn.empty_like(),
+        "load_model": load_model(tmp_path / "m.txt").params,
+    }
+    for how, params in built.items():
+        params.buffer[...] = np.arange(len(params.buffer))
+        for pair, names in ((params.in_pair, ("in_fwd", "in_bwd")),
+                            (params.rec_pair, ("rec_bwd", "rec_comb"))):
+            assert np.shares_memory(pair, params.buffer), (how, names)
+            for view, name in zip(pair, names):
+                assert view.ctypes.data == getattr(params, name).ctypes.data
+            assert np.array_equal(pair, np.array([getattr(params, name)
+                                                  for name in names])), how
+        params.buffer += 1.0
+        assert np.array_equal(params.in_pair[1], params.in_bwd), how
+
+
+def assert_prefix_probs_bit_equal(params, ids, table, window, stop=None):
     """Every prefix's probabilities against ``forward_pass`` on the prefix
-    composed on its own, or on the sentence's rows with ``lookahead``."""
+    composed on its own, or on the sentence's rows with ``lookahead``; and,
+    with ``stop``, those of a caller that stops after prefix ``stop``."""
     full = compose_ngram_inputs(ids, table, window)
     prefixes = [compose_ngram_inputs(ids[:k], table, window)
                 for k in range(1, len(ids) + 1)]
@@ -410,12 +441,18 @@ def assert_prefix_probs_bit_equal(params, ids, table, window):
     h_fwd = forward_pass(params, full).h_fwd
     for lookahead, inputs in ((False, prefixes),
                               (True, [full[:k] for k in range(1, len(ids) + 1)])):
+        want = [forward_pass(params, x).probs for x in inputs]
         for chain in (None, h_fwd):
             rows = list(prefix_probs(params, table, ids, window, lookahead,
                                      chain))
             assert len(rows) == len(ids)
-            for k, (x, row) in enumerate(zip(inputs, rows), start=1):
-                assert np.array_equal(row, forward_pass(params, x).probs), k
+            for k, (row, expected) in enumerate(zip(rows, want), start=1):
+                assert np.array_equal(row, expected), k
+            if stop is not None:
+                rows = prefix_probs(params, table, ids, window, lookahead, chain)
+                for k, expected in enumerate(want[:stop], start=1):
+                    assert np.array_equal(next(rows), expected), k
+                rows.close()
 
 
 def projection(x, w):
@@ -446,29 +483,55 @@ def test_projection_rows_do_not_depend_on_the_row_count(shape, n, data, seed):
     assert longer[:k].tobytes() == rows.tobytes()
 
 
-@settings(deadline=None, max_examples=60)
-@given(ids=st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=40),
-       window=st.sampled_from([1, 3, 5, 7]), dim=st.integers(1, 4),
-       hidden=st.integers(1, 8), n_classes=st.integers(2, 4),
-       scale=st.sampled_from([1.0, 30.0]), seed=seeds)
-@example(ids=[PAD_ID], window=5, dim=1, hidden=1, n_classes=2, scale=1.0,
-         seed=0)
-@example(ids=[1, 2, 3, 4, 5, 1, 2, 3, 4, 5], window=7, dim=1, hidden=2,
-         n_classes=2, scale=1.0, seed=0)
-def test_prefix_probs_bit_equal_to_forward_pass(ids, window, dim, hidden,
-                                                n_classes, scale, seed):
-    rng = np.random.default_rng(seed)
-    table = random_table(seed, dim)
-    params = init_params(window * dim, hidden, n_classes, rng)
+def first_block(hidden):
+    """The prefixes in the scorer's first block at this hidden size."""
+    return min(max(1, 2 ** 14 // hidden ** 2), 64)
+
+
+def scaled_params(input_dim, hidden, n_classes, scale, rng):
+    params = init_params(input_dim, hidden, n_classes, rng)
     # large weights drive tanh into saturation, where states round to +-1
     for array in params.arrays().values():
         array *= scale
-    assert_prefix_probs_bit_equal(params, ids, table, window)
+    return params
+
+
+# three fifths of the active profile's budget: 60 examples by default, 600
+# under --hypothesis-profile=fuzz
+@settings(deadline=None,
+          max_examples=max(1, settings().max_examples * 3 // 5))
+@given(hidden=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 40, 64, 100]),
+       window=st.sampled_from([1, 3, 5, 7]), dim=st.integers(1, 4),
+       n_classes=st.integers(2, 4), scale=st.sampled_from([1.0, 30.0]),
+       data=st.data(), seed=seeds)
+def test_prefix_probs_bit_equal_to_forward_pass(hidden, window, dim, n_classes,
+                                                scale, data, seed):
+    """Sentences that run past the scorer's first two blocks of prefixes,
+    scored whole and by a caller that stops early, with and without the
+    sentence's forward chain handed in."""
+    # the first block, the one after it, and at least one prefix more
+    shortest = 2 * first_block(hidden) + 2
+    ids = data.draw(st.lists(st.integers(0, VOCAB - 1), min_size=shortest,
+                             max_size=shortest + 8), label="ids")
+    stop = data.draw(st.integers(1, len(ids)), label="stop")
+    rng = np.random.default_rng(seed)
+    params = scaled_params(window * dim, hidden, n_classes, scale, rng)
+    assert_prefix_probs_bit_equal(params, ids, random_table(seed, dim), window,
+                                  stop)
+
+
+@pytest.mark.parametrize("ids, window, hidden", [
+    ([PAD_ID], 5, 1),
+    ([1, 2, 3, 4, 5, 1, 2, 3, 4, 5], 7, 2),
+])
+def test_prefix_probs_bit_equal_inside_the_first_block(ids, window, hidden):
+    params = scaled_params(window, hidden, 2, 1.0, np.random.default_rng(0))
+    assert_prefix_probs_bit_equal(params, ids, random_table(0, 1), window, 1)
 
 
 def test_prefix_probs_bit_equal_past_the_largest_block():
     # the reference run's shape (h32, d16, window 3), 140 words: blocks
-    # 1, 2, 4, ..., 64 and a last one of 13
+    # 1-16, 17-33, 34-67, 68-131 (64, the largest) and 132-140
     rng = np.random.default_rng(5)
     ids = list(rng.integers(0, VOCAB, size=140))
     params = init_params(3 * 16, 32, 4, rng)
@@ -496,7 +559,8 @@ def test_tails_are_projected_in_the_blocks_of_their_prefix(monkeypatch, window):
     calls = []
 
     def spy(padded, w):
-        if w.ndim == 4:  # the scorer's stacked forward and backward weights
+        # the tail blocks, not the sentence's or a lone prefix's projection
+        if sys._getframe(1).f_code.co_name == "_lockstep_probs":
             calls.append(padded.copy())
         return project(padded, w)
 
@@ -505,11 +569,12 @@ def test_tails_are_projected_in_the_blocks_of_their_prefix(monkeypatch, window):
     rng = np.random.default_rng(7)
     table = random_table(7, 2)
     ids = list(rng.integers(0, VOCAB, size=23))
-    params = init_params(window * 2, 3, 2, rng)
+    # hidden 40: blocks of prefixes 1-10, 11-21 and 22-23
+    params = init_params(window * 2, 40, 2, rng)
     list(prefix_probs(params, table, ids, window))
-    # the sentence's projection, then one call per block of the prefixes
-    # that are not all tail: 2 ... 23 for window 3, 3 ... 23 for window 5
-    got = np.concatenate(calls[1:])
+    # one call per block of the prefixes that are not all tail: 2 ... 23
+    # for window 3, 3 ... 23 for window 5
+    got = np.concatenate(calls)
     half = window // 2
     prefixes = range(half + 1, len(ids) + 1)
     span = len(got) // len(prefixes)
@@ -523,26 +588,39 @@ def test_tails_are_projected_in_the_blocks_of_their_prefix(monkeypatch, window):
         assert got[at:at + span].tobytes() == want.tobytes(), k
 
 
-def test_prefix_probs_draws_blocks_of_doubling_size_up_to_64(monkeypatch):
+def test_prefix_probs_sizes_its_first_block_by_the_hidden_size(monkeypatch):
+    """The first block holds 2**14 // hidden**2 prefixes, 1 to 64; each
+    later one as many as came before it plus one, at most 64. A block is
+    started only when its first row is asked for."""
     blocks = []
 
-    def spy(params, w_in, rec, first, tails, *rest):
+    def spy(params, first, tails, *rest):
         blocks.append((first, len(tails)))
-        return lockstep(params, w_in, rec, first, tails, *rest)
+        return lockstep(params, first, tails, *rest)
 
     lockstep = model._lockstep_probs
     monkeypatch.setattr(model, "_lockstep_probs", spy)
     rng = np.random.default_rng(0)
     ids = list(rng.integers(0, VOCAB, size=200))
-    params = init_params(1, 2, 2, rng)
-    # window 1: no prefix is all tail, so every block is a lockstep one
-    rows = prefix_probs(params, random_table(0, 1), ids, 1)
-    next(rows)
-    assert blocks == [(1, 1)]
-    for _ in range(127):
+    schedules = {
+        2: [(1, 64), (65, 64), (129, 64), (193, 8)],
+        32: [(1, 16), (17, 17), (34, 34), (68, 64), (132, 64), (196, 5)],
+        64: [(1, 4), (5, 5), (10, 10), (20, 20), (40, 40), (80, 64), (144, 57)],
+        100: [(2 ** i, 2 ** i) for i in range(7)] + [(128, 64), (192, 9)],
+    }
+    for hidden, schedule in schedules.items():
+        blocks.clear()
+        params = init_params(1, hidden, 2, rng)
+        # window 1: no prefix is all tail, so every block is a lockstep one
+        rows = prefix_probs(params, random_table(0, 1), ids, 1)
+        first = schedule[0][1]
+        for _ in range(first):
+            next(rows)
+        assert blocks == schedule[:1], hidden
         next(rows)
-    # blocks 1, 2-3, 4-7, ..., 64-127, then 128-191, not 128-255
-    assert blocks == [(2 ** i, 2 ** i) for i in range(7)] + [(128, 64)]
+        assert blocks == schedule[:2], hidden
+        assert len(list(rows)) == len(ids) - first - 1
+        assert blocks == schedule, hidden
 
 
 @given(hidden=st.sampled_from([1, 2, 3, 5, 8, 32, 100]),

@@ -19,36 +19,42 @@ def test_extract_pattern_stops_scoring_at_the_crossing(trained_model,
                                                        window_5_model,
                                                        synthetic_split,
                                                        monkeypatch):
-    """The scorer starts each block of prefixes before it yields their
-    rows. The prefixes that are all tail, 1 for window 3 and 1 and 2 for
-    window 5, are scored on their own."""
+    """At h32 the scorer's first block holds prefixes 1-16, and it starts no
+    later block before a row of it is asked for. The prefixes that are all
+    tail, 1 for window 3 and 1 and 2 for window 5, are scored on their
+    own."""
     blocks, alone = [], []
 
-    def spy_lockstep(params, w_in, rec, first, tails, *rest):
+    def spy_lockstep(params, first, tails, *rest):
         blocks.extend(range(first, first + len(tails)))
-        return lockstep(params, w_in, rec, first, tails, *rest)
+        return lockstep(params, first, tails, *rest)
 
     def spy_forward(params, x):
         alone.append(len(x))
         return forward(params, x)
 
+    s = synthetic_split.test[0]
+    # the scores extract_pattern reads do not look past their prefix, so
+    # words after the sentence leave the crossing where it is; 24 of them
+    # take the sentence past the first block
+    longer = replace(s, tokens=s.tokens + ("still",) * 24)
+    crossings = [extract_pattern(trained, s, s.label).crossing_index
+                 for trained in (trained_model, window_5_model)]
     lockstep, forward = model._lockstep_probs, model.forward_pass
     monkeypatch.setattr(model, "_lockstep_probs", spy_lockstep)
     monkeypatch.setattr(model, "forward_pass", spy_forward)
-    s = synthetic_split.test[0]
-    for trained, lookahead in ((trained_model, True), (window_5_model, False)):
+    first = 16
+    assert len(longer.tokens) > first
+    for trained, lookahead, crossing in zip((trained_model, window_5_model),
+                                            (True, False), crossings):
+        assert trained.params.hidden_size == 32
         blocks.clear()
         alone.clear()
-        pat = extract_pattern(trained, s, s.label, tau=0.5, window=3,
+        pat = extract_pattern(trained, longer, s.label, tau=0.5, window=3,
                               lookahead=lookahead)
-        assert pat is not None
-        k = pat.crossing_index
-        assert 2 * k <= len(s.tokens)  # so a scorer that does not stop fails
-        # prefixes come in blocks 1, 2-3, 4-7, ...; the one holding k is the last
-        block_end = 2 ** k.bit_length() - 1
+        assert pat is not None and pat.crossing_index == crossing <= first
         assert alone == list(range(1, trained.train_cfg.window // 2 + 1))
-        assert alone + blocks == list(range(1, block_end + 1))
-        assert len(alone + blocks) < 2 * k
+        assert alone + blocks == list(range(1, first + 1))
 
 
 def test_extract_pattern_unknown_relation(trained_model, synthetic_split):
