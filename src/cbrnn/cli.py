@@ -14,6 +14,7 @@ from dataclasses import fields
 
 from . import corpus, interpret, model as model_mod
 from .corpus import CorpusSplit, InputError, load_corpus_file, read_text
+from .embeddings import EvenWindow
 from .model import LossConfig, TrainConfig
 
 USAGE_ERRORS = (InputError, OSError)
@@ -186,6 +187,11 @@ def cmd_patterns(args):
     model = model_mod.load_model(args.model)
     sentences = load_corpus_file(args.data)
     window = args.ngram if args.ngram else model.train_cfg.window
+    try:
+        # before any work: a huge window would exhaust memory
+        interpret.check_pattern_settings(args.tau, window, sentences)
+    except (EvenWindow, interpret.WindowTooWide) as exc:
+        raise InputError(f"{'--ngram' if args.ngram else args.model}: {exc}") from None
     table = interpret.mine_patterns(
         model, sentences, tau=args.tau, window=window,
         only_correct=not args.all, lookahead=args.lookahead,

@@ -68,21 +68,24 @@ class ConfigInvalid(CorpusError):
 
 
 def validate_markers(tokens):
-    """Check the <e1> ... </e1> ... <e2> ... </e2> layout of a token list."""
-    positions = {}
+    """Check the <e1> ... </e1> ... <e2> ... </e2> layout of a token list: a
+    marker missing, then one repeated, each in marker order, then the order
+    and the two gaps."""
+    tokens = tuple(tokens)  # a str's count() would count substrings
+    order = []
     for m in MARKERS:
-        hits = [i for i, t in enumerate(tokens) if t == m]
-        if not hits:
+        count = tokens.count(m)
+        if not count:
             raise MissingMarker(f"marker {m} missing")
-        if len(hits) > 1:
-            raise DuplicateMarker(f"marker {m} occurs {len(hits)} times")
-        positions[m] = hits[0]
-    order = [positions[m] for m in MARKERS]
+        if count > 1:
+            raise DuplicateMarker(f"marker {m} occurs {count} times")
+        order.append(tokens.index(m))
     if order != sorted(order):
         raise MarkerOrder(f"markers out of order: {order}")
-    if positions["</e1>"] - positions["<e1>"] < 2:
+    e1, e1_end, e2, e2_end = order
+    if e1_end - e1 < 2:
         raise MarkerOrder("no token between <e1> and </e1>")
-    if positions["</e2>"] - positions["<e2>"] < 2:
+    if e2_end - e2 < 2:
         raise MarkerOrder("no token between <e2> and </e2>")
 
 

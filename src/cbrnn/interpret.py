@@ -139,11 +139,24 @@ def _target_probs(model, tokens, relation, h_fwd):
             for probs in _prefix_probs(model, tokens, h_fwd=h_fwd))
 
 
-def _check_pattern_settings(tau, window):
+class WindowTooWide(InputError):
+    pass
+
+
+def check_pattern_settings(tau, window, sentences=()):
+    """Reject a ``tau`` outside (0, 1), a window that is not odd and
+    positive, and one wider than ``2 * L - 1``, L the length of the longest
+    of ``sentences``. A window that wide, centred on any word, covers the
+    whole sentence: a wider one only adds padding, and a huge one would
+    build a tuple that wide for each pattern."""
     if not 0.0 < tau < 1.0:
         raise InputError(f"tau must lie in (0, 1), got {tau}")
     if window < 1 or window % 2 == 0:
         raise EvenWindow(f"window size must be odd and positive, got {window}")
+    longest = max((len(s.tokens) for s in sentences), default=0)
+    if longest and window > 2 * longest - 1:
+        raise WindowTooWide(f"window size must be at most {2 * longest - 1} for "
+                            f"sentences of up to {longest} words, got {window}")
 
 
 def extract_pattern(model, sentence, relation, tau=0.5, window=3,
@@ -151,8 +164,10 @@ def extract_pattern(model, sentence, relation, tau=0.5, window=3,
     """Return the last window of the first prefix whose target probability
     reaches tau, or None when no prefix crosses. Prefixes after the
     crossing's scoring block are not scored. ``h_fwd``, the sentence's
-    forward states from ``forward_pass``, spares the scorer its own."""
-    _check_pattern_settings(tau, window)
+    forward states from ``forward_pass``, spares the scorer its own. The
+    window is not bounded by the sentence's length: a short sentence's
+    pattern is padded."""
+    check_pattern_settings(tau, window)
     tokens, sid = _tokens_of(sentence)
     for k, p in enumerate(_target_probs(model, tokens, relation, h_fwd),
                           start=1):
@@ -168,8 +183,11 @@ def extract_pattern(model, sentence, relation, tau=0.5, window=3,
 def mine_patterns(model, sentences, tau=0.5, window=3, only_correct=True,
                   lookahead=True):
     """Aggregate extracted patterns per relation into support counts and
-    mean scores, deterministically ordered."""
-    _check_pattern_settings(tau, window)
+    mean scores, deterministically ordered. A window wider than
+    ``2 * L - 1``, L the longest sentence's length, is rejected before any
+    sentence is scored."""
+    sentences = list(sentences)
+    check_pattern_settings(tau, window, sentences)
     buckets = {}
     for s in sentences:
         h_fwd = None

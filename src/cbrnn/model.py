@@ -180,8 +180,8 @@ class CBRNNParams:
                            buffer=buffer)
 
     def empty_like(self):
-        """A container of the same shapes, its values not set: one
-        example's gradients."""
+        """A container of the same shapes, its values not set: for
+        gradients."""
         return self._over(np.empty(len(self.buffer)))
 
     def copy(self):
@@ -195,6 +195,11 @@ class CBRNNParams:
         (_, start, _, shape), (_, _, stop, _) = (
             entry for entry in self._layout if entry[0] in (first, second))
         return self.buffer[start:stop].reshape((2,) + shape)
+
+    @cached_property
+    def flat_arrays(self):
+        """Every array as a 1-D view of the buffer, in field order."""
+        return [self.buffer[start:stop] for _, start, stop, _ in self._layout]
 
     @cached_property
     def in_pair(self):
@@ -227,14 +232,34 @@ def softmax(scores):
     return e / e.sum()
 
 
-@dataclass
 class ForwardCache:
-    inputs: np.ndarray   # (n, window*dim)
-    h_fwd: np.ndarray    # (n, hidden); position t holds the forward state after t+1 words
-    h_bwd: np.ndarray    # (n, hidden); position p holds the suffix state for words p..n
-    h_comb: np.ndarray   # (n, hidden)
-    scores: np.ndarray   # (n_classes,)
-    probs: np.ndarray    # (n_classes,)
+    """What ``forward_pass`` computed for one input.
+
+    ``states`` holds the three chains, (3, n, hidden); ``h_fwd``, ``h_bwd``
+    and ``h_comb`` are its rows:
+
+    - ``h_fwd[t]``, the forward state after t+1 words;
+    - ``h_bwd[p]``, the suffix state for words p..n;
+    - ``h_comb[t]``, the combined state after t+1 steps.
+
+    ``probs``, the softmax of ``scores``, is computed on first read and kept:
+    training reads only ``scores``. (``functools.cached_property`` would take
+    a lock on that read.)
+    """
+    __slots__ = ("inputs", "states", "h_fwd", "h_bwd", "h_comb", "scores", "_probs")
+
+    def __init__(self, inputs, states, scores):
+        self.inputs = inputs      # (n, window*dim)
+        self.states = states
+        self.h_fwd, self.h_bwd, self.h_comb = states
+        self.scores = scores      # (n_classes,)
+        self._probs = None
+
+    @property
+    def probs(self):
+        if self._probs is None:
+            self._probs = softmax(self.scores)
+        return self._probs
 
 
 # rows per block of the input projections, see _checked_input
@@ -287,9 +312,8 @@ def forward_pass(params, x):
     x, padded = _checked_input(params, x)
     n = x.shape[0]
     hidden = params.hidden_size
-    h_fwd = np.empty((n, hidden))
-    h_bwd = np.empty((n, hidden))
-    h_comb = np.empty((n, hidden))
+    states = np.empty((3, n, hidden))
+    h_fwd, h_bwd, h_comb = states
 
     proj_fwd, proj_bwd = _project(padded, params.in_pair[:, None])
     # ``v.dot(m)`` is the same BLAS call as ``v @ m`` with less overhead,
@@ -308,11 +332,7 @@ def forward_pass(params, x):
     for row, out in zip(h_fwd + h_bwd[::-1], h_comb):
         prev = np.tanh(row + prev.dot(params.rec_comb), out=out)
 
-    scores = h_comb[n - 1] @ params.out_w + params.out_b
-    return ForwardCache(
-        inputs=x, h_fwd=h_fwd, h_bwd=h_bwd, h_comb=h_comb,
-        scores=scores, probs=softmax(scores),
-    )
+    return ForwardCache(x, states, h_comb[n - 1] @ params.out_w + params.out_b)
 
 
 # prefixes scored together: a block holds as many as were scored before it
@@ -467,68 +487,85 @@ def ranking_loss(scores, y_plus, cfg):
     masked = scores.copy()
     masked[y_plus] = -np.inf
     c_minus = int(masked.argmax())
-    z_plus = cfg.gamma * (cfg.m_plus - scores[y_plus])
-    z_minus = cfg.gamma * (cfg.m_minus + scores[c_minus])
+    z_plus, z_minus = _margins(scores, y_plus, c_minus, cfg)
     loss = float(np.logaddexp(0.0, z_plus) + np.logaddexp(0.0, z_minus))
     return loss, c_minus
+
+
+def _margins(scores, y_plus, c_minus, cfg):
+    """The loss's two arguments as Python floats, which round as numpy's
+    float64 scalars do and cost less."""
+    return (cfg.gamma * (cfg.m_plus - float(scores[y_plus])),
+            cfg.gamma * (cfg.m_minus + float(scores[c_minus])))
 
 
 def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _bptt(rec, h, d_ext):
+def _bptt(rec, deriv, d, d_ext=None):
     """Backpropagate through ``h[s] = tanh(... + h[s-1] @ rec)`` from the
-    last step to the first; ``d_ext[s]`` is the gradient reaching ``h[s]``
-    from outside the chain. Returns the pre-activation gradient of every
-    step, one row each."""
-    deriv = 1.0 - h ** 2
-    dA = np.empty(h.shape)
-    d = d_ext[-1]
-    for s in range(len(h) - 1, -1, -1):
-        da = np.multiply(d, deriv[s], out=dA[s])
-        if s:
-            d = d_ext[s - 1] + rec.dot(da)
+    last step to the first, where ``deriv[s] = 1 - h[s]**2``. ``d`` is the
+    gradient reaching the last state and ``d_ext[s]``, when given, the one
+    reaching each earlier state ``h[s]`` from outside the chain (its last
+    row is not read). Returns the pre-activation gradient of every step,
+    one row each."""
+    dA = np.empty(deriv.shape)
+    steps = zip(deriv[:0:-1], dA[:0:-1])
+    if d_ext is None:
+        for dv, da in steps:
+            d = rec.dot(np.multiply(d, dv, out=da))
+    else:
+        for (dv, da), ext in zip(steps, d_ext[-2::-1]):
+            d = ext + rec.dot(np.multiply(d, dv, out=da))
+    np.multiply(d, deriv[0], out=dA[0])
     return dA
 
 
-def loss_gradients(params, cache, y_plus, cfg):
+def loss_gradients(params, cache, y_plus, cfg, out=None):
     """Ranking loss and its exact gradients: returns ``(loss, grads,
     d_inputs)``, with the weight gradients in a ``CBRNNParams`` and
     ``d_inputs`` the gradient w.r.t. the composed input vectors.
 
+    ``out``, a container of ``params``' shapes such as
+    ``params.empty_like()``, receives the weight gradients and is returned
+    as ``grads``; every value in it is overwritten. Without it a new one is
+    allocated.
+
     Only the recurrences through the hidden states run step by step; they
     record each chain's pre-activation gradients ``dA`` (one row per step),
-    from which every weight gradient is one matrix product.
+    from which every weight gradient is one matrix product. The combined
+    chain's gradient starts at its last state, ``out_w @ d_scores``; the
+    forward and backward chains receive it at every step.
     """
     x = cache.inputs
     n = x.shape[0]
+    grads = params.empty_like() if out is None else out
 
     loss, c_minus = ranking_loss(cache.scores, y_plus, cfg)
-    d_scores = np.zeros(params.n_classes)
-    d_scores[y_plus] -= cfg.gamma * _sigmoid(
-        cfg.gamma * (cfg.m_plus - cache.scores[y_plus])
-    )
-    d_scores[c_minus] += cfg.gamma * _sigmoid(
-        cfg.gamma * (cfg.m_minus + cache.scores[c_minus])
-    )
+    z_plus, z_minus = _margins(cache.scores, y_plus, c_minus, cfg)
+    # the score gradient is the output bias's: zeroed, then its two entries
+    # set (y_plus != c_minus); ``0.0 - v`` is +0.0 where v is 0.0, as a
+    # subtraction from the zeroed entry is
+    d_scores = grads.out_b
+    d_scores.fill(0.0)
+    d_scores[y_plus] = 0.0 - cfg.gamma * _sigmoid(z_plus)
+    d_scores[c_minus] = cfg.gamma * _sigmoid(z_minus)
 
-    d_top = np.zeros((n, params.hidden_size))
-    d_top[n - 1] = params.out_w @ d_scores
-    dA_comb = _bptt(params.rec_comb, cache.h_comb, d_top)
+    # one pass for the three chains' tanh derivatives
+    deriv_fwd, deriv_bwd, deriv_comb = 1.0 - cache.states ** 2
+    dA_comb = _bptt(params.rec_comb, deriv_comb, params.out_w @ d_scores)
     # combined step t reads forward position t and backward position n-1-t,
     # which is step t of the backward chain
-    dA_fwd = _bptt(params.rec_fwd, cache.h_fwd, dA_comb)
-    dA_bwd = _bptt(params.rec_bwd, cache.h_bwd[::-1], dA_comb)[::-1]
+    dA_fwd = _bptt(params.rec_fwd, deriv_fwd, dA_comb[-1], dA_comb)
+    dA_bwd = _bptt(params.rec_bwd, deriv_bwd[::-1], dA_comb[-1], dA_comb)[::-1]
 
-    grads = params.empty_like()
     np.matmul(x.T, dA_fwd, out=grads.in_fwd)
     np.matmul(x.T, dA_bwd, out=grads.in_bwd)
     np.matmul(cache.h_fwd[:-1].T, dA_fwd[1:], out=grads.rec_fwd)
     np.matmul(cache.h_bwd[1:].T, dA_bwd[:-1], out=grads.rec_bwd)
     np.matmul(cache.h_comb[:-1].T, dA_comb[1:], out=grads.rec_comb)
-    np.outer(cache.h_comb[n - 1], d_scores, out=grads.out_w)
-    grads.out_b[...] = d_scores
+    np.multiply(cache.h_comb[n - 1, :, None], d_scores, out=grads.out_w)
     return loss, grads, dA_fwd @ params.in_fwd.T + dA_bwd @ params.in_bwd.T
 
 
@@ -574,10 +611,11 @@ def gradient_check(params, x, y_plus, cfg, eps=1e-5, analytic=None):
 
 def global_grad_norm(grads, emb_grads=None):
     """Euclidean norm over every weight gradient and, when given, the
-    embedding rows ``(row_ids, row_grads)`` an example touched."""
-    arrays = list(grads.arrays().values())
+    embedding rows ``(row_ids, row_grads)`` an example touched; one ``vdot``
+    per array, in field order."""
+    arrays = grads.flat_arrays
     if emb_grads is not None:
-        arrays.append(emb_grads[1])
+        arrays = [*arrays, emb_grads[1]]
     return np.sqrt(sum(float(np.vdot(a, a)) for a in arrays))
 
 
@@ -680,6 +718,7 @@ def train(split, train_cfg, loss_cfg=None, pretrained=None):
                        table=EmbeddingTable(table.matrix.copy(), table.trainable))
 
     best, best_acc, history = snapshot(), -1.0, []
+    grads = params.empty_like()  # every step's weight gradients
 
     for epoch in range(1, train_cfg.epochs + 1):
         order = rng.permutation(len(encoded)) if train_cfg.shuffle else range(len(encoded))
@@ -688,7 +727,8 @@ def train(split, train_cfg, loss_cfg=None, pretrained=None):
             windows, y = encoded[i]
             x = compose_ngram_inputs(windows, table, train_cfg.window)
             cache = forward_pass(params, x)
-            loss, grads, d_inputs = loss_gradients(params, cache, y, loss_cfg)
+            loss, grads, d_inputs = loss_gradients(params, cache, y, loss_cfg,
+                                                   out=grads)
             total_loss += loss
             emb_grads = None
             if table.trainable:

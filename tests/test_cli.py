@@ -158,6 +158,38 @@ def test_patterns_matches_library(quick_model, capsys):
     assert out == interpret.pattern_table_to_tsv(table)
 
 
+def test_patterns_rejects_a_huge_ngram_before_any_work(quick_model, monkeypatch,
+                                                       capsys):
+    """A window wider than twice the longest sentence only adds padding; a
+    20-digit one would build a tuple that wide per pattern. It exits 2
+    naming the flag before any sentence is mined or any window built."""
+    def never(*args, **kwargs):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(interpret, "mine_patterns", never)
+    monkeypatch.setattr(interpret, "token_window", never)
+    rc = cli.main(["patterns", "--model", str(quick_model["model"]),
+                   "--data", str(quick_model["test"]), "--ngram", "9" * 20])
+    assert rc == 2
+    assert "--ngram: window size must be at most" in capsys.readouterr().err
+
+
+def test_patterns_ngram_bound_is_twice_the_longest_sentence(tmp_path, quick_model,
+                                                            capsys):
+    """2L - 1 words, L the longest sentence's length, is the widest window
+    accepted; its patterns are the model window's, padded."""
+    data = tmp_path / "s.tsv"
+    data.write_text(f"rel-00\t{SENTENCE}\nrel-01\tx {SENTENCE}\n")
+    base = ["patterns", "--model", str(quick_model["model"]), "--data", str(data),
+            "--all"]
+    assert cli.main([*base, "--ngram", "15"]) == 0
+    assert all(len(line.split("\t")[1].split()) == 15
+               for line in capsys.readouterr().out.splitlines())
+    assert cli.main([*base, "--ngram", "17"]) == 2
+    assert "--ngram: window size must be at most 15 for sentences of up to 8 " \
+        "words, got 17" in capsys.readouterr().err
+
+
 def test_eval_matches_library(quick_model, capsys):
     rc = cli.main(["eval", "--model", str(quick_model["model"]),
                    "--data", str(quick_model["test"])])

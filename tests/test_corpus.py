@@ -89,6 +89,57 @@ def test_serialize_roundtrip(s):
     assert parse_marked_sentence(serialize_sentence(s), sid=s.id) == s
 
 
+def reference_validate_markers(tokens):
+    """The marker check as it was: one scan of the tokens per marker."""
+    positions = {}
+    for m in corpus.MARKERS:
+        hits = [i for i, t in enumerate(tokens) if t == m]
+        if not hits:
+            raise MissingMarker(f"marker {m} missing")
+        if len(hits) > 1:
+            raise DuplicateMarker(f"marker {m} occurs {len(hits)} times")
+        positions[m] = hits[0]
+    order = [positions[m] for m in corpus.MARKERS]
+    if order != sorted(order):
+        raise MarkerOrder(f"markers out of order: {order}")
+    if positions["</e1>"] - positions["<e1>"] < 2:
+        raise MarkerOrder("no token between <e1> and </e1>")
+    if positions["</e2>"] - positions["<e2>"] < 2:
+        raise MarkerOrder("no token between <e2> and </e2>")
+
+
+@st.composite
+def marker_layouts(draw):
+    """The four markers around words, each kept, dropped or doubled, pairs
+    possibly adjacent, then with tokens moved."""
+    tokens = []
+    for m in corpus.MARKERS:
+        tokens += draw(word_lists) + [m] * draw(st.sampled_from([1, 1, 0, 2]))
+    tokens += draw(word_lists)
+    for _ in range(draw(st.integers(0, 2))):
+        if tokens:
+            token = tokens.pop(draw(st.integers(0, len(tokens) - 1)))
+            tokens.insert(draw(st.integers(0, len(tokens))), token)
+    return tokens
+
+
+def _outcome(check, tokens):
+    try:
+        check(tokens)
+    except corpus.CorpusError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@given(marker_layouts())
+def test_validate_markers_matches_per_marker_scan(tokens):
+    """The same exception, message and precedence as one scan per marker,
+    for lists and tuples."""
+    want = _outcome(reference_validate_markers, tokens)
+    assert _outcome(corpus.validate_markers, tokens) == want
+    assert _outcome(corpus.validate_markers, tuple(tokens)) == want
+
+
 SEMEVAL_RAW = '''1\t"The <e1>demolition</e1> was the cause of <e2>terror</e2>."
 Cause-Effect(e1,e2)
 Comment: example

@@ -9,6 +9,7 @@ from cbrnn.corpus import LabeledSentence
 from cbrnn.interpret import (
     FixedCurveModel,
     UnknownRelation,
+    WindowTooWide,
     curve_to_csv,
     export_hidden_states,
     extract_pattern,
@@ -83,6 +84,16 @@ def test_extract_pattern_validates_tau_and_window():
         extract_pattern(model, s1_sentence(), "x", tau=0.0)
     with pytest.raises(ValueError):
         extract_pattern(model, s1_sentence(), "x", tau=0.5, window=2)
+
+
+def test_mine_patterns_bounds_the_window_by_the_longest_sentence():
+    """A window of 2L - 1 words, centred on any of L words, covers the whole
+    sentence; a wider one is rejected, while one as wide pads."""
+    model, sentences = FixedCurveModel(S1_CURVE), [s1_sentence()]
+    table = mine_patterns(model, sentences, window=19, only_correct=False)
+    assert table.entries[0].ngram == ("__PAD__",) * 3 + S1_TOKENS + ("__PAD__",) * 6
+    with pytest.raises(WindowTooWide, match="at most 19 for sentences of up to 10"):
+        mine_patterns(model, sentences, window=21, only_correct=False)
 
 
 @given(

@@ -200,6 +200,38 @@ def test_loss_gradients_match_per_step_bptt(n, window, dim, hidden,
 
 
 @settings(deadline=None)
+@given(n=st.integers(1, 7), window=windows, dim=st.integers(1, 3),
+       hidden=st.integers(1, 6), n_classes=st.integers(2, 4),
+       scale=st.sampled_from([1.0, 30.0, 3000.0]), seed=seeds)
+@example(n=1, window=1, dim=1, hidden=1, n_classes=2, scale=3000.0, seed=0)
+def test_loss_gradients_into_a_given_buffer(n, window, dim, hidden, n_classes,
+                                            scale, seed):
+    """Gradients written into a container full of nan are those of a fresh
+    call, and those of the step with the combined chain seeded through a
+    zero (n, hidden) array, bit for bit. Weights x30 drive the states
+    towards saturation, x3000 onto tanh = +-1, whose zero derivatives give
+    signed zeros."""
+    rng = np.random.default_rng(seed)
+    params = init_params(window * dim, hidden, n_classes, rng)
+    params.buffer *= scale
+    x = rng.uniform(-1.0, 1.0, size=(n, window * dim))
+    y_plus = int(rng.integers(n_classes))
+    cache = forward_pass(params, x)
+    loss, fresh, d_inputs = loss_gradients(params, cache, y_plus, LossConfig())
+    out = params.empty_like()
+    out.buffer.fill(np.nan)
+    got = loss_gradients(params, cache, y_plus, LossConfig(), out=out)
+    assert got[0] == loss and got[1] is out
+    assert out.buffer.tobytes() == fresh.buffer.tobytes()
+    assert got[2].tobytes() == d_inputs.tobytes()
+    want, want_d_inputs = reference_weight_grads(params.arrays(), cache, y_plus,
+                                                 LossConfig())
+    for name, array in out.arrays().items():
+        assert array.tobytes() == want[name].tobytes(), name
+    assert d_inputs.tobytes() == want_d_inputs.tobytes()
+
+
+@settings(deadline=None)
 @given(ids=sentences, window=windows, seed=seeds,
        clip_norm=st.sampled_from([1e-3, 5.0]))
 def test_sparse_sgd_step_matches_dense_update(ids, window, seed, clip_norm):
@@ -249,8 +281,23 @@ def test_scatter_rejects_ids_outside_the_table(bad):
         input_grads_to_embeddings(np.ones((2, 2)), [1, bad], 1, VOCAB, 2)
 
 
+def reference_bptt(rec, h, d_ext):
+    """BPTT through ``h[s] = tanh(... + h[s-1] @ rec)`` with the gradient
+    ``d_ext[s]`` reaching every state from outside the chain, zero rows
+    included: the pre-activation gradient of every step."""
+    deriv = 1.0 - h ** 2
+    dA = np.empty(h.shape)
+    d = d_ext[-1]
+    for s in range(len(h) - 1, -1, -1):
+        da = np.multiply(d, deriv[s], out=dA[s])
+        if s:
+            d = d_ext[s - 1] + rec.dot(da)
+    return dA
+
+
 def reference_weight_grads(p, cache, y_plus, cfg):
-    """``loss_gradients`` with every weight gradient its own new array."""
+    """``loss_gradients`` with every weight gradient its own new array and
+    the combined chain's gradient seeded through a zero (n, hidden) array."""
     x = cache.inputs
     n = len(x)
     _, c_minus = ranking_loss(cache.scores, y_plus, cfg)
@@ -261,9 +308,9 @@ def reference_weight_grads(p, cache, y_plus, cfg):
         cfg.gamma * (cfg.m_minus + cache.scores[c_minus]))
     d_top = np.zeros(cache.h_comb.shape)
     d_top[n - 1] = p["out_w"] @ d_scores
-    dA_comb = model._bptt(p["rec_comb"], cache.h_comb, d_top)
-    dA_fwd = model._bptt(p["rec_fwd"], cache.h_fwd, dA_comb)
-    dA_bwd = model._bptt(p["rec_bwd"], cache.h_bwd[::-1], dA_comb)[::-1]
+    dA_comb = reference_bptt(p["rec_comb"], cache.h_comb, d_top)
+    dA_fwd = reference_bptt(p["rec_fwd"], cache.h_fwd, dA_comb)
+    dA_bwd = reference_bptt(p["rec_bwd"], cache.h_bwd[::-1], dA_comb)[::-1]
     grads = {
         "in_fwd": x.T @ dA_fwd,
         "in_bwd": x.T @ dA_bwd,
@@ -370,7 +417,7 @@ def test_train_bit_equal_to_per_array_loop(tmp_path, window, clip_norm, pretrain
 def test_every_params_container_is_one_buffer(tmp_path):
     """However a ``CBRNNParams`` is built, its arrays are consecutive views,
     in field order, of one float64 buffer; a copy shares no memory, and
-    weights, unlike one example's gradients, start on a cache line."""
+    weights, unlike gradients, start on a cache line."""
     rng = np.random.default_rng(0)
     drawn = init_params(6, 3, 2, rng)
     cache = forward_pass(drawn, rng.uniform(-1.0, 1.0, size=(5, 6)))

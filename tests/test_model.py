@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbrnn import SyntheticConfig, generate_synthetic
+from cbrnn import model as model_mod
 from cbrnn.corpus import LabeledSentence, Vocabulary
 from cbrnn.embeddings import EmbeddingTable
 from cbrnn.model import (
@@ -125,6 +126,14 @@ def test_forward_ignores_input_memory_layout():
     b = forward_pass(p, np.asfortranarray(x))
     for name in ("h_fwd", "h_bwd", "h_comb", "scores", "probs"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_probs_computed_on_first_read_and_kept():
+    p = small_params()
+    cache = forward_pass(p, np.random.default_rng(2).normal(size=(4, 6)))
+    probs = cache.probs
+    assert probs.tobytes() == softmax(cache.scores).tobytes()
+    assert cache.probs is probs
 
 
 def test_reversal_symmetry_with_swapped_directions():
@@ -354,6 +363,22 @@ def test_train_zero_epochs_returns_init(synthetic_split):
     for k, v in m.params.arrays().items():
         assert np.array_equal(v, expected.arrays()[k])
     assert m.history == []
+
+
+def test_train_computes_softmax_only_for_dev_accuracy(synthetic_split, monkeypatch):
+    """A training step reads the scores, never the probabilities; each
+    epoch's dev pass takes one softmax per dev sentence."""
+    calls = []
+
+    def counted(scores):
+        calls.append(None)
+        return softmax(scores)
+
+    monkeypatch.setattr(model_mod, "softmax", counted)
+    cfg = quick_cfg()
+    train(synthetic_split, cfg)
+    assert synthetic_split.dev
+    assert len(calls) == cfg.epochs * len(synthetic_split.dev)
 
 
 def test_train_deterministic(synthetic_split, tmp_path):
