@@ -7,7 +7,6 @@ from .corpus import (
     SyntheticConfig,
     Vocabulary,
     build_vocabulary,
-    encode_sentence,
     generate_synthetic,
     import_semeval,
     parse_marked_sentence,

@@ -99,7 +99,10 @@ def _load_split(args):
             sentences_per_relation=int(m.group(2)),
             seed=args.seed,
         )
-        return corpus.generate_synthetic(cfg)
+        try:
+            return corpus.generate_synthetic(cfg)
+        except corpus.ConfigInvalid as exc:
+            raise InputError(f"--synthetic: {exc}") from None
     sentences = load_corpus_file(args.data)
     if args.dev:
         dev = load_corpus_file(args.dev)
@@ -162,9 +165,8 @@ def cmd_train(args):
 
 def _pick_sentence(args, model):
     if args.sentence:
-        tokens = tuple(args.sentence.split())
-        corpus.validate_markers(tokens)
-        return corpus.LabeledSentence(tokens=tokens, label=args.relation, id="cli")
+        return corpus.LabeledSentence(tokens=tuple(args.sentence.split()),
+                                      label=args.relation, id="cli")
     if not (args.data and args.id):
         raise InputError("give --sentence, or --data with --id")
     sentences = load_corpus_file(args.data)

@@ -208,18 +208,21 @@ def import_semeval(raw):
 
 @dataclass
 class Vocabulary:
-    token_to_id: dict
+    """``id_to_token`` lists the tokens by id; ``token_to_id`` is derived
+    from it, and a token listed twice maps to its last id."""
     id_to_token: list
+    token_to_id: dict = field(init=False)
+
+    def __post_init__(self):
+        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
 
     @property
     def size(self):
         return len(self.id_to_token)
 
-    def id_of(self, token):
-        return self.token_to_id.get(token, UNK_ID)
-
-    def token_of(self, idx):
-        return self.id_to_token[idx]
+    def encode(self, tokens):
+        """The id of each token, ``UNK_ID`` for one not in the vocabulary."""
+        return [self.token_to_id.get(t, UNK_ID) for t in tokens]
 
 
 def build_vocabulary(sentences, min_count=1):
@@ -237,14 +240,7 @@ def build_vocabulary(sentences, min_count=1):
             if tok not in seen and counts[tok] >= min_count:
                 id_to_token.append(tok)
                 seen.add(tok)
-    return Vocabulary(
-        token_to_id={t: i for i, t in enumerate(id_to_token)},
-        id_to_token=id_to_token,
-    )
-
-
-def encode_sentence(s, vocab):
-    return [vocab.id_of(t) for t in s.tokens]
+    return Vocabulary(id_to_token)
 
 
 @dataclass(frozen=True)
@@ -295,6 +291,12 @@ def generate_synthetic(config):
     max_rel = len(_TRIGGER_VERBS) * len(_TRIGGER_PREPS)
     if config.n_relations > max_rel:
         raise ConfigInvalid(f"at most {max_rel} relations supported")
+    # the distinct sentences of one relation: 0 or 1 leading filler, 0 to 2
+    # distinct trailing ones, and two entity words
+    f, e = len(_FILLER_WORDS), len(_ENTITY_WORDS)
+    max_sent = (1 + f) * (1 + f + f * (f - 1)) * e * e
+    if config.sentences_per_relation > max_sent:
+        raise ConfigInvalid(f"at most {max_sent} sentences per relation supported")
 
     rng = random.Random(config.seed)
     pairs = [(v, p) for v in _TRIGGER_VERBS for p in _TRIGGER_PREPS]

@@ -30,7 +30,6 @@ class EvenWindow(InputError):
 @dataclass
 class EmbeddingTable:
     matrix: np.ndarray  # (|V|, dim) float64, row 0 is the zero padding row
-    trainable: bool = True
 
     @property
     def dim(self):

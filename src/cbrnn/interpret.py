@@ -14,18 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import PAD_TOKEN, InputError, LabeledSentence
-from .embeddings import EvenWindow
-# not called here since model.prefix_probs composes the prefixes; kept
-# because the benchmark's self-tests check that its probes patch and
-# restore compose_ngram_inputs in this module too
-from .embeddings import compose_ngram_inputs  # noqa: F401
-from .model import (
-    UnknownRelation,
-    classify,
-    forward_pass,
-    model_inputs,
-    prefix_probs,
-)
+from .embeddings import EvenWindow, compose_ngram_inputs
+from .model import UnknownRelation, classify, forward_pass, prefix_probs
 
 
 @dataclass(frozen=True)
@@ -100,8 +90,7 @@ def _prefix_probs(model, tokens, lookahead=False, h_fwd=None):
     forward states from ``forward_pass``. A caller that stops early leaves
     later prefixes unscored, up to the end of the block in progress.
     """
-    return prefix_probs(model.params, model.table,
-                        [model.vocab.id_of(t) for t in tokens],
+    return prefix_probs(model.params, model.table, model.vocab.encode(tokens),
                         model.train_cfg.window, lookahead, h_fwd)
 
 
@@ -214,7 +203,9 @@ def export_hidden_states(model, sentences):
     """Final combined hidden vector per sentence, paired with the gold label."""
     rows = []
     for s in sentences:
-        cache = forward_pass(model.params, model_inputs(model, s.tokens))
+        x = compose_ngram_inputs(model.vocab.encode(s.tokens), model.table,
+                                 model.train_cfg.window)
+        cache = forward_pass(model.params, x)
         rows.append((s.label, cache.h_comb[-1].copy()))
     return rows
 

@@ -173,21 +173,16 @@ class CBRNNParams:
     def arrays(self):
         return {name: getattr(self, name) for name in _NAMES}
 
-    def _over(self, buffer):
-        """A container of the same shapes whose arrays are views of ``buffer``."""
+    def empty_like(self):
+        """A container of the same shapes, its values not set: for
+        gradients."""
+        buffer = np.empty(len(self.buffer))
         return CBRNNParams(**{name: buffer[start:stop].reshape(shape)
                               for name, start, stop, shape in self._layout},
                            buffer=buffer)
 
-    def empty_like(self):
-        """A container of the same shapes, its values not set: for
-        gradients."""
-        return self._over(np.empty(len(self.buffer)))
-
     def copy(self):
-        buffer = _aligned_empty(len(self.buffer))
-        buffer[...] = self.buffer
-        return self._over(buffer)
+        return CBRNNParams(**self.arrays())
 
     def _stack(self, first, second):
         """Two arrays of one shape that are neighbours in field order, as
@@ -569,17 +564,12 @@ def loss_gradients(params, cache, y_plus, cfg, out=None):
     return loss, grads, dA_fwd @ params.in_fwd.T + dA_bwd @ params.in_bwd.T
 
 
-def gradient_check(params, x, y_plus, cfg, eps=1e-5, analytic=None):
-    """Compare analytic gradients ``(grads, d_inputs)``, by default those of
-    ``loss_gradients``, against central finite differences over every weight
-    coordinate and every input coordinate."""
+def gradient_check(params, x, y_plus, cfg, eps=1e-5):
+    """Compare the gradients of ``loss_gradients`` against central finite
+    differences over every weight coordinate and every input coordinate."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if analytic is None:
-        _, grads, d_inputs = loss_gradients(params, forward_pass(params, x),
-                                            y_plus, cfg)
-    else:
-        grads, d_inputs = analytic
+    _, grads, d_inputs = loss_gradients(params, forward_pass(params, x), y_plus, cfg)
 
     def loss_of(p, inputs):
         cache = forward_pass(p, inputs)
@@ -628,7 +618,7 @@ def sgd_step(params, grads, learning_rate, clip_norm,
     scale = 1.0 if norm <= clip_norm else clip_norm / norm
     step = learning_rate * scale
     params.buffer -= step * grads.buffer
-    if table is not None and emb_grads is not None and table.trainable:
+    if table is not None and emb_grads is not None:
         row_ids, row_grads = emb_grads
         table.matrix[row_ids] -= step * row_grads
     return norm
@@ -645,27 +635,19 @@ class TrainedModel:
     history: list = field(default_factory=list)  # (epoch, train_loss, dev_acc)
 
 
-def model_inputs(model, tokens):
-    ids = [model.vocab.id_of(t) for t in tokens]
-    return compose_ngram_inputs(ids, model.table, model.train_cfg.window)
-
-
 def classify(model, sentence):
     """The label ``predict`` gives, with the ``ForwardCache`` behind it."""
     tokens = sentence.tokens if isinstance(sentence, LabeledSentence) else tuple(sentence)
     validate_markers(tokens)
-    cache = forward_pass(model.params, model_inputs(model, tokens))
+    x = compose_ngram_inputs(model.vocab.encode(tokens), model.table,
+                             model.train_cfg.window)
+    cache = forward_pass(model.params, x)
     return model.label_set[int(cache.probs.argmax())], cache
 
 
 def predict(model, sentence):
     label, cache = classify(model, sentence)
     return label, cache.probs
-
-
-def _windows(vocab, sentences, window):
-    return [emb_mod.SentenceWindows([vocab.id_of(t) for t in s.tokens], window)
-            for s in sentences]
 
 
 def _accuracy(model, dev):
@@ -700,12 +682,12 @@ def train(split, train_cfg, loss_cfg=None, pretrained=None):
         table = emb_mod.load_pretrained_text(pretrained, vocab, train_cfg.embed_dim,
                                              fallback_seed=train_cfg.seed)
 
+    def windows_of(s):
+        return emb_mod.SentenceWindows(vocab.encode(s.tokens), train_cfg.window)
+
     label_index = {lab: i for i, lab in enumerate(split.label_set)}
-    encoded = list(zip(_windows(vocab, split.train, train_cfg.window),
-                       [label_index[s.label] for s in split.train]))
-    dev_set = split.dev or split.train
-    dev = list(zip(_windows(vocab, dev_set, train_cfg.window),
-                   [s.label for s in dev_set]))
+    encoded = [(windows_of(s), label_index[s.label]) for s in split.train]
+    dev = [(windows_of(s), s.label) for s in split.dev or split.train]
 
     current = TrainedModel(
         params=params, table=table, vocab=vocab,
@@ -715,7 +697,7 @@ def train(split, train_cfg, loss_cfg=None, pretrained=None):
 
     def snapshot():
         return replace(current, params=params.copy(),
-                       table=EmbeddingTable(table.matrix.copy(), table.trainable))
+                       table=EmbeddingTable(table.matrix.copy()))
 
     best, best_acc, history = snapshot(), -1.0, []
     grads = params.empty_like()  # every step's weight gradients
@@ -730,11 +712,9 @@ def train(split, train_cfg, loss_cfg=None, pretrained=None):
             loss, grads, d_inputs = loss_gradients(params, cache, y, loss_cfg,
                                                    out=grads)
             total_loss += loss
-            emb_grads = None
-            if table.trainable:
-                emb_grads = emb_mod.input_grads_to_embeddings(
-                    d_inputs, windows, train_cfg.window, vocab.size, table.dim
-                )
+            emb_grads = emb_mod.input_grads_to_embeddings(
+                d_inputs, windows, train_cfg.window, vocab.size, table.dim
+            )
             sgd_step(params, grads, train_cfg.learning_rate,
                      train_cfg.clip_norm, table, emb_grads)
         mean_loss = total_loss / len(encoded)
@@ -827,7 +807,9 @@ def save_model(model, path):
         *model.vocab.id_to_token,
     ]
     m = model.table.matrix
-    lines.append(f"embeddings {m.shape[0]} {m.shape[1]} {int(model.table.trainable)}")
+    # the third count is always 1 (load_model checks it), so that model
+    # files keep their format
+    lines.append(f"embeddings {m.shape[0]} {m.shape[1]} 1")
     lines.extend(_format_rows(m))
     for name, array in model.params.arrays().items():
         lines.append(_weight_head(name, array.shape))
@@ -924,13 +906,15 @@ def load_model(path):
         n_vocab = counts("vocab", 1)[0]
         start = pos
         id_to_token = [take("vocab") for _ in range(n_vocab)]
-        vocab = Vocabulary({t: i for i, t in enumerate(id_to_token)}, id_to_token)
+        vocab = Vocabulary(id_to_token)
         if len(vocab.token_to_id) != vocab.size:
             token = next(t for i, t in enumerate(id_to_token) if vocab.token_to_id[t] != i)
             pos = start + 1 + vocab.token_to_id[token]  # its last occurrence
             raise ModelFormatError(f"vocab: token {token!r} repeated")
 
-        n_rows, dim, trainable = counts("embeddings", 3)
+        n_rows, dim, flag = counts("embeddings", 3)
+        if flag != 1:
+            raise ModelFormatError(f"embeddings: the last count must be 1, found {flag}")
         if (n_rows, dim) != (vocab.size, train_cfg.embed_dim):
             raise ModelFormatError(
                 f"embeddings: {n_rows}x{dim} does not match vocab {vocab.size} "
@@ -941,7 +925,7 @@ def load_model(path):
             # N-gram windows read this row where they leave the sentence
             pos = start + 1 + PAD_ID
             raise ModelFormatError("embeddings: padding row must be zero")
-        table = EmbeddingTable(matrix=matrix, trainable=bool(trainable))
+        table = EmbeddingTable(matrix=matrix)
 
         shapes = CBRNNParams.shapes(train_cfg.window * train_cfg.embed_dim,
                                     train_cfg.hidden_size, len(label_set))

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from cbrnn import cli, interpret
+from cbrnn import cli, corpus, interpret
 from cbrnn import model as model_mod
 from cbrnn.corpus import save_corpus_file
 from cbrnn.model import evaluate, load_model
@@ -96,7 +96,22 @@ def test_train_embeddings_seed_the_table(tmp_path, quick_model):
     assert rc == 0
     m = load_model(out)
     assert m.train_cfg.embed_dim == m.table.dim == 4
-    assert list(m.table.matrix[m.vocab.id_of("signal")]) == [1, 2, 3, 4]
+    assert list(m.table.matrix[m.vocab.token_to_id["signal"]]) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1x50", "--synthetic: need at least 2 relations"),
+    ("4x99999999999999999999", "--synthetic: at most 482560 sentences per relation"),
+], ids=["one-relation", "huge-sentence-count"])
+def test_train_synthetic_out_of_range_builds_nothing(tmp_path, monkeypatch, capsys,
+                                                      value, message):
+    def spy(*args, **kwargs):
+        pytest.fail("a synthetic sentence was built")
+
+    monkeypatch.setattr(corpus, "LabeledSentence", spy)
+    rc = cli.main(["train", "--synthetic", value, "--out", str(tmp_path / "m.txt")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_train_requires_data_or_synthetic(tmp_path, capsys):
@@ -392,6 +407,11 @@ def _repeat_vocab_token(lines):
     return lines
 
 
+def _last_count_of(section, value):
+    return lambda lines: [line.rsplit(" ", 1)[0] + " " + value
+                          if line.startswith(section) else line for line in lines]
+
+
 def _set(name, value):
     return lambda lines: [re.sub(rf"\b{name}=\S+", f"{name}={value}", line)
                           for line in lines]
@@ -418,8 +438,11 @@ def _line_of(section, offset):
     ("train", _set("learning_rate", "nan"), lambda lines: 2),
     ("loss", _set("m_minus", "nan"), lambda lines: 3),
     ("train", _set("min_count", "-1"), lambda lines: 2),
+    ("embeddings", _last_count_of("embeddings", "0"), _line_of("embeddings", 0)),
+    ("embeddings", _last_count_of("embeddings", "2"), _line_of("embeddings", 0)),
 ], ids=["truncated", "missing-key", "renamed", "missing-section", "short-row",
-        "duplicate-token", "nan-setting", "nan-margin", "negative-min-count"])
+        "duplicate-token", "nan-setting", "nan-margin", "negative-min-count",
+        "embeddings-flag-0", "embeddings-flag-2"])
 def test_eval_rejects_malformed_model_exit_2(tmp_path, quick_model, capsys,
                                              section, edit, line):
     original = quick_model["model"].read_text().split("\n")

@@ -15,7 +15,6 @@ from cbrnn.corpus import (
     MissingMarker,
     SyntheticConfig,
     build_vocabulary,
-    encode_sentence,
     generate_synthetic,
     import_semeval,
     load_corpus_file,
@@ -176,11 +175,10 @@ def test_import_semeval_missing_relation_line():
 def test_vocabulary_specials_fixed():
     s = parse_marked_sentence("X\t<e1> a </e1> <e2> b </e2>")
     v = build_vocabulary([s])
-    assert v.id_of(corpus.PAD_TOKEN) == 0
-    assert v.id_of(corpus.UNK_TOKEN) == 1
+    assert v.encode([corpus.PAD_TOKEN, corpus.UNK_TOKEN]) == [0, 1]
     for m in corpus.MARKERS:
         assert m in v.token_to_id
-    assert v.id_to_token[v.id_of("a")] == "a"
+    assert v.id_to_token[v.encode(["a"])[0]] == "a"
 
 
 def test_vocabulary_min_count():
@@ -189,7 +187,7 @@ def test_vocabulary_min_count():
     v = build_vocabulary([s1, s2], min_count=2)
     assert "cause" in v.token_to_id
     assert "a" not in v.token_to_id
-    assert encode_sentence(s1, v)[1] == corpus.UNK_ID
+    assert v.encode(s1.tokens)[1] == corpus.UNK_ID
 
 
 def test_vocabulary_inverse_maps():
@@ -209,10 +207,10 @@ def test_encode_known_and_unknown():
     s = parse_marked_sentence("X\t<e1> a </e1> <e2> b </e2>")
     v = build_vocabulary([s])
     t = parse_marked_sentence("X\t<e1> a </e1> zzz <e2> b </e2>")
-    ids = encode_sentence(t, v)
+    ids = v.encode(t.tokens)
     assert ids[3] == corpus.UNK_ID
     assert all(i < v.size for i in ids)
-    decoded = [v.token_of(i) for i in encode_sentence(s, v)]
+    decoded = [v.id_to_token[i] for i in v.encode(s.tokens)]
     assert decoded == list(s.tokens)
 
 

@@ -40,7 +40,7 @@ def test_load_pretrained_copies_file_rows(tmp_path, vocab):
     path = tmp_path / "vecs.txt"
     path.write_text(f"cause {vec}\n")
     t = load_pretrained_text(path, vocab, 5, fallback_seed=1)
-    idx = vocab.id_of("cause")
+    idx = vocab.token_to_id["cause"]
     assert np.allclose(t.matrix[idx], [0.0, 0.01, 0.02, 0.03, 0.04])
 
 
@@ -86,7 +86,7 @@ def test_load_pretrained_missing_tokens_reproducible(tmp_path, vocab):
     b = load_pretrained_text(path, vocab, 5, fallback_seed=9)
     assert np.array_equal(a.matrix, b.matrix)
     # markers are absent from the file and get seeded random rows
-    m_idx = vocab.id_of("<e1>")
+    m_idx = vocab.token_to_id["<e1>"]
     assert np.any(a.matrix[m_idx] != 0.0)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cbrnn.corpus import LabeledSentence
+from cbrnn.embeddings import compose_ngram_inputs
 from cbrnn.interpret import (
     FixedCurveModel,
     UnknownRelation,
@@ -19,7 +20,12 @@ from cbrnn.interpret import (
     prefix_curve,
     token_window,
 )
-from cbrnn.model import forward_pass, model_inputs, predict
+from cbrnn.model import forward_pass, predict
+
+def inputs_of(model, tokens):
+    return compose_ngram_inputs(model.vocab.encode(tokens), model.table,
+                                model.train_cfg.window)
+
 
 S1_TOKENS = (
     "<e1>", "demolition", "</e1>", "was", "the", "cause", "of",
@@ -150,7 +156,7 @@ def test_curve_single_token_equals_full_prediction(trained_model):
     relation = trained_model.label_set[0]
     curve = prefix_curve(trained_model, tokens, relation)
     assert len(curve.points) == 1
-    x = model_inputs(trained_model, tokens)
+    x = inputs_of(trained_model, tokens)
     probs = forward_pass(trained_model.params, x).probs
     ridx = trained_model.label_set.index(relation)
     assert curve.points[0].prob_target == float(probs[ridx])
@@ -222,7 +228,7 @@ def test_export_rows_and_definitional_equality(trained_model, synthetic_split):
     rows = export_hidden_states(trained_model, sentences)
     assert len(rows) == len(sentences)
     s = sentences[0]
-    cache = forward_pass(trained_model.params, model_inputs(trained_model, s.tokens))
+    cache = forward_pass(trained_model.params, inputs_of(trained_model, s.tokens))
     assert np.array_equal(rows[0][1], cache.h_comb[-1])
     assert rows[0][0] == s.label
 

@@ -339,7 +339,7 @@ def reference_train(split, cfg, loss_cfg, pretrained=None):
         table = load_pretrained_text(pretrained, vocab, cfg.embed_dim,
                                      fallback_seed=cfg.seed)
     labels = {lab: i for i, lab in enumerate(split.label_set)}
-    encoded = [([vocab.id_of(t) for t in s.tokens], labels[s.label])
+    encoded = [(vocab.encode(s.tokens), labels[s.label])
                for s in split.train]
 
     def loose(arrays):
