@@ -163,7 +163,7 @@ def cmd_train(args):
     return 0
 
 
-def _pick_sentence(args, model):
+def _pick_sentence(args):
     if args.sentence:
         return corpus.LabeledSentence(tokens=tuple(args.sentence.split()),
                                       label=args.relation, id="cli")
@@ -178,7 +178,7 @@ def _pick_sentence(args, model):
 
 def cmd_lisa(args):
     model = model_mod.load_model(args.model)
-    sentence = _pick_sentence(args, model)
+    sentence = _pick_sentence(args)
     curve = interpret.prefix_curve(model, sentence, args.relation,
                                    lookahead=args.lookahead)
     _write_or_stdout(interpret.curve_to_csv(curve), args.out)

@@ -314,8 +314,10 @@ def generate_synthetic(config):
 
     train, dev, test = [], [], []
     for label in labels:
-        sentences = []
-        for j in range(config.sentences_per_relation):
+        # distinct sentences in the order drawn, so that no sentence lands
+        # in two splits
+        drawn = {}
+        while len(drawn) < config.sentences_per_relation:
             lead = rng.sample(_FILLER_WORDS, rng.randint(0, 1))
             trail = rng.sample(_FILLER_WORDS, rng.randint(0, 2))
             e1 = rng.choice(_ENTITY_WORDS)
@@ -324,9 +326,10 @@ def generate_synthetic(config):
                 *lead, "<e1>", e1, "</e1>", *triggers[label],
                 "<e2>", e2, "</e2>", *trail,
             )
-            sentences.append(
-                LabeledSentence(tokens=tokens, label=label, id=f"{label}:{j:04d}")
-            )
+            if tokens not in drawn:
+                drawn[tokens] = LabeledSentence(tokens=tokens, label=label,
+                                                id=f"{label}:{len(drawn):04d}")
+        sentences = list(drawn.values())
         rng.shuffle(sentences)
         n = len(sentences)
         n_train = int(n * 0.7)

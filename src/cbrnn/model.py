@@ -10,7 +10,7 @@ final step. Training minimizes a margin ranking loss on the raw scores.
 from __future__ import annotations
 
 import warnings
-from dataclasses import InitVar, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -123,10 +123,10 @@ def _aligned_empty(size):
 class CBRNNParams:
     """The weight arrays; their gradients come in the same container.
 
-    However it is built, the arrays are views, in field order, into the one
-    contiguous float64 array ``buffer``, so that an update of every weight
-    is one operation on it. Given arrays are copied into a new buffer; the
-    ``buffer`` argument is for arrays that already are such views of it.
+    The given arrays are copied into one new contiguous float64 array
+    ``buffer``, starting on a 64-byte boundary, and the fields become views
+    into it in field order, so that an update of every weight is one
+    operation on it.
     """
     in_fwd: np.ndarray = _weight("input", "hidden")
     in_bwd: np.ndarray = _weight("input", "hidden")
@@ -135,15 +135,16 @@ class CBRNNParams:
     rec_comb: np.ndarray = _weight("hidden", "hidden")
     out_w: np.ndarray = _weight("hidden", "classes")
     out_b: np.ndarray = _weight("classes")
-    buffer: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, buffer):
-        if buffer is None:
-            arrays = [np.ravel(a) for a in self.arrays().values()]
-            buffer = np.concatenate(arrays, out=_aligned_empty(sum(map(len, arrays))))
-            for name, start, stop, shape in self._layout:
-                setattr(self, name, buffer[start:stop].reshape(shape))
-        self.buffer = buffer
+    def __post_init__(self):
+        arrays = {name: np.asarray(a) for name, a in self.arrays().items()}
+        self.buffer = np.concatenate(
+            [a.ravel() for a in arrays.values()],
+            out=_aligned_empty(sum(a.size for a in arrays.values())))
+        start = 0
+        for name, a in arrays.items():
+            setattr(self, name, self.buffer[start:start + a.size].reshape(a.shape))
+            start += a.size
 
     @staticmethod
     def shapes(input_dim, hidden_size, n_classes):
@@ -151,16 +152,6 @@ class CBRNNParams:
         size = {"input": input_dim, "hidden": hidden_size, "classes": n_classes}
         return {f.name: tuple(size[d] for d in f.metadata["dims"])
                 for f in fields(CBRNNParams)}
-
-    @cached_property
-    def _layout(self):
-        """``(name, start, stop, shape)`` of every array in the buffer."""
-        layout, start = [], 0
-        for name, array in self.arrays().items():
-            array = np.asarray(array)
-            layout.append((name, start, start + array.size, array.shape))
-            start += array.size
-        return layout
 
     @property
     def hidden_size(self):
@@ -176,35 +167,33 @@ class CBRNNParams:
     def empty_like(self):
         """A container of the same shapes, its values not set: for
         gradients."""
-        buffer = np.empty(len(self.buffer))
-        return CBRNNParams(**{name: buffer[start:stop].reshape(shape)
-                              for name, start, stop, shape in self._layout},
-                           buffer=buffer)
+        return CBRNNParams(**{name: np.empty(a.shape)
+                              for name, a in self.arrays().items()})
 
     def copy(self):
         return CBRNNParams(**self.arrays())
 
-    def _stack(self, first, second):
-        """Two arrays of one shape that are neighbours in field order, as
-        one (2, ...) view of the buffer."""
-        (_, start, _, shape), (_, _, stop, _) = (
-            entry for entry in self._layout if entry[0] in (first, second))
-        return self.buffer[start:stop].reshape((2,) + shape)
+    def _stack(self, first):
+        """The array ``first`` and the next one in field order, which has
+        its shape, as one (2, ...) view of the buffer."""
+        array = getattr(self, first)
+        start = (array.ctypes.data - self.buffer.ctypes.data) // array.itemsize
+        return self.buffer[start:start + 2 * array.size].reshape((2,) + array.shape)
 
     @cached_property
     def flat_arrays(self):
         """Every array as a 1-D view of the buffer, in field order."""
-        return [self.buffer[start:stop] for _, start, stop, _ in self._layout]
+        return [a.reshape(-1) for a in self.arrays().values()]
 
     @cached_property
     def in_pair(self):
         """``in_fwd`` and ``in_bwd`` stacked: a (2, input, hidden) view."""
-        return self._stack("in_fwd", "in_bwd")
+        return self._stack("in_fwd")
 
     @cached_property
     def rec_pair(self):
         """``rec_bwd`` and ``rec_comb`` stacked: a (2, hidden, hidden) view."""
-        return self._stack("rec_bwd", "rec_comb")
+        return self._stack("rec_bwd")
 
 
 # the weight arrays' names, in field order
@@ -296,6 +285,18 @@ def _project(padded, w):
     return out.reshape(out.shape[:-3] + (len(padded), w.shape[-1]))
 
 
+def _recur(rows, rec, out, prev=None):
+    """``out[t] = tanh(rows[t] + out[t-1] @ rec)`` for each row of ``out``,
+    where ``out[-1]`` stands for ``prev``, the state before the first row
+    (zeros when None)."""
+    if prev is None:
+        prev = np.zeros(rec.shape[0])
+    # ``v.dot(m)`` is the same BLAS call as ``v @ m`` with less overhead,
+    # and iterating over rows costs less than indexing them
+    for row, state in zip(rows, out):
+        prev = np.tanh(row + prev.dot(rec), out=state)
+
+
 def forward_pass(params, x):
     """Run the three recurrences; the combined state at step t adds the
     forward state after t steps and the backward state after t steps.
@@ -306,27 +307,16 @@ def forward_pass(params, x):
     give the same bits only in the blocks they occupy in their input."""
     x, padded = _checked_input(params, x)
     n = x.shape[0]
-    hidden = params.hidden_size
-    states = np.empty((3, n, hidden))
+    states = np.empty((3, n, params.hidden_size))
     h_fwd, h_bwd, h_comb = states
-
     proj_fwd, proj_bwd = _project(padded, params.in_pair[:, None])
-    # ``v.dot(m)`` is the same BLAS call as ``v @ m`` with less overhead,
-    # and iterating over rows costs less than indexing them
-    prev = np.zeros(hidden)
-    for row, out in zip(proj_fwd, h_fwd):
-        prev = np.tanh(row + prev.dot(params.rec_fwd), out=out)
-
-    nxt = np.zeros(hidden)
-    for row, out in zip(proj_bwd[n - 1::-1], h_bwd[::-1]):
-        nxt = np.tanh(row + nxt.dot(params.rec_bwd), out=out)
-
+    _recur(proj_fwd, params.rec_fwd, h_fwd)
+    # the backward chain reads the input's rows n-1 down to 0; the padded
+    # rows after them are not the input's
+    _recur(proj_bwd[n - 1::-1], params.rec_bwd, h_bwd[::-1])
     # after t+1 steps the backward chain has consumed words n..n-t, whose
     # state sits at position n-1-t
-    prev = np.zeros(hidden)
-    for row, out in zip(h_fwd + h_bwd[::-1], h_comb):
-        prev = np.tanh(row + prev.dot(params.rec_comb), out=out)
-
+    _recur(h_fwd + h_bwd[::-1], params.rec_comb, h_comb)
     return ForwardCache(x, states, h_comb[n - 1] @ params.out_w + params.out_b)
 
 
@@ -394,9 +384,8 @@ def prefix_probs(params, table, ids, window, lookahead=False, h_fwd=None):
             for i in range(half):
                 tails[:, i, (2 * half - i) * dim:] = pad[(2 * half - i) * dim:]
             need = end - 1 - half
-            for row, prev, nxt in zip(proj_fwd[reached:need], chain[reached:],
-                                      chain[reached + 1:need + 1]):
-                np.tanh(row + prev.dot(params.rec_fwd), out=nxt)
+            _recur(proj_fwd[reached:need], params.rec_fwd,
+                   chain[reached + 1:need + 1], chain[reached])
             reached = max(reached, need)
             yield from _lockstep_probs(params, lo, tails, padded,
                                        proj_bwd[:, None], chain)
@@ -784,9 +773,17 @@ def _config_line(keyword, cfg):
     ])
 
 
-def _weight_head(name, shape):
-    kind = "matrix" if len(shape) == 2 else "vector"
-    return " ".join([kind, name, *map(str, shape)])
+def _array_sections(train_cfg, n_labels, n_vocab):
+    """``(section, head, shape)`` of every array the file holds, in file
+    order: the embeddings, then the weights in field order. The embeddings
+    head's last count is always 1, so that model files keep their format."""
+    dim = train_cfg.embed_dim
+    sections = [("embeddings", f"embeddings {n_vocab} {dim} 1", (n_vocab, dim))]
+    for name, shape in CBRNNParams.shapes(train_cfg.window * dim, train_cfg.hidden_size,
+                                          n_labels).items():
+        section = f"{'matrix' if len(shape) == 2 else 'vector'} {name}"
+        sections.append((section, " ".join([section, *map(str, shape)]), shape))
+    return sections
 
 
 def _format_rows(array):
@@ -806,13 +803,10 @@ def save_model(model, path):
         f"vocab {model.vocab.size}",
         *model.vocab.id_to_token,
     ]
-    m = model.table.matrix
-    # the third count is always 1 (load_model checks it), so that model
-    # files keep their format
-    lines.append(f"embeddings {m.shape[0]} {m.shape[1]} 1")
-    lines.extend(_format_rows(m))
-    for name, array in model.params.arrays().items():
-        lines.append(_weight_head(name, array.shape))
+    sections = _array_sections(model.train_cfg, len(model.label_set), model.vocab.size)
+    arrays = [model.table.matrix, *model.params.arrays().values()]
+    for (_, head, _), array in zip(sections, arrays):
+        lines.append(head)
         lines.extend(_format_rows(np.atleast_2d(array)))
     lines.append("end")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -863,14 +857,14 @@ def load_model(path):
             raise ModelFormatError(f"{section}: unexpected end of file")
         return lines[pos - 1]
 
-    def counts(keyword, n):
+    def listed(keyword):
+        """The lines of the list under the head ``keyword <count>``."""
         line = take(keyword)
         parts = line.split()
-        if (len(parts) != n + 1 or parts[0] != keyword
-                or not all(p.isdigit() for p in parts[1:])):
-            raise ModelFormatError(f"{keyword}: expected {keyword!r} and {n} "
-                                   f"count(s), found {line!r}")
-        return [int(p) for p in parts[1:]]
+        if len(parts) != 2 or parts[0] != keyword or not parts[1].isdecimal():
+            raise ModelFormatError(f"{keyword}: expected {keyword!r} and a count, "
+                                   f"found {line!r}")
+        return [take(keyword) for _ in range(int(parts[1]))]
 
     def rows(section, n, width):
         nonlocal pos
@@ -902,47 +896,32 @@ def load_model(path):
             raise ModelFormatError("not a cbrnn model file")
         train_cfg = _read_config(take("train"), "train", TrainConfig)
         loss_cfg = _read_config(take("loss"), "loss", LossConfig)
-        label_set = [take("labels") for _ in range(counts("labels", 1)[0])]
-        n_vocab = counts("vocab", 1)[0]
-        start = pos
-        id_to_token = [take("vocab") for _ in range(n_vocab)]
+        label_set = listed("labels")
+        id_to_token = listed("vocab")
         vocab = Vocabulary(id_to_token)
         if len(vocab.token_to_id) != vocab.size:
             token = next(t for i, t in enumerate(id_to_token) if vocab.token_to_id[t] != i)
-            pos = start + 1 + vocab.token_to_id[token]  # its last occurrence
+            pos += 1 - vocab.size + vocab.token_to_id[token]  # its last occurrence
             raise ModelFormatError(f"vocab: token {token!r} repeated")
 
-        n_rows, dim, flag = counts("embeddings", 3)
-        if flag != 1:
-            raise ModelFormatError(f"embeddings: the last count must be 1, found {flag}")
-        if (n_rows, dim) != (vocab.size, train_cfg.embed_dim):
-            raise ModelFormatError(
-                f"embeddings: {n_rows}x{dim} does not match vocab {vocab.size} "
-                f"and embed_dim {train_cfg.embed_dim}")
-        start = pos
-        matrix = rows("embeddings", n_rows, dim)
-        if n_rows and np.any(matrix[PAD_ID]):
-            # N-gram windows read this row where they leave the sentence
-            pos = start + 1 + PAD_ID
-            raise ModelFormatError("embeddings: padding row must be zero")
-        table = EmbeddingTable(matrix=matrix)
-
-        shapes = CBRNNParams.shapes(train_cfg.window * train_cfg.embed_dim,
-                                    train_cfg.hidden_size, len(label_set))
-        arrays = {}
-        for name, shape in shapes.items():
-            head = _weight_head(name, shape)
-            section = " ".join(head.split()[:2])
+        arrays = []
+        for section, head, shape in _array_sections(train_cfg, len(label_set), vocab.size):
             line = take(section)
             if line != head:
                 raise ModelFormatError(f"{section}: expected {head!r}, found {line!r}")
+            start = pos
             n_lines = shape[0] if len(shape) == 2 else 1
-            arrays[name] = rows(section, n_lines, shape[-1]).reshape(shape)
+            arrays.append(rows(section, n_lines, shape[-1]).reshape(shape))
+            if section == "embeddings" and vocab.size and np.any(arrays[0][PAD_ID]):
+                # N-gram windows read this row where they leave the sentence
+                pos = start + 1 + PAD_ID
+                raise ModelFormatError("embeddings: padding row must be zero")
+        matrix, *weights = arrays
         line = take("end")
         if line != "end":
             raise ModelFormatError(f"end: unexpected section {line!r}")
         return TrainedModel(
-            params=CBRNNParams(**arrays), table=table, vocab=vocab,
+            params=CBRNNParams(*weights), table=EmbeddingTable(matrix), vocab=vocab,
             label_set=label_set, train_cfg=train_cfg, loss_cfg=loss_cfg,
         )
 

@@ -407,9 +407,15 @@ def _repeat_vocab_token(lines):
     return lines
 
 
-def _last_count_of(section, value):
-    return lambda lines: [line.rsplit(" ", 1)[0] + " " + value
-                          if line.startswith(section) else line for line in lines]
+def _head_count(section, k, value):
+    """Set count ``k`` of the head of ``section`` to ``value(count)``."""
+    def edit(lines):
+        head = next(i for i, line in enumerate(lines) if line.startswith(section))
+        parts = lines[head].split()
+        parts[k] = value(parts[k])
+        lines[head] = " ".join(parts)
+        return lines
+    return edit
 
 
 def _set(name, value):
@@ -438,17 +444,25 @@ def _line_of(section, offset):
     ("train", _set("learning_rate", "nan"), lambda lines: 2),
     ("loss", _set("m_minus", "nan"), lambda lines: 3),
     ("train", _set("min_count", "-1"), lambda lines: 2),
-    ("embeddings", _last_count_of("embeddings", "0"), _line_of("embeddings", 0)),
-    ("embeddings", _last_count_of("embeddings", "2"), _line_of("embeddings", 0)),
+    ("embeddings", _head_count("embeddings", 3, lambda c: "0"), _line_of("embeddings", 0)),
+    ("embeddings", _head_count("embeddings", 3, lambda c: "2"), _line_of("embeddings", 0)),
+    ("embeddings", _head_count("embeddings", 1, lambda c: str(int(c) + 1)),
+     _line_of("embeddings", 0)),
+    ("embeddings", _head_count("embeddings", 2, lambda c: str(int(c) - 1)),
+     _line_of("embeddings", 0)),
+    ("labels", _head_count("labels", 1, lambda c: "four"), _line_of("labels", 0)),
+    # str.isdigit() takes "²", which int() rejects
+    ("labels", _head_count("labels", 1, lambda c: "\u00b2"), _line_of("labels", 0)),
 ], ids=["truncated", "missing-key", "renamed", "missing-section", "short-row",
         "duplicate-token", "nan-setting", "nan-margin", "negative-min-count",
-        "embeddings-flag-0", "embeddings-flag-2"])
+        "embeddings-flag-0", "embeddings-flag-2", "embeddings-rows",
+        "embeddings-dim", "labels-count-word", "labels-count-superscript"])
 def test_eval_rejects_malformed_model_exit_2(tmp_path, quick_model, capsys,
                                              section, edit, line):
     original = quick_model["model"].read_text().split("\n")
     lines = edit(list(original))
     bad = tmp_path / "bad.txt"
-    bad.write_text("\n".join(lines))
+    bad.write_text("\n".join(lines), encoding="utf-8")
     rc = cli.main(["eval", "--model", str(bad), "--data", str(quick_model["test"])])
     assert rc == 2
     assert f"bad.txt:{line(original)}: {section}" in capsys.readouterr().err

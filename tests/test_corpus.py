@@ -244,6 +244,16 @@ def test_synthetic_disjoint_ids():
     assert len(ids) == len(set(ids))
 
 
+def test_synthetic_sentences_are_distinct():
+    """No token sequence is drawn twice, so none is in two splits: with
+    replacement, this config drew 53 repeats and put 11 test sentences in
+    train."""
+    split = generate_synthetic(SyntheticConfig(19, 200, seed=1))
+    tokens = [s.tokens for part in (split.train, split.dev, split.test) for s in part]
+    assert len(tokens) == 19 * 200
+    assert len(set(tokens)) == len(tokens)
+
+
 def test_synthetic_invalid_config():
     with pytest.raises(ConfigInvalid):
         generate_synthetic(SyntheticConfig(1, 50, seed=0))
