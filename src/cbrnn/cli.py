@@ -165,8 +165,11 @@ def cmd_train(args):
 
 def _pick_sentence(args):
     if args.sentence:
-        return corpus.LabeledSentence(tokens=tuple(args.sentence.split()),
-                                      label=args.relation, id="cli")
+        try:
+            return corpus.LabeledSentence(tokens=tuple(args.sentence.split()),
+                                          label=args.relation, id="cli")
+        except InputError as exc:
+            raise InputError(f"--sentence: {exc}") from None
     if not (args.data and args.id):
         raise InputError("give --sentence, or --data with --id")
     sentences = load_corpus_file(args.data)
@@ -194,6 +197,8 @@ def cmd_patterns(args):
         interpret.check_pattern_settings(args.tau, window, sentences)
     except (EvenWindow, interpret.WindowTooWide) as exc:
         raise InputError(f"{'--ngram' if args.ngram else args.model}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"--tau: {exc}") from None
     table = interpret.mine_patterns(
         model, sentences, tau=args.tau, window=window,
         only_correct=not args.all, lookahead=args.lookahead,
@@ -205,7 +210,10 @@ def cmd_patterns(args):
 def cmd_eval(args):
     model = model_mod.load_model(args.model)
     sentences = load_corpus_file(args.data)
-    metrics = model_mod.evaluate(model, sentences)
+    try:
+        metrics = model_mod.evaluate(model, sentences)
+    except model_mod.EmptyEvalSet as exc:
+        raise InputError(f"{args.data}: {exc}") from None
     out = [f"accuracy: {metrics['accuracy']:.17g}",
            f"macro_f1: {metrics['macro_f1']:.17g}"]
     for label, f1 in metrics["per_class_f1"].items():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 PAD_TOKEN = "__PAD__"
 UNK_TOKEN = "__UNK__"
@@ -230,17 +231,11 @@ def build_vocabulary(sentences, min_count=1):
     in first-occurrence order."""
     if not sentences:
         raise EmptyCorpus("no sentences")
-    counts = Counter()
-    for s in sentences:
-        counts.update(s.tokens)
-    id_to_token = [PAD_TOKEN, UNK_TOKEN, *MARKERS]
-    seen = set(id_to_token)
-    for s in sentences:
-        for tok in s.tokens:
-            if tok not in seen and counts[tok] >= min_count:
-                id_to_token.append(tok)
-                seen.add(tok)
-    return Vocabulary(id_to_token)
+    # a Counter keeps its keys in first-occurrence order
+    counts = Counter(chain.from_iterable(s.tokens for s in sentences))
+    specials = [PAD_TOKEN, UNK_TOKEN, *MARKERS]
+    return Vocabulary(specials + [tok for tok, count in counts.items()
+                                  if count >= min_count and tok not in specials])
 
 
 @dataclass(frozen=True)

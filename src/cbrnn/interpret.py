@@ -4,9 +4,13 @@ A prefix of length k is scored as its own full input: the window sequence is
 recomposed on the truncated tokens, so the last window ends in padding rather
 than the next word. Pattern *reporting* can instead take the window from the
 full sentence (``lookahead=True``), which includes the right neighbor of the
-crossing word. ``model.prefix_probs`` scores all prefixes: it composes the
-sentence once, builds for each prefix the few rows that differ from it, and
-shares what the prefixes have in common.
+crossing word. The scorer composes and projects the sentence once, takes
+each prefix's few rows that differ from it, its tail, from the sentence's
+input with the padding written in, and shares what the prefixes have in
+common. A curve reads every prefix, so ``model.prefix_curve_probs`` scores
+them in one lockstep block with one output layer; pattern extraction may
+stop at an early crossing, so ``model.prefix_probs`` scores them in growing
+blocks and yields each prefix in turn.
 """
 
 from __future__ import annotations
@@ -15,7 +19,13 @@ from dataclasses import dataclass
 
 from .corpus import PAD_TOKEN, InputError, LabeledSentence
 from .embeddings import EvenWindow, compose_ngram_inputs
-from .model import UnknownRelation, classify, forward_pass, prefix_probs
+from .model import (
+    UnknownRelation,
+    classify,
+    forward_pass,
+    prefix_curve_probs,
+    prefix_probs,
+)
 
 
 @dataclass(frozen=True)
@@ -80,26 +90,14 @@ def _relation_index(model, relation):
     return model.label_set.index(relation)
 
 
-def _prefix_probs(model, tokens, lookahead=False, h_fwd=None):
-    """Yield the class-probability row of each word-prefix, shortest first.
-
-    Each prefix is scored as its own input, since its backward and combined
-    chains depend on where it ends; what it shares with the whole sentence,
-    the projections of its rows and its forward chain up to its last
-    windows, is computed once, or taken from ``h_fwd``, the sentence's
-    forward states from ``forward_pass``. A caller that stops early leaves
-    later prefixes unscored, up to the end of the block in progress.
-    """
-    return prefix_probs(model.params, model.table, model.vocab.encode(tokens),
-                        model.train_cfg.window, lookahead, h_fwd)
-
-
 def prefix_curve(model, sentence, relation, lookahead=False):
-    """Score every word-prefix of the sentence."""
+    """Score every word-prefix of the sentence, all in one pass."""
     tokens, sid = _tokens_of(sentence)
     r_idx = _relation_index(model, relation)
+    rows = prefix_curve_probs(model.params, model.table, model.vocab.encode(tokens),
+                              model.train_cfg.window, lookahead)
     points = []
-    for k, probs in enumerate(_prefix_probs(model, tokens, lookahead), start=1):
+    for k, probs in enumerate(rows, start=1):
         p_idx = int(probs.argmax())
         points.append(CurvePoint(
             k=k, token=tokens[k - 1],
@@ -124,8 +122,12 @@ def _target_probs(model, tokens, relation, h_fwd):
             raise ValueError("curve length does not match sentence length")
         return model.probs
     r_idx = _relation_index(model, relation)
+    # the prefixes are scored a block at a time, so a caller that stops
+    # early leaves later blocks unscored
     return (float(probs[r_idx])
-            for probs in _prefix_probs(model, tokens, h_fwd=h_fwd))
+            for probs in prefix_probs(model.params, model.table,
+                                      model.vocab.encode(tokens),
+                                      model.train_cfg.window, h_fwd=h_fwd))
 
 
 class WindowTooWide(InputError):

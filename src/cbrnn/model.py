@@ -212,8 +212,10 @@ def init_params(input_dim, hidden_size, n_classes, rng):
 
 
 def softmax(scores):
-    e = np.exp(scores - scores.max())
-    return e / e.sum()
+    """The softmax of ``scores``, or of each row of a 2-D array: a row's
+    bits are those of the row on its own."""
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class ForwardCache:
@@ -260,11 +262,13 @@ def _checked_input(params, x):
     one gemm per block of ``_ROW_BLOCK`` rows, anchored at row 0: the product
     of row r depends only on row r and on r mod ``_ROW_BLOCK``, not on the
     input's length, so a prefix of a sentence projects each of its rows as
-    the whole sentence does. Rows projected apart from the rest of their
-    input keep this only in the blocks they occupy in that input: rows
-    ``r // _ROW_BLOCK * _ROW_BLOCK`` on, the input's own rows before them
-    and zeros after its end. A row moved to another place in a block may
-    round differently.
+    the whole sentence does. Nor does it depend on the values of the other
+    rows in its block: a row projected in a block of some other input, at
+    its own place mod ``_ROW_BLOCK``, gets the bits its own input gives it.
+    The prefix scorer projects each prefix's tail rows that way, and
+    ``tests/test_kernels.py`` checks both properties at the shapes the
+    benchmark runs and at 900×300 (also with one BLAS thread in CI). A row
+    moved to another place in a block may round differently.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -303,8 +307,8 @@ def forward_pass(params, x):
 
     The input projections run in blocks of ``_ROW_BLOCK`` rows anchored at
     row 0 (see ``_checked_input``): a row's product depends on the row and
-    its place in its block, not on the input's length. Rows projected apart
-    give the same bits only in the blocks they occupy in their input."""
+    its place in its block, not on the input's length or the block's other
+    rows."""
     x, padded = _checked_input(params, x)
     n = x.shape[0]
     states = np.empty((3, n, params.hidden_size))
@@ -320,18 +324,43 @@ def forward_pass(params, x):
     return ForwardCache(x, states, h_comb[n - 1] @ params.out_w + params.out_b)
 
 
-# prefixes scored together: a block holds as many as were scored before it
-# plus one, at most _MAX_BLOCK, so the tails a block projects at once stay
-# few. The first block holds _FIRST_BLOCK_AREA // hidden**2 of them (at least
-# 1, at most _MAX_BLOCK): 64 up to hidden 16, 16 at h32, 4 at h64, 1 from
-# h91 on. A lockstep step makes the same dozen numpy calls however many
-# prefixes it holds; one more prefix adds about 0.3 µs to its stacked matmul
-# at h32 but about 3 µs at h100 (one BLAS thread). So at h32 a sentence of
-# up to 16 words is one block, a 10-word curve 1.4x faster than in blocks of
-# 1, 2, 4, ..., while at h100 a caller that stops early saves more by small
-# blocks than their extra steps cost.
+# prefixes scored together by ``prefix_probs``: a block holds as many as were
+# scored before it plus one, at most _MAX_BLOCK, so a caller that stops early
+# leaves few prefixes scored past its stop. The first block holds
+# _FIRST_BLOCK_AREA // hidden**2 of them (at least 1, at most _MAX_BLOCK): 64
+# up to hidden 16, 16 at h32, 4 at h64, 1 from h91 on. A lockstep step makes
+# the same dozen numpy calls however many prefixes it holds; one more prefix
+# adds about 0.3 µs to its stacked matmul at h32 but about 3 µs at h100 (one
+# BLAS thread). So at h32 a sentence of up to 16 words is one block, a 10-word
+# curve 1.4x faster than in blocks of 1, 2, 4, ..., while at h100 a caller
+# that stops early saves more by small blocks than their extra steps cost.
+# ``prefix_curve_probs`` reads every prefix and scores them in one block.
 _MAX_BLOCK = 64
 _FIRST_BLOCK_AREA = 2 ** 14
+
+
+def _tails(params, table, padded, half, first, end):
+    """The projections of the tail rows of the prefixes of ``first`` ...
+    ``end - 1`` words, (2, half, rows, 1, hidden): tail row i of the prefix
+    of ``first + j`` words is at ``[:, i, i + j]``.
+
+    Tail row i of the prefix of k words is row ``k - half + i`` of variant
+    i: the sentence's input with the window slots from ``2 * half - i`` on,
+    which read past word k, set to the padding row. So each tail row keeps
+    its place in its 4-row block, and its product is the one the prefix's
+    own input gives it (see ``_checked_input``). Only the rows of the
+    variants that these tails take are projected, in whole blocks.
+    """
+    start = (first - half) // _ROW_BLOCK * _ROW_BLOCK
+    stop = -(-(end - 1) // _ROW_BLOCK) * _ROW_BLOCK
+    variants = np.repeat(padded[None, start:stop], half, axis=0)
+    slots = variants.reshape(half, stop - start, 2 * half + 1, table.dim)
+    for i in range(half):
+        slots[i, :, 2 * half - i:] = table.matrix[PAD_ID]
+    projected = _project(variants.reshape(-1, padded.shape[1]),
+                         params.in_pair[:, None])
+    return projected.reshape(2, half, stop - start, 1,
+                             params.hidden_size)[:, :, first - half - start:]
 
 
 def prefix_probs(params, table, ids, window, lookahead=False, h_fwd=None):
@@ -348,7 +377,9 @@ def prefix_probs(params, table, ids, window, lookahead=False, h_fwd=None):
     the first block holds ``first`` prefixes, sized by the hidden size
     (see ``_FIRST_BLOCK_AREA``), each later one as many as came before it
     plus one, at most ``_MAX_BLOCK``. A caller that stops after prefix k has
-    scored fewer than ``max(2k, first + 1)`` prefixes.
+    scored fewer than ``max(2k, first + 1)`` prefixes. A caller that reads
+    every prefix takes ``prefix_curve_probs``, which scores them in one
+    block.
 
     The whole sentence is composed and projected once, and one forward chain
     over it is advanced as far as the block being scored needs: a prefix's
@@ -361,8 +392,7 @@ def prefix_probs(params, table, ids, window, lookahead=False, h_fwd=None):
     """
     full, padded = _checked_input(params, compose_ngram_inputs(ids, table, window))
     n, hidden = len(full), params.hidden_size
-    half, dim = 0 if lookahead else window // 2, table.dim
-    pad = table.matrix[[PAD_ID] * window].reshape(-1)
+    half = 0 if lookahead else window // 2
     proj_fwd, proj_bwd = _project(padded, params.in_pair[:, None])
     # the shared forward chain: chain[t] is the state after t words
     chain = np.zeros((n + 1, hidden))
@@ -377,56 +407,68 @@ def prefix_probs(params, table, ids, window, lookahead=False, h_fwd=None):
             yield forward_pass(params, x).probs
         lo = max(first, half + 1)
         if lo < end:
-            # tail row i of prefix k is its row k - half + i, whose slots
-            # from (2 * half - i) * dim on lie past word k
-            ends = np.arange(lo, end)
-            tails = full[ends[:, None] - half + np.arange(half)]
-            for i in range(half):
-                tails[:, i, (2 * half - i) * dim:] = pad[(2 * half - i) * dim:]
             need = end - 1 - half
             _recur(proj_fwd[reached:need], params.rec_fwd,
                    chain[reached + 1:need + 1], chain[reached])
             reached = max(reached, need)
-            yield from _lockstep_probs(params, lo, tails, padded,
-                                       proj_bwd[:, None], chain)
+            tails = _tails(params, table, padded, half, lo, end)
+            for j, comb in enumerate(_lockstep(params, lo, end - lo, tails,
+                                               proj_bwd[:, None], chain)):
+                yield softmax(comb[j, 0] @ params.out_w + params.out_b)
         first, size = end, min(end, _MAX_BLOCK)
 
 
-def _lockstep_probs(params, first, tails, padded, proj_bwd, chain):
-    """``forward_pass(params, x).probs`` for the prefixes of ``first``,
-    ``first + 1``, ... words, whose tails ``tails`` stacks, one (depth,
-    width) array per prefix.
+def prefix_curve_probs(params, table, ids, window, lookahead=False):
+    """The rows ``prefix_probs`` yields, bit for bit, as one (n, classes)
+    array.
+
+    Every prefix past the all-tail ones is scored in one lockstep block,
+    with no cap on its size: the block's state is 2·n·hidden floats. The
+    tails of all prefixes take one projection. Once the last prefix ends,
+    the final combined states of all prefixes, each kept in its row of the
+    block's state, go through one stacked output matmul, one gemv per row
+    as ``h @ out_w`` is, and one row-wise softmax.
+    """
+    full, padded = _checked_input(params, compose_ngram_inputs(ids, table, window))
+    n, half = len(full), 0 if lookahead else window // 2
+    proj_fwd, proj_bwd = _project(padded, params.in_pair[:, None])
+    probs = np.empty((n, params.n_classes))
+    for k in range(1, min(half, n) + 1):
+        x = compose_ngram_inputs(ids[:k], table, window)
+        probs[k - 1] = forward_pass(params, x).probs
+    if n > half:
+        chain = np.zeros((n + 1, params.hidden_size))
+        _recur(proj_fwd[:n - half], params.rec_fwd, chain[1:n - half + 1])
+        tails = _tails(params, table, padded, half, half + 1, n + 1)
+        *_, comb = _lockstep(params, half + 1, n - half, tails,
+                             proj_bwd[:, None], chain)
+        probs[half:] = softmax(np.matmul(comb, params.out_w)[:, 0] + params.out_b)
+    return probs
+
+
+def _lockstep(params, first, n_pre, tails, proj_bwd, chain):
+    """Run the prefixes of ``first``, ``first + 1``, ... words, ``n_pre``
+    of them, in lockstep, with their tails' projections ``tails`` (see
+    ``_tails``) and the shared forward chain ``chain``. After the step that
+    ends the prefix of ``first + j`` words, yield the combined states,
+    (n_pre, 1, hidden), whose row j is then that prefix's final one,
+    ``forward_pass(params, x).h_comb[-1]`` bit for bit; a finished row is
+    not written again.
 
     Every operation is the one ``forward_pass`` applies to the same values.
-    A tail's rows are projected in the blocks they occupy in the prefix's
-    input (see ``_checked_input``); every other row's product is the whole
-    sentence's. The stacked ``np.matmul`` of 1×h states runs one gemv per
-    row, as ``v.dot(rec)`` does; adds and ``tanh`` are elementwise.
+    The stacked ``np.matmul`` of 1×h states runs one gemv per row, as
+    ``v.dot(rec)`` does; adds and ``tanh`` are elementwise.
     """
-    n_pre, depth = tails.shape[:2]
+    depth = tails.shape[1]
     hidden = params.hidden_size
-    # prefix j's tail holds its rows cut + j ... cut + j + depth - 1
+    # prefix j's tail holds its rows cut + j ... cut + j + depth - 1; its
+    # forward chain leaves the shared one at the first of them, and
+    # forward[i][j] is its state after its tail row i
     cut = first - depth
-    if depth:
-        # each tail in its prefix's blocks: the sentence's rows from the
-        # start of the block holding the tail's first row, the tail, zeros
-        span = -(-(_ROW_BLOCK - 1 + depth) // _ROW_BLOCK) * _ROW_BLOCK
-        blocks = np.zeros((n_pre * span, padded.shape[1]))
-        places = []
-        for j, tail in enumerate(tails):
-            start = (cut + j) // _ROW_BLOCK * _ROW_BLOCK
-            at = j * span + cut + j - start
-            blocks[j * span:at] = padded[start:cut + j]
-            blocks[at:at + depth] = tail
-            places.extend(range(at, at + depth))
-        projected = _project(blocks, params.in_pair[:, None])
-        tail_fwd, tail_bwd = projected[:, places].reshape(2, n_pre, depth, 1, hidden)
-        # each forward chain leaves the shared one at its first tail row;
-        # forward[i][j] is prefix j's state after its tail row i
-        forward, prev = [], chain[cut:cut + n_pre, None]
-        for i in range(depth):
-            prev = np.tanh(tail_fwd[:, i] + np.matmul(prev, params.rec_fwd))
-            forward.append(prev)
+    forward, prev = [], chain[cut:cut + n_pre, None]
+    for i in range(depth):
+        prev = np.tanh(tails[0, i, i:i + n_pre] + np.matmul(prev, params.rec_fwd))
+        forward.append(prev)
 
     # backward and combined state of every prefix after t steps; the
     # prefixes shorter than t+1 words are done, and the next one ends here
@@ -443,7 +485,8 @@ def _lockstep_probs(params, first, tails, padded, proj_bwd, chain):
         carried_bwd, carried_comb = np.matmul(live, rec)
         # prefix j reads its row first - 1 + j - t, a tail row for t < depth
         if t < depth:
-            bwd_in = tail_bwd[done:, depth - 1 - t]
+            i = depth - 1 - t
+            bwd_in = tails[1, i, i + done:i + n_pre]
         else:
             row = first - 1 + done - t
             bwd_in = proj_bwd[row:row + n_pre - done]
@@ -460,7 +503,7 @@ def _lockstep_probs(params, first, tails, padded, proj_bwd, chain):
         comb_in += carried_comb
         np.tanh(comb_in, comb_state)
         if t + 1 >= first:
-            yield softmax(comb_state[0, 0] @ params.out_w + params.out_b)
+            yield state[1]
 
 
 def ranking_loss(scores, y_plus, cfg):

@@ -332,6 +332,12 @@ def _exit_code(argv):
     ({"unknown.tsv": f"zzz\t{SENTENCE}\n"},
      ["patterns", "--model", "{model}", "--data", "{tmp}/unknown.tsv",
       "--ngram", "2"], "window"),
+    ({}, ["lisa", "--model", "{model}", "--relation", "rel-00", "--sentence", "a"],
+     "--sentence: marker <e1> missing"),
+    ({"empty.tsv": ""}, ["eval", "--model", "{model}", "--data", "{tmp}/empty.tsv"],
+     "{tmp}/empty.tsv: no sentences to evaluate"),
+    ({}, ["patterns", "--model", "{model}", "--data", "{test}", "--tau", "nan"],
+     "--tau: tau must lie in (0, 1), got nan"),
 ], ids=["config-bad-value", "config-bad-value-overridden", "config-unknown-key", "config-bad-switch",
         "config-missing", "config-out-of-range", "config-margins", "config-nan",
         "config-names-missing-file", "lr-nan", "m-plus-nan", "config-huge-window",
@@ -341,7 +347,8 @@ def _exit_code(argv):
         "lisa-without-sentence", "only-unknown-labels", "corpus-marker",
         "not-utf-8", "vectors-not-utf-8", "vectors-short-row",
         "vectors-no-vector", "vectors-non-finite", "vectors-header-dim",
-        "metrics-is-directory", "patterns-tau", "patterns-even-window"])
+        "metrics-is-directory", "patterns-tau", "patterns-even-window",
+        "lisa-sentence-markers", "eval-empty-data", "patterns-tau-nan"])
 def test_bad_input_exit_2(tmp_path, quick_model, capsys, files, argv, expected):
     for name, content in files.items():
         path = tmp_path / name

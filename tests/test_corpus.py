@@ -198,6 +198,36 @@ def test_vocabulary_inverse_maps():
     assert sorted(v.token_to_id.values()) == list(range(v.size))
 
 
+def reference_vocabulary(sentences, min_count):
+    """The two-pass build: count every token, then walk the tokens again
+    in order and keep each new one that is frequent enough."""
+    counts = {}
+    for s in sentences:
+        for tok in s.tokens:
+            counts[tok] = counts.get(tok, 0) + 1
+    id_to_token = [corpus.PAD_TOKEN, corpus.UNK_TOKEN, *corpus.MARKERS]
+    for s in sentences:
+        for tok in s.tokens:
+            if tok not in id_to_token and counts[tok] >= min_count:
+                id_to_token.append(tok)
+    return id_to_token
+
+
+@pytest.mark.parametrize("min_count", [1, 2])
+def test_vocabulary_order_matches_the_two_pass_build(min_count):
+    """Also for sentences that hold the literal padding and unknown tokens,
+    which keep their fixed ids."""
+    specials = [parse_marked_sentence(line) for line in (
+        f"X\t{corpus.UNK_TOKEN} <e1> a </e1> b <e2> {corpus.PAD_TOKEN} </e2>",
+        f"Y\t<e1> b </e1> {corpus.PAD_TOKEN} c <e2> a </e2> {corpus.UNK_TOKEN} c",
+        "X\t<e1> d </e1> <e2> c </e2> e d",
+    )]
+    for sentences in (generate_synthetic(SyntheticConfig(4, 50, 7)).train,
+                      specials):
+        got = build_vocabulary(sentences, min_count=min_count).id_to_token
+        assert list(got) == reference_vocabulary(sentences, min_count)
+
+
 def test_vocabulary_empty_corpus():
     with pytest.raises(EmptyCorpus):
         build_vocabulary([])

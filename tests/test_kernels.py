@@ -7,10 +7,10 @@ training loop over separate weight arrays updated one by one. They live
 here only, as the specification the fast kernels must meet. The lockstep
 prefix scorer must give, bit for bit, what one ``forward_pass`` per prefix
 gives; it rests on the input projection giving each row the same bits
-whatever the number of rows projected with it.
+whatever the number of rows projected with it and whatever the other rows
+of its block hold.
 """
 
-import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,10 +41,12 @@ from cbrnn.model import (
     load_model,
     loss_gradients,
     predict,
+    prefix_curve_probs,
     prefix_probs,
     ranking_loss,
     save_model,
     sgd_step,
+    softmax,
     train,
 )
 
@@ -478,8 +480,10 @@ def test_weight_pairs_are_views_of_the_buffer(tmp_path, trained_model):
 
 def assert_prefix_probs_bit_equal(params, ids, table, window, stop=None):
     """Every prefix's probabilities against ``forward_pass`` on the prefix
-    composed on its own, or on the sentence's rows with ``lookahead``; and,
-    with ``stop``, those of a caller that stops after prefix ``stop``."""
+    composed on its own, or on the sentence's rows with ``lookahead``: from
+    the lazy scorer, with and without the sentence's forward chain handed
+    in, and from the one-block curve pass; and, with ``stop``, those of a
+    caller of the lazy scorer that stops after prefix ``stop``."""
     full = compose_ngram_inputs(ids, table, window)
     prefixes = [compose_ngram_inputs(ids[:k], table, window)
                 for k in range(1, len(ids) + 1)]
@@ -487,17 +491,20 @@ def assert_prefix_probs_bit_equal(params, ids, table, window, stop=None):
     h_fwd = forward_pass(params, full).h_fwd
     for lookahead, inputs in ((False, prefixes),
                               (True, [full[:k] for k in range(1, len(ids) + 1)])):
-        want = [forward_pass(params, x).probs for x in inputs]
+        want = [forward_pass(params, x).probs.tobytes() for x in inputs]
+        curve = prefix_curve_probs(params, table, ids, window, lookahead)
+        assert curve.shape == (len(ids), params.n_classes)
+        assert [row.tobytes() for row in curve] == want
         for chain in (None, h_fwd):
             rows = list(prefix_probs(params, table, ids, window, lookahead,
                                      chain))
             assert len(rows) == len(ids)
             for k, (row, expected) in enumerate(zip(rows, want), start=1):
-                assert np.array_equal(row, expected), k
+                assert row.tobytes() == expected, k
             if stop is not None:
                 rows = prefix_probs(params, table, ids, window, lookahead, chain)
                 for k, expected in enumerate(want[:stop], start=1):
-                    assert np.array_equal(next(rows), expected), k
+                    assert next(rows).tobytes() == expected, k
                 rows.close()
 
 
@@ -636,43 +643,40 @@ def test_prefix_probs_bit_equal_at_the_semeval_shape():
     assert_prefix_probs_bit_equal(params, ids, table, 3)
 
 
-@pytest.mark.parametrize("window", [3, 5])
-def test_tails_are_projected_in_the_blocks_of_their_prefix(monkeypatch, window):
-    """Each tail goes through the gemm in the blocks it occupies in its own
-    prefix's input: that input's rows from the start of the block holding
-    the tail's first row, zeros after its end. On this machine's BLAS a row
-    rounds the same anywhere in a 4-row block, so the bit-equality tests
-    cannot tell a moved row; on another build it may not."""
-    calls = []
+@settings(deadline=None, max_examples=40)
+@given(shape=st.sampled_from([(48, 32), (150, 100), (900, 300)]),
+       place=st.integers(0, _ROW_BLOCK - 1), seed=seeds)
+def test_projection_rows_do_not_depend_on_the_other_rows_of_their_block(
+        shape, place, seed):
+    """Row ``place`` of a 4-row ``_project`` block has the same bits however
+    the block's other three rows are filled: random values, zeros, copies
+    of the row, or huge values. The scorer projects each prefix's tail rows
+    in blocks of the whole sentence's rows, not of the prefix's own."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-1.0, 1.0, size=shape)
+    row = rng.uniform(-1.0, 1.0, size=shape[0])
+    others = [rng.uniform(-1.0, 1.0, size=(_ROW_BLOCK, shape[0])),
+              np.zeros((_ROW_BLOCK, shape[0])),
+              np.tile(row, (_ROW_BLOCK, 1)),
+              rng.uniform(-1e6, 1e6, size=(_ROW_BLOCK, shape[0]))]
+    got = set()
+    for block in others:
+        block[place] = row
+        got.add(_project(block, w)[place].tobytes())
+    assert len(got) == 1
 
-    def spy(padded, w):
-        # the tail blocks, not the sentence's or a lone prefix's projection
-        if sys._getframe(1).f_code.co_name == "_lockstep_probs":
-            calls.append(padded.copy())
-        return project(padded, w)
 
-    project = model._project
-    monkeypatch.setattr(model, "_project", spy)
-    rng = np.random.default_rng(7)
-    table = random_table(7, 2)
-    ids = list(rng.integers(0, VOCAB, size=23))
-    # hidden 40: blocks of prefixes 1-10, 11-21 and 22-23
-    params = init_params(window * 2, 40, 2, rng)
-    list(prefix_probs(params, table, ids, window))
-    # one call per block of the prefixes that are not all tail: 2 ... 23
-    # for window 3, 3 ... 23 for window 5
-    got = np.concatenate(calls)
-    half = window // 2
-    prefixes = range(half + 1, len(ids) + 1)
-    span = len(got) // len(prefixes)
-    for k in prefixes:
-        x = compose_ngram_inputs(ids[:k], table, window)
-        start = (k - half) // _ROW_BLOCK * _ROW_BLOCK
-        want = np.zeros((span, x.shape[1]))
-        rows = x[start:start + span]
-        want[:len(rows)] = rows
-        at = (k - prefixes[0]) * span
-        assert got[at:at + span].tobytes() == want.tobytes(), k
+@settings(deadline=None)
+@given(rows=st.integers(1, 6), n_classes=st.integers(2, 300),
+       scale=st.sampled_from([1.0, 30.0, 1e3]), seed=seeds)
+def test_softmax_of_rows_is_the_softmax_of_each_row(rows, n_classes, scale,
+                                                    seed):
+    """The curve pass takes one softmax over its (prefixes, classes) scores."""
+    scores = np.random.default_rng(seed).normal(size=(rows, n_classes)) * scale
+    probs = softmax(scores)
+    assert probs.shape == scores.shape
+    for row, p in zip(scores, probs):
+        assert p.tobytes() == softmax(row).tobytes()
 
 
 def test_prefix_probs_sizes_its_first_block_by_the_hidden_size(monkeypatch):
@@ -681,12 +685,12 @@ def test_prefix_probs_sizes_its_first_block_by_the_hidden_size(monkeypatch):
     started only when its first row is asked for."""
     blocks = []
 
-    def spy(params, first, tails, *rest):
-        blocks.append((first, len(tails)))
-        return lockstep(params, first, tails, *rest)
+    def spy(params, first, n_pre, *rest):
+        blocks.append((first, n_pre))
+        return lockstep(params, first, n_pre, *rest)
 
-    lockstep = model._lockstep_probs
-    monkeypatch.setattr(model, "_lockstep_probs", spy)
+    lockstep = model._lockstep
+    monkeypatch.setattr(model, "_lockstep", spy)
     rng = np.random.default_rng(0)
     ids = list(rng.integers(0, VOCAB, size=200))
     schedules = {
@@ -708,6 +712,31 @@ def test_prefix_probs_sizes_its_first_block_by_the_hidden_size(monkeypatch):
         assert blocks == schedule[:2], hidden
         assert len(list(rows)) == len(ids) - first - 1
         assert blocks == schedule, hidden
+
+
+def test_prefix_curve_probs_scores_every_prefix_in_one_block(monkeypatch):
+    """Past the all-tail prefixes, a curve is one lockstep block at any
+    hidden size and sentence length, however large the lazy scorer's
+    blocks would be."""
+    blocks = []
+
+    def spy(params, first, n_pre, *rest):
+        blocks.append((first, n_pre))
+        return lockstep(params, first, n_pre, *rest)
+
+    lockstep = model._lockstep
+    monkeypatch.setattr(model, "_lockstep", spy)
+    rng = np.random.default_rng(0)
+    ids = list(rng.integers(0, VOCAB, size=150))
+    for hidden, window, n, want in ((100, 3, 150, [(2, 149)]),
+                                    (2, 1, 150, [(1, 150)]),
+                                    (8, 5, 3, [(3, 1)]),
+                                    (8, 5, 2, [])):
+        blocks.clear()
+        params = init_params(window, hidden, 2, rng)
+        probs = prefix_curve_probs(params, random_table(0, 1), ids[:n], window)
+        assert probs.shape == (n, 2)
+        assert blocks == want, (hidden, window, n)
 
 
 @given(hidden=st.sampled_from([1, 2, 3, 5, 8, 32, 100]),

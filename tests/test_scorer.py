@@ -23,11 +23,15 @@ def test_extract_pattern_stops_scoring_at_the_crossing(trained_model,
     later block before a row of it is asked for. The prefixes that are all
     tail, 1 for window 3 and 1 and 2 for window 5, are scored on their
     own."""
-    blocks, alone = [], []
+    blocks, alone, tailed = [], [], []
 
-    def spy_lockstep(params, first, tails, *rest):
-        blocks.extend(range(first, first + len(tails)))
-        return lockstep(params, first, tails, *rest)
+    def spy_lockstep(params, first, n_pre, *rest):
+        blocks.extend(range(first, first + n_pre))
+        return lockstep(params, first, n_pre, *rest)
+
+    def spy_tails(params, table, padded, half, first, end):
+        tailed.extend(range(first, end))
+        return tails(params, table, padded, half, first, end)
 
     def spy_forward(params, x):
         alone.append(len(x))
@@ -40,8 +44,9 @@ def test_extract_pattern_stops_scoring_at_the_crossing(trained_model,
     longer = replace(s, tokens=s.tokens + ("still",) * 24)
     crossings = [extract_pattern(trained, s, s.label).crossing_index
                  for trained in (trained_model, window_5_model)]
-    lockstep, forward = model._lockstep_probs, model.forward_pass
-    monkeypatch.setattr(model, "_lockstep_probs", spy_lockstep)
+    lockstep, forward, tails = model._lockstep, model.forward_pass, model._tails
+    monkeypatch.setattr(model, "_lockstep", spy_lockstep)
+    monkeypatch.setattr(model, "_tails", spy_tails)
     monkeypatch.setattr(model, "forward_pass", spy_forward)
     first = 16
     assert len(longer.tokens) > first
@@ -50,11 +55,14 @@ def test_extract_pattern_stops_scoring_at_the_crossing(trained_model,
         assert trained.params.hidden_size == 32
         blocks.clear()
         alone.clear()
+        tailed.clear()
         pat = extract_pattern(trained, longer, s.label, tau=0.5, window=3,
                               lookahead=lookahead)
         assert pat is not None and pat.crossing_index == crossing <= first
         assert alone == list(range(1, trained.train_cfg.window // 2 + 1))
         assert alone + blocks == list(range(1, first + 1))
+        # the tails of later blocks are not built either
+        assert tailed == blocks
 
 
 def test_extract_pattern_unknown_relation(trained_model, synthetic_split):
