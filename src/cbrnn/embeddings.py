@@ -48,13 +48,13 @@ def load_pretrained_text(path, vocab, dim, fallback_seed=0):
     """Load ``word v1 ... vd`` text vectors; vocabulary tokens missing from
     the file keep their seeded random rows. Every row must be finite, also
     one for a word outside the vocabulary. Errors name ``path:line``; an
-    optional ``count dim`` header is line 1."""
+    optional ``count dim`` header, two runs of ASCII digits, is line 1."""
     table = init_random(vocab, dim, fallback_seed)
     lines = read_text(path).splitlines()
     start = 0
     if lines:
         head = lines[0].split()
-        if len(head) == 2 and all(p.lstrip("-").isdigit() for p in head):
+        if len(head) == 2 and all(p.isascii() and p.isdigit() for p in head):
             if int(head[1]) != dim:
                 raise DimensionMismatch(path, 1, dim, int(head[1]))
             start = 1

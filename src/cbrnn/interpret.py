@@ -4,18 +4,21 @@ A prefix of length k is scored as its own full input: the window sequence is
 recomposed on the truncated tokens, so the last window ends in padding rather
 than the next word. Pattern *reporting* can instead take the window from the
 full sentence (``lookahead=True``), which includes the right neighbor of the
-crossing word. The scorer composes and projects the sentence once, takes
-each prefix's few rows that differ from it, its tail, from the sentence's
-input with the padding written in, and shares what the prefixes have in
-common. A curve reads every prefix, so ``model.prefix_curve_probs`` scores
-them in one lockstep block with one output layer; pattern extraction may
-stop at an early crossing, so ``model.prefix_probs`` scores them in growing
-blocks and yields each prefix in turn.
+crossing word. One scorer, ``model.prefix_states``, serves both callers: it
+composes and projects the sentence once, takes each prefix's few rows that
+differ from it, its tail, from the sentence's input with the padding written
+in, and runs all prefixes as one lockstep block, yielding after each prefix
+ends. A curve reads every prefix, so it takes the last yield and puts every
+prefix through one stacked output layer; pattern extraction puts each
+prefix through the output layer as it is yielded and stops at the first
+that crosses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .corpus import PAD_TOKEN, InputError, LabeledSentence
 from .embeddings import EvenWindow, compose_ngram_inputs
@@ -23,8 +26,8 @@ from .model import (
     UnknownRelation,
     classify,
     forward_pass,
-    prefix_curve_probs,
-    prefix_probs,
+    prefix_states,
+    softmax,
 )
 
 
@@ -91,11 +94,15 @@ def _relation_index(model, relation):
 
 
 def prefix_curve(model, sentence, relation, lookahead=False):
-    """Score every word-prefix of the sentence, all in one pass."""
+    """Score every word-prefix of the sentence, all in one pass: the final
+    combined states of all prefixes go through one stacked output matmul,
+    one gemv per row as ``h @ out_w`` is, and one row-wise softmax."""
     tokens, sid = _tokens_of(sentence)
     r_idx = _relation_index(model, relation)
-    rows = prefix_curve_probs(model.params, model.table, model.vocab.encode(tokens),
-                              model.train_cfg.window, lookahead)
+    params = model.params
+    *_, comb = prefix_states(params, model.table, model.vocab.encode(tokens),
+                             model.train_cfg.window, lookahead)
+    rows = softmax(np.matmul(comb, params.out_w)[:, 0] + params.out_b)
     points = []
     for k, probs in enumerate(rows, start=1):
         p_idx = int(probs.argmax())
@@ -122,12 +129,13 @@ def _target_probs(model, tokens, relation, h_fwd):
             raise ValueError("curve length does not match sentence length")
         return model.probs
     r_idx = _relation_index(model, relation)
-    # the prefixes are scored a block at a time, so a caller that stops
-    # early leaves later blocks unscored
-    return (float(probs[r_idx])
-            for probs in prefix_probs(model.params, model.table,
-                                      model.vocab.encode(tokens),
-                                      model.train_cfg.window, h_fwd=h_fwd))
+    params = model.params
+    states = prefix_states(params, model.table, model.vocab.encode(tokens),
+                           model.train_cfg.window, h_fwd=h_fwd)
+    # each prefix through the output layer as it ends, so a caller that
+    # stops early leaves the later steps unrun
+    return (float(softmax(comb[k, 0] @ params.out_w + params.out_b)[r_idx])
+            for k, comb in enumerate(states))
 
 
 class WindowTooWide(InputError):
@@ -153,9 +161,10 @@ def check_pattern_settings(tau, window, sentences=()):
 def extract_pattern(model, sentence, relation, tau=0.5, window=3,
                     lookahead=True, h_fwd=None):
     """Return the last window of the first prefix whose target probability
-    reaches tau, or None when no prefix crosses. Prefixes after the
-    crossing's scoring block are not scored. ``h_fwd``, the sentence's
-    forward states from ``forward_pass``, spares the scorer its own. The
+    reaches tau, or None when no prefix crosses. The scorer advances its
+    one block of prefixes word by word and is not resumed past the
+    crossing, so no step after it runs. ``h_fwd``, the sentence's forward
+    states from ``forward_pass``, spares the scorer its own. The
     window is not bounded by the sentence's length: a short sentence's
     pattern is padded."""
     check_pattern_settings(tau, window)

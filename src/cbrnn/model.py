@@ -289,12 +289,10 @@ def _project(padded, w):
     return out.reshape(out.shape[:-3] + (len(padded), w.shape[-1]))
 
 
-def _recur(rows, rec, out, prev=None):
+def _recur(rows, rec, out):
     """``out[t] = tanh(rows[t] + out[t-1] @ rec)`` for each row of ``out``,
-    where ``out[-1]`` stands for ``prev``, the state before the first row
-    (zeros when None)."""
-    if prev is None:
-        prev = np.zeros(rec.shape[0])
+    from a zero state before the first row."""
+    prev = np.zeros(rec.shape[0])
     # ``v.dot(m)`` is the same BLAS call as ``v @ m`` with less overhead,
     # and iterating over rows costs less than indexing them
     for row, state in zip(rows, out):
@@ -324,134 +322,80 @@ def forward_pass(params, x):
     return ForwardCache(x, states, h_comb[n - 1] @ params.out_w + params.out_b)
 
 
-# prefixes scored together by ``prefix_probs``: a block holds as many as were
-# scored before it plus one, at most _MAX_BLOCK, so a caller that stops early
-# leaves few prefixes scored past its stop. The first block holds
-# _FIRST_BLOCK_AREA // hidden**2 of them (at least 1, at most _MAX_BLOCK): 64
-# up to hidden 16, 16 at h32, 4 at h64, 1 from h91 on. A lockstep step makes
-# the same dozen numpy calls however many prefixes it holds; one more prefix
-# adds about 0.3 µs to its stacked matmul at h32 but about 3 µs at h100 (one
-# BLAS thread). So at h32 a sentence of up to 16 words is one block, a 10-word
-# curve 1.4x faster than in blocks of 1, 2, 4, ..., while at h100 a caller
-# that stops early saves more by small blocks than their extra steps cost.
-# ``prefix_curve_probs`` reads every prefix and scores them in one block.
-_MAX_BLOCK = 64
-_FIRST_BLOCK_AREA = 2 ** 14
-
-
-def _tails(params, table, padded, half, first, end):
-    """The projections of the tail rows of the prefixes of ``first`` ...
-    ``end - 1`` words, (2, half, rows, 1, hidden): tail row i of the prefix
-    of ``first + j`` words is at ``[:, i, i + j]``.
+def _tails(params, table, padded, half):
+    """The projections of the tail rows of the prefixes past the all-tail
+    ones, (2, half, rows, 1, hidden): tail row i of the prefix of
+    ``half + 1 + j`` words is at ``[:, i, i + j]``.
 
     Tail row i of the prefix of k words is row ``k - half + i`` of variant
     i: the sentence's input with the window slots from ``2 * half - i`` on,
     which read past word k, set to the padding row. So each tail row keeps
     its place in its 4-row block, and its product is the one the prefix's
-    own input gives it (see ``_checked_input``). Only the rows of the
-    variants that these tails take are projected, in whole blocks.
+    own input gives it (see ``_checked_input``).
     """
-    start = (first - half) // _ROW_BLOCK * _ROW_BLOCK
-    stop = -(-(end - 1) // _ROW_BLOCK) * _ROW_BLOCK
-    variants = np.repeat(padded[None, start:stop], half, axis=0)
-    slots = variants.reshape(half, stop - start, 2 * half + 1, table.dim)
+    variants = np.repeat(padded[None], half, axis=0)
+    slots = variants.reshape(half, len(padded), 2 * half + 1, table.dim)
     for i in range(half):
         slots[i, :, 2 * half - i:] = table.matrix[PAD_ID]
     projected = _project(variants.reshape(-1, padded.shape[1]),
                          params.in_pair[:, None])
-    return projected.reshape(2, half, stop - start, 1,
-                             params.hidden_size)[:, :, first - half - start:]
+    return projected.reshape(2, half, len(padded), 1,
+                             params.hidden_size)[:, :, 1:]
 
 
-def prefix_probs(params, table, ids, window, lookahead=False, h_fwd=None):
-    """Yield ``forward_pass(params, x).probs`` bit for bit for the input
-    ``x = compose_ngram_inputs(ids[:k], table, window)`` of each prefix,
-    k = 1, 2, ..., shortest first; with ``lookahead``, for ``x = full[:k]``
-    of the whole sentence's input ``full``, whose last windows read on past
-    word k.
+def prefix_states(params, table, ids, window, lookahead=False, h_fwd=None):
+    """Score the prefixes of k = 1, 2, ..., n words of the sentence ``ids``,
+    shortest first. After prefix k ends, yield the combined states, one
+    (n, 1, hidden) array, the same each time, whose row k - 1 is then
+    ``forward_pass(params, x).h_comb[-1]`` bit for bit for the prefix's
+    input ``x = compose_ngram_inputs(ids[:k], table, window)``; with
+    ``lookahead``, for ``x = full[:k]`` of the whole sentence's input
+    ``full``, whose last windows read on past word k. A finished row is not
+    written again.
 
     A prefix's input is ``full[:k]`` but for its tail: its last
     ``window // 2`` rows, whose windows reach past word k and read the
-    padding row there. The tails are built one block of prefixes at a time,
-    so a caller that stops early leaves later blocks unbuilt and unscored:
-    the first block holds ``first`` prefixes, sized by the hidden size
-    (see ``_FIRST_BLOCK_AREA``), each later one as many as came before it
-    plus one, at most ``_MAX_BLOCK``. A caller that stops after prefix k has
-    scored fewer than ``max(2k, first + 1)`` prefixes. A caller that reads
-    every prefix takes ``prefix_curve_probs``, which scores them in one
-    block.
-
-    The whole sentence is composed and projected once, and one forward chain
-    over it is advanced as far as the block being scored needs: a prefix's
-    forward chain leaves it only at its tail. The backward and combined
-    chains depend on where the prefix ends, so every prefix keeps its own,
-    advanced in lockstep with the others of its block. A prefix of at most
+    padding row there. The whole sentence is composed and projected once,
+    and the tails of all prefixes take one projection (``_tails``). One
+    forward chain over the sentence serves every prefix: a prefix's forward
+    chain leaves it only at its tail. ``h_fwd``, when given, is that chain:
+    ``forward_pass(params, full).h_fwd``. A prefix of at most
     ``window // 2`` words is all tail: it shares no row with the sentence
-    and is one ``forward_pass`` call. ``h_fwd``, when given, is the
-    sentence's forward chain: ``forward_pass(params, full).h_fwd``.
-    """
-    full, padded = _checked_input(params, compose_ngram_inputs(ids, table, window))
-    n, hidden = len(full), params.hidden_size
-    half = 0 if lookahead else window // 2
-    proj_fwd, proj_bwd = _project(padded, params.in_pair[:, None])
-    # the shared forward chain: chain[t] is the state after t words
-    chain = np.zeros((n + 1, hidden))
-    reached = 0
-    if h_fwd is not None:
-        chain[1:], reached = h_fwd, n
-    first, size = 1, min(max(1, _FIRST_BLOCK_AREA // hidden ** 2), _MAX_BLOCK)
-    while first <= n:
-        end = min(first + size, n + 1)
-        for k in range(first, min(half + 1, end)):
-            x = compose_ngram_inputs(ids[:k], table, window)
-            yield forward_pass(params, x).probs
-        lo = max(first, half + 1)
-        if lo < end:
-            need = end - 1 - half
-            _recur(proj_fwd[reached:need], params.rec_fwd,
-                   chain[reached + 1:need + 1], chain[reached])
-            reached = max(reached, need)
-            tails = _tails(params, table, padded, half, lo, end)
-            for j, comb in enumerate(_lockstep(params, lo, end - lo, tails,
-                                               proj_bwd[:, None], chain)):
-                yield softmax(comb[j, 0] @ params.out_w + params.out_b)
-        first, size = end, min(end, _MAX_BLOCK)
-
-
-def prefix_curve_probs(params, table, ids, window, lookahead=False):
-    """The rows ``prefix_probs`` yields, bit for bit, as one (n, classes)
-    array.
-
-    Every prefix past the all-tail ones is scored in one lockstep block,
-    with no cap on its size: the block's state is 2·n·hidden floats. The
-    tails of all prefixes take one projection. Once the last prefix ends,
-    the final combined states of all prefixes, each kept in its row of the
-    block's state, go through one stacked output matmul, one gemv per row
-    as ``h @ out_w`` is, and one row-wise softmax.
+    and is one ``forward_pass`` call. The backward and combined chains
+    depend on where the prefix ends, so every other prefix keeps its own,
+    and all of them advance in lockstep as one block (``_lockstep``): a
+    caller that stops after prefix k leaves the steps past word k unrun.
     """
     full, padded = _checked_input(params, compose_ngram_inputs(ids, table, window))
     n, half = len(full), 0 if lookahead else window // 2
-    proj_fwd, proj_bwd = _project(padded, params.in_pair[:, None])
-    probs = np.empty((n, params.n_classes))
+    state = np.zeros((2, n, 1, params.hidden_size))
+    comb = state[1]
     for k in range(1, min(half, n) + 1):
         x = compose_ngram_inputs(ids[:k], table, window)
-        probs[k - 1] = forward_pass(params, x).probs
+        comb[k - 1, 0] = forward_pass(params, x).h_comb[-1]
+        yield comb
     if n > half:
+        proj_fwd, proj_bwd = _project(padded, params.in_pair[:, None])
+        # the shared forward chain: chain[t] is the state after t words
         chain = np.zeros((n + 1, params.hidden_size))
-        _recur(proj_fwd[:n - half], params.rec_fwd, chain[1:n - half + 1])
-        tails = _tails(params, table, padded, half, half + 1, n + 1)
-        *_, comb = _lockstep(params, half + 1, n - half, tails,
-                             proj_bwd[:, None], chain)
-        probs[half:] = softmax(np.matmul(comb, params.out_w)[:, 0] + params.out_b)
-    return probs
+        if h_fwd is None:
+            _recur(proj_fwd[:n - half], params.rec_fwd, chain[1:n - half + 1])
+        else:
+            chain[1:] = h_fwd
+        tails = _tails(params, table, padded, half)
+        for _ in _lockstep(params, tails, proj_bwd[:, None], chain,
+                           state[:, half:]):
+            yield comb
 
 
-def _lockstep(params, first, n_pre, tails, proj_bwd, chain):
-    """Run the prefixes of ``first``, ``first + 1``, ... words, ``n_pre``
-    of them, in lockstep, with their tails' projections ``tails`` (see
-    ``_tails``) and the shared forward chain ``chain``. After the step that
-    ends the prefix of ``first + j`` words, yield the combined states,
-    (n_pre, 1, hidden), whose row j is then that prefix's final one,
+def _lockstep(params, tails, proj_bwd, chain, state):
+    """Run the prefixes of ``depth + 1``, ``depth + 2``, ... words in
+    lockstep, ``depth = tails.shape[1]``, with their tails' projections
+    ``tails`` (see ``_tails``) and the shared forward chain ``chain``.
+    ``state``, (2, prefixes, 1, hidden) and zero on entry, holds each
+    prefix's backward and combined state in its row. After the step that
+    ends the prefix of ``depth + 1 + j`` words, yield: row j of
+    ``state[1]`` is then that prefix's final combined state,
     ``forward_pass(params, x).h_comb[-1]`` bit for bit; a finished row is
     not written again.
 
@@ -459,51 +403,47 @@ def _lockstep(params, first, n_pre, tails, proj_bwd, chain):
     The stacked ``np.matmul`` of 1×h states runs one gemv per row, as
     ``v.dot(rec)`` does; adds and ``tanh`` are elementwise.
     """
-    depth = tails.shape[1]
-    hidden = params.hidden_size
-    # prefix j's tail holds its rows cut + j ... cut + j + depth - 1; its
-    # forward chain leaves the shared one at the first of them, and
-    # forward[i][j] is its state after its tail row i
-    cut = first - depth
-    forward, prev = [], chain[cut:cut + n_pre, None]
+    depth, n_pre = tails.shape[1], state.shape[1]
+    # prefix j's tail holds its rows j + 1 ... j + depth; its forward chain
+    # leaves the shared one after row j, and forward[i][j] is its state
+    # after its tail row i
+    forward, prev = [], chain[1:1 + n_pre, None]
     for i in range(depth):
         prev = np.tanh(tails[0, i, i:i + n_pre] + np.matmul(prev, params.rec_fwd))
         forward.append(prev)
 
     # backward and combined state of every prefix after t steps; the
     # prefixes shorter than t+1 words are done, and the next one ends here
-    state = np.zeros((2, n_pre, 1, hidden))
-    comb = np.empty((n_pre, 1, hidden))
-    done, live, comb_in = 0, state, comb
+    done, live = 0, state
     bwd_state, comb_state = live
     rec = params.rec_pair[:, None]
-    for t, shared in enumerate(chain[1:first + n_pre]):
-        if t >= first:
+    for t, shared in enumerate(chain[1:]):
+        if t > depth:
             done += 1
-            live, comb_in = state[:, done:], comb[done:]
+            live = state[:, done:]
             bwd_state, comb_state = live
         carried_bwd, carried_comb = np.matmul(live, rec)
-        # prefix j reads its row first - 1 + j - t, a tail row for t < depth
+        # prefix j reads its row depth + j - t, a tail row for t < depth
         if t < depth:
             i = depth - 1 - t
-            bwd_in = tails[1, i, i + done:i + n_pre]
+            bwd_in = tails[1, i, i:i + n_pre]
         else:
-            row = first - 1 + done - t
+            row = depth + done - t
             bwd_in = proj_bwd[row:row + n_pre - done]
         np.add(bwd_in, carried_bwd, bwd_state)
         np.tanh(bwd_state, bwd_state)
         # forward_pass's order: (forward + backward) + carried; the sum of
         # two is the same either way round
-        np.add(bwd_state, shared, comb_in)
+        np.add(bwd_state, shared, comb_state)
         # the prefixes whose step t reads tail row i of their forward chain
         for i in range(depth):
-            j = t - cut - i
+            j = t - 1 - i
             if done <= j < n_pre:
-                np.add(forward[i][j], bwd_state[j - done], comb_in[j - done])
-        comb_in += carried_comb
-        np.tanh(comb_in, comb_state)
-        if t + 1 >= first:
-            yield state[1]
+                np.add(forward[i][j], bwd_state[j - done], comb_state[j - done])
+        comb_state += carried_comb
+        np.tanh(comb_state, comb_state)
+        if t >= depth:
+            yield
 
 
 def ranking_loss(scores, y_plus, cfg):

@@ -324,6 +324,11 @@ def _exit_code(argv):
     ({"head.vec": "2 2\na 0.1 0.2\n"},
      [*TRAIN, "--epochs", "1", "--embeddings", "{tmp}/head.vec"],
      "head.vec:1: expected dimension 4, found 2"),
+    # headers that are not ASCII integers are read as a word and its vector
+    ({"head.vec": "3 \u00b2\na 0.1 0.2 0.3 0.4\n"},
+     [*TRAIN, "--epochs", "1", "--embeddings", "{tmp}/head.vec"], "head.vec:1"),
+    ({"head.vec": "3 --4\na 0.1 0.2 0.3 0.4\n"},
+     [*TRAIN, "--epochs", "1", "--embeddings", "{tmp}/head.vec"], "head.vec:1"),
     ({}, [*TRAIN, "--epochs", "1", "--metrics", "{tmp}"], "{tmp}"),
     # no sentence is mined, so only an up-front check can reject the settings
     ({"unknown.tsv": f"zzz\t{SENTENCE}\n"},
@@ -347,6 +352,7 @@ def _exit_code(argv):
         "lisa-without-sentence", "only-unknown-labels", "corpus-marker",
         "not-utf-8", "vectors-not-utf-8", "vectors-short-row",
         "vectors-no-vector", "vectors-non-finite", "vectors-header-dim",
+        "vectors-header-superscript", "vectors-header-double-minus",
         "metrics-is-directory", "patterns-tau", "patterns-even-window",
         "lisa-sentence-markers", "eval-empty-data", "patterns-tau-nan"])
 def test_bad_input_exit_2(tmp_path, quick_model, capsys, files, argv, expected):

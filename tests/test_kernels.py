@@ -41,8 +41,7 @@ from cbrnn.model import (
     load_model,
     loss_gradients,
     predict,
-    prefix_curve_probs,
-    prefix_probs,
+    prefix_states,
     ranking_loss,
     save_model,
     sgd_step,
@@ -480,32 +479,41 @@ def test_weight_pairs_are_views_of_the_buffer(tmp_path, trained_model):
 
 def assert_prefix_probs_bit_equal(params, ids, table, window, stop=None):
     """Every prefix's probabilities against ``forward_pass`` on the prefix
-    composed on its own, or on the sentence's rows with ``lookahead``: from
-    the lazy scorer, with and without the sentence's forward chain handed
-    in, and from the one-block curve pass; and, with ``stop``, those of a
-    caller of the lazy scorer that stops after prefix ``stop``."""
+    composed on its own, or on the sentence's rows with ``lookahead``, as
+    the two callers of ``prefix_states`` read them: row by row as each
+    prefix ends, through the output layer one row at a time (pattern
+    extraction), and from the last yield, through one stacked output matmul
+    and one row-wise softmax (curves). Both with and without the sentence's
+    forward chain handed in; and, with ``stop``, those of a caller that
+    stops after prefix ``stop``."""
     full = compose_ngram_inputs(ids, table, window)
     prefixes = [compose_ngram_inputs(ids[:k], table, window)
                 for k in range(1, len(ids) + 1)]
     # the scorer's own forward chain, and the one forward_pass gives
     h_fwd = forward_pass(params, full).h_fwd
+    out_w, out_b = params.out_w, params.out_b
     for lookahead, inputs in ((False, prefixes),
                               (True, [full[:k] for k in range(1, len(ids) + 1)])):
         want = [forward_pass(params, x).probs.tobytes() for x in inputs]
-        curve = prefix_curve_probs(params, table, ids, window, lookahead)
-        assert curve.shape == (len(ids), params.n_classes)
-        assert [row.tobytes() for row in curve] == want
         for chain in (None, h_fwd):
-            rows = list(prefix_probs(params, table, ids, window, lookahead,
-                                     chain))
-            assert len(rows) == len(ids)
-            for k, (row, expected) in enumerate(zip(rows, want), start=1):
-                assert row.tobytes() == expected, k
+            lazy = []
+            for k, comb in enumerate(prefix_states(params, table, ids, window,
+                                                   lookahead, chain)):
+                lazy.append(softmax(comb[k, 0] @ out_w + out_b).tobytes())
+            assert len(lazy) == len(ids)
+            for k, (row, expected) in enumerate(zip(lazy, want), start=1):
+                assert row == expected, k
+            # comb is the last yield
+            curve = softmax(np.matmul(comb, out_w)[:, 0] + out_b)
+            assert curve.shape == (len(ids), params.n_classes)
+            assert [row.tobytes() for row in curve] == want
             if stop is not None:
-                rows = prefix_probs(params, table, ids, window, lookahead, chain)
-                for k, expected in enumerate(want[:stop], start=1):
-                    assert next(rows).tobytes() == expected, k
-                rows.close()
+                states = prefix_states(params, table, ids, window, lookahead,
+                                       chain)
+                for k, expected in enumerate(want[:stop]):
+                    row = softmax(next(states)[k, 0] @ out_w + out_b)
+                    assert row.tobytes() == expected, k + 1
+                states.close()
 
 
 def projection(x, w):
@@ -577,11 +585,6 @@ def test_forward_pass_bit_equal_to_per_chain_loops(ids, window, dim, hidden,
     assert cache.scores.tobytes() == scores.tobytes()
 
 
-def first_block(hidden):
-    """The prefixes in the scorer's first block at this hidden size."""
-    return min(max(1, 2 ** 14 // hidden ** 2), 64)
-
-
 def scaled_params(input_dim, hidden, n_classes, scale, rng):
     params = init_params(input_dim, hidden, n_classes, rng)
     # large weights drive tanh into saturation, where states round to +-1
@@ -600,13 +603,11 @@ def scaled_params(input_dim, hidden, n_classes, scale, rng):
        data=st.data(), seed=seeds)
 def test_prefix_probs_bit_equal_to_forward_pass(hidden, window, dim, n_classes,
                                                 scale, data, seed):
-    """Sentences that run past the scorer's first two blocks of prefixes,
-    scored whole and by a caller that stops early, with and without the
-    sentence's forward chain handed in."""
-    # the first block, the one after it, and at least one prefix more
-    shortest = 2 * first_block(hidden) + 2
-    ids = data.draw(st.lists(st.integers(0, VOCAB - 1), min_size=shortest,
-                             max_size=shortest + 8), label="ids")
+    """Sentences of 1 to 70 words, the shortest all tail at window 3 and
+    wider, scored whole and by a caller that stops early, with and without
+    the sentence's forward chain handed in."""
+    ids = data.draw(st.lists(st.integers(0, VOCAB - 1), min_size=1,
+                             max_size=70), label="ids")
     stop = data.draw(st.integers(1, len(ids)), label="stop")
     rng = np.random.default_rng(seed)
     params = scaled_params(window * dim, hidden, n_classes, scale, rng)
@@ -619,13 +620,15 @@ def test_prefix_probs_bit_equal_to_forward_pass(hidden, window, dim, n_classes,
     ([1, 2, 3, 4, 5, 1, 2, 3, 4, 5], 7, 2),
 ])
 def test_prefix_probs_bit_equal_inside_the_first_block(ids, window, hidden):
+    """A one-word sentence that is all tail, and one whose first three
+    prefixes are; the caller that stops early stops at the first."""
     params = scaled_params(window, hidden, 2, 1.0, np.random.default_rng(0))
     assert_prefix_probs_bit_equal(params, ids, random_table(0, 1), window, 1)
 
 
 def test_prefix_probs_bit_equal_past_the_largest_block():
-    # the reference run's shape (h32, d16, window 3), 140 words: blocks
-    # 1-16, 17-33, 34-67, 68-131 (64, the largest) and 132-140
+    # the reference run's shape (h32, d16, window 3), 140 words: one
+    # lockstep block of 139 prefixes
     rng = np.random.default_rng(5)
     ids = list(rng.integers(0, VOCAB, size=140))
     params = init_params(3 * 16, 32, 4, rng)
@@ -677,66 +680,6 @@ def test_softmax_of_rows_is_the_softmax_of_each_row(rows, n_classes, scale,
     assert probs.shape == scores.shape
     for row, p in zip(scores, probs):
         assert p.tobytes() == softmax(row).tobytes()
-
-
-def test_prefix_probs_sizes_its_first_block_by_the_hidden_size(monkeypatch):
-    """The first block holds 2**14 // hidden**2 prefixes, 1 to 64; each
-    later one as many as came before it plus one, at most 64. A block is
-    started only when its first row is asked for."""
-    blocks = []
-
-    def spy(params, first, n_pre, *rest):
-        blocks.append((first, n_pre))
-        return lockstep(params, first, n_pre, *rest)
-
-    lockstep = model._lockstep
-    monkeypatch.setattr(model, "_lockstep", spy)
-    rng = np.random.default_rng(0)
-    ids = list(rng.integers(0, VOCAB, size=200))
-    schedules = {
-        2: [(1, 64), (65, 64), (129, 64), (193, 8)],
-        32: [(1, 16), (17, 17), (34, 34), (68, 64), (132, 64), (196, 5)],
-        64: [(1, 4), (5, 5), (10, 10), (20, 20), (40, 40), (80, 64), (144, 57)],
-        100: [(2 ** i, 2 ** i) for i in range(7)] + [(128, 64), (192, 9)],
-    }
-    for hidden, schedule in schedules.items():
-        blocks.clear()
-        params = init_params(1, hidden, 2, rng)
-        # window 1: no prefix is all tail, so every block is a lockstep one
-        rows = prefix_probs(params, random_table(0, 1), ids, 1)
-        first = schedule[0][1]
-        for _ in range(first):
-            next(rows)
-        assert blocks == schedule[:1], hidden
-        next(rows)
-        assert blocks == schedule[:2], hidden
-        assert len(list(rows)) == len(ids) - first - 1
-        assert blocks == schedule, hidden
-
-
-def test_prefix_curve_probs_scores_every_prefix_in_one_block(monkeypatch):
-    """Past the all-tail prefixes, a curve is one lockstep block at any
-    hidden size and sentence length, however large the lazy scorer's
-    blocks would be."""
-    blocks = []
-
-    def spy(params, first, n_pre, *rest):
-        blocks.append((first, n_pre))
-        return lockstep(params, first, n_pre, *rest)
-
-    lockstep = model._lockstep
-    monkeypatch.setattr(model, "_lockstep", spy)
-    rng = np.random.default_rng(0)
-    ids = list(rng.integers(0, VOCAB, size=150))
-    for hidden, window, n, want in ((100, 3, 150, [(2, 149)]),
-                                    (2, 1, 150, [(1, 150)]),
-                                    (8, 5, 3, [(3, 1)]),
-                                    (8, 5, 2, [])):
-        blocks.clear()
-        params = init_params(window, hidden, 2, rng)
-        probs = prefix_curve_probs(params, random_table(0, 1), ids[:n], window)
-        assert probs.shape == (n, 2)
-        assert blocks == want, (hidden, window, n)
 
 
 @given(hidden=st.sampled_from([1, 2, 3, 5, 8, 32, 100]),

@@ -5,7 +5,12 @@ from dataclasses import replace
 import pytest
 
 from cbrnn import model, train
-from cbrnn.interpret import FixedCurveModel, UnknownRelation, extract_pattern
+from cbrnn.interpret import (
+    FixedCurveModel,
+    UnknownRelation,
+    extract_pattern,
+    prefix_curve,
+)
 
 
 @pytest.fixture(scope="module")
@@ -15,54 +20,78 @@ def window_5_model(trained_model, synthetic_split):
                  replace(trained_model.train_cfg, window=5, epochs=10))
 
 
+@pytest.fixture(scope="module")
+def h100_model(trained_model, synthetic_split):
+    """The reference run at the SemEval shape, h100 d50, in two epochs."""
+    return train(synthetic_split,
+                 replace(trained_model.train_cfg, hidden_size=100,
+                         embed_dim=50, epochs=2))
+
+
 def test_extract_pattern_stops_scoring_at_the_crossing(trained_model,
                                                        window_5_model,
+                                                       h100_model,
                                                        synthetic_split,
                                                        monkeypatch):
-    """At h32 the scorer's first block holds prefixes 1-16, and it starts no
-    later block before a row of it is asked for. The prefixes that are all
-    tail, 1 for window 3 and 1 and 2 for window 5, are scored on their
-    own."""
+    """At h32 and h100, past the all-tail prefixes (1 for window 3, 1 and 2
+    for window 5, each one ``forward_pass``), every prefix of a sentence is
+    one lockstep block, whose tails are projected once. A curve runs every
+    step of it; extraction runs it only up to the step that ends the
+    crossing prefix."""
     blocks, alone, tailed = [], [], []
 
-    def spy_lockstep(params, first, n_pre, *rest):
-        blocks.extend(range(first, first + n_pre))
-        return lockstep(params, first, n_pre, *rest)
+    def spy_lockstep(params, tails, proj_bwd, chain, state):
+        blocks.append([state.shape[1], 0])
+        for step in lockstep(params, tails, proj_bwd, chain, state):
+            blocks[-1][1] += 1
+            yield step
 
-    def spy_tails(params, table, padded, half, first, end):
-        tailed.extend(range(first, end))
-        return tails(params, table, padded, half, first, end)
+    def spy_tails(params, table, padded, half):
+        tailed.append(half)
+        return tails(params, table, padded, half)
 
     def spy_forward(params, x):
         alone.append(len(x))
         return forward(params, x)
 
     s = synthetic_split.test[0]
-    # the scores extract_pattern reads do not look past their prefix, so
-    # words after the sentence leave the crossing where it is; 24 of them
-    # take the sentence past the first block
+    # 24 words more, so that the block runs well past the crossing
     longer = replace(s, tokens=s.tokens + ("still",) * 24)
-    crossings = [extract_pattern(trained, s, s.label).crossing_index
-                 for trained in (trained_model, window_5_model)]
+    n = len(longer.tokens)
     lockstep, forward, tails = model._lockstep, model.forward_pass, model._tails
     monkeypatch.setattr(model, "_lockstep", spy_lockstep)
     monkeypatch.setattr(model, "_tails", spy_tails)
     monkeypatch.setattr(model, "forward_pass", spy_forward)
-    first = 16
-    assert len(longer.tokens) > first
-    for trained, lookahead, crossing in zip((trained_model, window_5_model),
-                                            (True, False), crossings):
-        assert trained.params.hidden_size == 32
+    for trained, lookahead in ((trained_model, True), (window_5_model, False),
+                               (h100_model, True)):
+        half = trained.train_cfg.window // 2
         blocks.clear()
         alone.clear()
         tailed.clear()
-        pat = extract_pattern(trained, longer, s.label, tau=0.5, window=3,
+        curve = [p.prob_target
+                 for p in prefix_curve(trained, longer, s.label).points]
+        assert blocks == [[n - half, n - half]]
+        assert alone == list(range(1, half + 1))
+        assert tailed == [half]
+        # a tau the curve first reaches at its highest point in the first
+        # half of the sentence
+        tau = max(curve[:n // 2])
+        crossing = curve.index(tau) + 1
+        assert half < crossing < n
+        blocks.clear()
+        alone.clear()
+        tailed.clear()
+        pat = extract_pattern(trained, longer, s.label, tau=tau, window=3,
                               lookahead=lookahead)
-        assert pat is not None and pat.crossing_index == crossing <= first
-        assert alone == list(range(1, trained.train_cfg.window // 2 + 1))
-        assert alone + blocks == list(range(1, first + 1))
-        # the tails of later blocks are not built either
-        assert tailed == blocks
+        assert pat.crossing_index == crossing
+        assert alone == list(range(1, half + 1))
+        assert tailed == [half]
+        assert blocks == [[n - half, crossing - half]]
+    # a sentence of window // 2 words is all tail, one word more one block
+    for words, want in ((2, []), (3, [[1, 1]])):
+        blocks.clear()
+        prefix_curve(window_5_model, s.tokens[:words], s.label)
+        assert blocks == want
 
 
 def test_extract_pattern_unknown_relation(trained_model, synthetic_split):
