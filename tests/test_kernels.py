@@ -682,6 +682,37 @@ def test_softmax_of_rows_is_the_softmax_of_each_row(rows, n_classes, scale,
         assert p.tobytes() == softmax(row).tobytes()
 
 
+def test_prefix_curve_probs_scores_every_prefix_in_one_block(monkeypatch):
+    """Past the all-tail prefixes, a curve (``prefix_states`` drained, its
+    last yield put through the stacked output layer) is one lockstep block
+    that runs every step, at any hidden size and sentence length."""
+    blocks = []
+
+    def spy(params, tails, proj_bwd, chain, state):
+        blocks.append([state.shape[1], 0])
+        for step in lockstep(params, tails, proj_bwd, chain, state):
+            blocks[-1][1] += 1
+            yield step
+
+    lockstep = model._lockstep
+    monkeypatch.setattr(model, "_lockstep", spy)
+    rng = np.random.default_rng(0)
+    ids = list(rng.integers(0, VOCAB, size=150))
+    for hidden, window, n, want in ((100, 3, 150, [[149, 149]]),
+                                    (2, 1, 150, [[150, 150]]),
+                                    (8, 5, 3, [[1, 1]]),
+                                    (8, 5, 2, [])):
+        blocks.clear()
+        params = init_params(window, hidden, 2, rng)
+        yields = list(prefix_states(params, random_table(0, 1), ids[:n],
+                                    window))
+        assert len(yields) == n
+        probs = softmax(np.matmul(yields[-1], params.out_w)[:, 0]
+                        + params.out_b)
+        assert probs.shape == (n, 2)
+        assert blocks == want, (hidden, window, n)
+
+
 @given(hidden=st.sampled_from([1, 2, 3, 5, 8, 32, 100]),
        rows=st.integers(1, 9), live=st.integers(0, 8), seed=seeds)
 def test_stacked_matmul_rows_equal_vector_dot(hidden, rows, live, seed):
