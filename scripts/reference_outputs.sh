@@ -4,8 +4,9 @@
 # --lookahead, both `patterns` runs, `eval` and `export-hidden` on that
 # model, and the test split they read. Then the same corpus trained at the
 # SemEval shape (h100 d50, 2 epochs), with `lisa` with and without
-# --lookahead and `patterns --all` on it, which run the prefix scorer at
-# that shape. Runs the checkout's own src/, so two checkouts (say, a change
+# --lookahead, both `patterns` runs, `eval` and `export-hidden` on it,
+# which run the prefix scorer and the batched forward pass at that shape.
+# Every file of that model is named *-h100*. Runs the checkout's own src/, so two checkouts (say, a change
 # and its parent) can be compared with `cmp`.
 #
 #   sh scripts/reference_outputs.sh OUTDIR
@@ -35,3 +36,6 @@ cbrnn train $wide --out "$d/model-h100.txt" > "$d/train-h100.txt"
 cbrnn lisa --model "$d/model-h100.txt" --relation rel-00 --sentence "$sentence" > "$d/lisa-h100.csv"
 cbrnn lisa --model "$d/model-h100.txt" --relation rel-00 --sentence "$sentence" --lookahead > "$d/lisa-h100-lookahead.csv"
 cbrnn patterns --model "$d/model-h100.txt" --data "$test" --all --tau 0.3 > "$d/patterns-h100-all.tsv"
+cbrnn patterns --model "$d/model-h100.txt" --data "$test" > "$d/patterns-h100.tsv"
+cbrnn eval --model "$d/model-h100.txt" --data "$test" > "$d/eval-h100.txt"
+cbrnn export-hidden --model "$d/model-h100.txt" --data "$test" > "$d/hidden-h100.tsv"

@@ -182,8 +182,11 @@ def _pick_sentence(args):
 def cmd_lisa(args):
     model = model_mod.load_model(args.model)
     sentence = _pick_sentence(args)
-    curve = interpret.prefix_curve(model, sentence, args.relation,
-                                   lookahead=args.lookahead)
+    try:
+        curve = interpret.prefix_curve(model, sentence, args.relation,
+                                       lookahead=args.lookahead)
+    except model_mod.UnknownRelation as exc:
+        raise InputError(f"--relation: {exc}") from None
     _write_or_stdout(interpret.curve_to_csv(curve), args.out)
     return 0
 
@@ -199,6 +202,12 @@ def cmd_patterns(args):
         raise InputError(f"{'--ngram' if args.ngram else args.model}: {exc}") from None
     except InputError as exc:
         raise InputError(f"--tau: {exc}") from None
+    if args.all:
+        # every sentence is mined against its own relation
+        for s in sentences:
+            if s.label not in model.label_set:
+                raise InputError(f"{args.data}:{int(s.id) + 1}: relation "
+                                 f"{s.label!r} not in label set")
     table = interpret.mine_patterns(
         model, sentences, tau=args.tau, window=window,
         only_correct=not args.all, lookahead=args.lookahead,
@@ -212,7 +221,7 @@ def cmd_eval(args):
     sentences = load_corpus_file(args.data)
     try:
         metrics = model_mod.evaluate(model, sentences)
-    except model_mod.EmptyEvalSet as exc:
+    except (model_mod.EmptyEvalSet, model_mod.UnknownRelation) as exc:
         raise InputError(f"{args.data}: {exc}") from None
     out = [f"accuracy: {metrics['accuracy']:.17g}",
            f"macro_f1: {metrics['macro_f1']:.17g}"]

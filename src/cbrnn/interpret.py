@@ -11,7 +11,10 @@ in, and runs all prefixes as one lockstep block, yielding after each prefix
 ends. A curve reads every prefix, so it takes the last yield and puts every
 prefix through one stacked output layer; pattern extraction puts each
 prefix through the output layer as it is yielded and stops at the first
-that crosses.
+that crosses. Mining only the correctly classified sentences classifies
+them a batch at a time (``model.classify_many``) and hands each one's
+forward chain to the scorer; hidden export runs its sentences through the
+same batched pass.
 """
 
 from __future__ import annotations
@@ -22,9 +25,12 @@ import numpy as np
 
 from .corpus import PAD_TOKEN, InputError, LabeledSentence
 from .embeddings import EvenWindow, compose_ngram_inputs
-from .model import (
+# forward_pass is not called here; perfbench's tests check that its probes
+# reach every namespace that holds it, this one included
+from .model import (  # noqa: F401
     UnknownRelation,
-    classify,
+    classify_many,
+    forward_chunked,
     forward_pass,
     prefix_states,
     softmax,
@@ -188,14 +194,16 @@ def mine_patterns(model, sentences, tau=0.5, window=3, only_correct=True,
     sentence is scored."""
     sentences = list(sentences)
     check_pattern_settings(tau, window, sentences)
+    if only_correct:
+        # classified a batch at a time; a sentence's forward chain spares
+        # the scorer its own
+        mined = ((s, cache.h_fwd) for s, (label, cache)
+                 in zip(sentences, classify_many(model, sentences))
+                 if label == s.label)
+    else:
+        mined = ((s, None) for s in sentences)
     buckets = {}
-    for s in sentences:
-        h_fwd = None
-        if only_correct:
-            label, cache = classify(model, s)
-            if label != s.label:
-                continue
-            h_fwd = cache.h_fwd
+    for s, h_fwd in mined:
         pat = extract_pattern(model, s, s.label, tau=tau, window=window,
                               lookahead=lookahead, h_fwd=h_fwd)
         if pat is None:
@@ -212,13 +220,11 @@ def mine_patterns(model, sentences, tau=0.5, window=3, only_correct=True,
 
 def export_hidden_states(model, sentences):
     """Final combined hidden vector per sentence, paired with the gold label."""
-    rows = []
-    for s in sentences:
-        x = compose_ngram_inputs(model.vocab.encode(s.tokens), model.table,
-                                 model.train_cfg.window)
-        cache = forward_pass(model.params, x)
-        rows.append((s.label, cache.h_comb[-1].copy()))
-    return rows
+    sentences = list(sentences)
+    inputs = (compose_ngram_inputs(model.vocab.encode(s.tokens), model.table,
+                                   model.train_cfg.window) for s in sentences)
+    return [(s.label, cache.h_comb[-1].copy())
+            for s, cache in zip(sentences, forward_chunked(model.params, inputs))]
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,23 @@ def test_patterns_rejects_a_huge_ngram_before_any_work(quick_model, monkeypatch,
     assert "--ngram: window size must be at most" in capsys.readouterr().err
 
 
+def test_patterns_all_rejects_an_unknown_relation_before_any_work(
+        tmp_path, quick_model, monkeypatch, capsys):
+    """With --all each sentence is mined against its own relation: one the
+    model does not know exits 2 naming its file and line, before the
+    sentences ahead of it are scored."""
+    def never(*args, **kwargs):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(interpret, "mine_patterns", never)
+    data = tmp_path / "s.tsv"
+    data.write_text(f"rel-00\t{SENTENCE}\nzzz\t{SENTENCE}\n")
+    rc = cli.main(["patterns", "--model", str(quick_model["model"]),
+                   "--data", str(data), "--all"])
+    assert rc == 2
+    assert f"{data}:2: relation 'zzz' not in label set" in capsys.readouterr().err
+
+
 def test_patterns_ngram_bound_is_twice_the_longest_sentence(tmp_path, quick_model,
                                                             capsys):
     """2L - 1 words, L the longest sentence's length, is the widest window
@@ -343,6 +360,15 @@ def _exit_code(argv):
      "{tmp}/empty.tsv: no sentences to evaluate"),
     ({}, ["patterns", "--model", "{model}", "--data", "{test}", "--tau", "nan"],
      "--tau: tau must lie in (0, 1), got nan"),
+    # line 3, after a blank line: the sentence id is 2
+    ({"unknown.tsv": f"rel-00\t{SENTENCE}\n\nzzz\t{SENTENCE}\n"},
+     ["patterns", "--model", "{model}", "--data", "{tmp}/unknown.tsv", "--all"],
+     "{tmp}/unknown.tsv:3: relation 'zzz' not in label set"),
+    ({}, ["lisa", "--model", "{model}", "--relation", "zzz", "--sentence", SENTENCE],
+     "--relation: relation 'zzz' not in label set"),
+    ({"unknown.tsv": f"zzz\t{SENTENCE}\nyyy\t{SENTENCE}\n"},
+     ["eval", "--model", "{model}", "--data", "{tmp}/unknown.tsv"],
+     "{tmp}/unknown.tsv: none of the labels ['yyy', 'zzz'] is in the model's"),
 ], ids=["config-bad-value", "config-bad-value-overridden", "config-unknown-key", "config-bad-switch",
         "config-missing", "config-out-of-range", "config-margins", "config-nan",
         "config-names-missing-file", "lr-nan", "m-plus-nan", "config-huge-window",
@@ -354,7 +380,9 @@ def _exit_code(argv):
         "vectors-no-vector", "vectors-non-finite", "vectors-header-dim",
         "vectors-header-superscript", "vectors-header-double-minus",
         "metrics-is-directory", "patterns-tau", "patterns-even-window",
-        "lisa-sentence-markers", "eval-empty-data", "patterns-tau-nan"])
+        "lisa-sentence-markers", "eval-empty-data", "patterns-tau-nan",
+        "patterns-all-unknown-relation", "lisa-unknown-relation",
+        "eval-unknown-labels-names-file"])
 def test_bad_input_exit_2(tmp_path, quick_model, capsys, files, argv, expected):
     for name, content in files.items():
         path = tmp_path / name

@@ -6,11 +6,13 @@ scatter with one slice per window slot, a dense embedding update, and a
 training loop over separate weight arrays updated one by one. They live
 here only, as the specification the fast kernels must meet. The lockstep
 prefix scorer must give, bit for bit, what one ``forward_pass`` per prefix
-gives; it rests on the input projection giving each row the same bits
-whatever the number of rows projected with it and whatever the other rows
-of its block hold.
+gives, and the batched pass what one ``forward_pass`` per sentence gives;
+both rest on the input projection giving each row the same bits whatever
+the number of rows projected with it and whatever the other rows of its
+block hold.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,15 +29,18 @@ from cbrnn.embeddings import (
     input_grads_to_embeddings,
     load_pretrained_text,
 )
-from cbrnn import model
+from cbrnn import interpret, model
 from cbrnn.model import (
     CBRNNParams,
     LossConfig,
+    ShapeMismatch,
     TrainConfig,
     TrainedModel,
     _ROW_BLOCK,
     _checked_input,
     _project,
+    evaluate,
+    forward_many,
     forward_pass,
     init_params,
     load_model,
@@ -735,3 +740,99 @@ def test_stacked_matmul_rows_equal_vector_dot(hidden, rows, live, seed):
     both = _project(blocks, w[:, None])
     for c in range(2):
         assert np.array_equal(both[c], _project(blocks, w[c]))
+
+
+FORWARD_FIELDS = ("inputs", "states", "h_fwd", "h_bwd", "h_comb", "scores",
+                  "probs")
+
+
+def assert_forward_many_bit_equal(params, xs):
+    caches = forward_many(params, xs)
+    assert len(caches) == len(xs)
+    for i, (x, cache) in enumerate(zip(xs, caches)):
+        want = forward_pass(params, x)
+        for name in FORWARD_FIELDS:
+            assert getattr(cache, name).tobytes() == \
+                getattr(want, name).tobytes(), (i, name)
+
+
+@settings(deadline=None)
+@given(hidden=st.integers(1, 100), window=st.sampled_from([1, 3, 5, 7]),
+       dim=st.integers(1, 4), n_classes=st.integers(2, 4),
+       scale=st.sampled_from([1.0, 30.0]), count=st.integers(1, 64),
+       longest=st.integers(1, 70), seed=seeds)
+@example(hidden=100, window=3, dim=4, n_classes=4, scale=1.0, count=64,
+         longest=70, seed=0)
+def test_forward_many_bit_equal_to_forward_pass(hidden, window, dim, n_classes,
+                                                scale, count, longest, seed):
+    """``count`` sentences of 1 to ``longest`` words (1 to 64 sentences of
+    1 to 70 words), each input's every field against its own
+    ``forward_pass``."""
+    rng = np.random.default_rng(seed)
+    params = scaled_params(window * dim, hidden, n_classes, scale, rng)
+    table = random_table(seed, dim)
+    xs = [compose_ngram_inputs(list(rng.integers(0, VOCAB, size=n)), table,
+                               window)
+          for n in rng.integers(1, longest + 1, size=count)]
+    assert_forward_many_bit_equal(params, xs)
+
+
+def test_forward_many_of_no_input_and_of_a_bad_one():
+    params = init_params(6, 3, 2, np.random.default_rng(0))
+    assert forward_many(params, []) == []
+    good = np.ones((4, 6))
+    for bad in (np.ones((4, 5)), np.ones((0, 6)), np.ones(6)):
+        with pytest.raises(ShapeMismatch):
+            forward_pass(params, bad)
+        with pytest.raises(ShapeMismatch):
+            forward_many(params, [good, bad])
+
+
+def test_batched_callers_equal_a_forward_pass_each(trained_model,
+                                                   synthetic_split,
+                                                   monkeypatch):
+    """Mining the correctly classified sentences, ``evaluate`` and
+    ``export_hidden_states`` on the reference model, and ``train()``'s dev
+    accuracy, over 70 sentences of 6 to 48 words, three batches each, give
+    what they give with one ``forward_pass`` per sentence."""
+    rng = np.random.default_rng(3)
+    pool = synthetic_split.train + synthetic_split.test
+    mixed = [replace(pool[j], tokens=pool[j].tokens + ("for",) * int(extra),
+                     id=str(i))
+             for i, (j, extra) in enumerate(zip(
+                 rng.integers(0, len(pool), size=70),
+                 rng.integers(0, 37, size=70)))]
+    mixed[5] = replace(mixed[5], tokens=("<e1>", "signal", "</e1>", "<e2>",
+                                         "circuit", "</e2>"))
+    split = replace(synthetic_split, dev=mixed)
+    cfg = TrainConfig(epochs=2, seed=3, hidden_size=8, embed_dim=4)
+
+    batches = []
+
+    def counted(params, xs):
+        batches.append(len(xs))
+        return batched(params, xs)
+
+    def run():
+        table = interpret.mine_patterns(trained_model, mixed, tau=0.5,
+                                        window=3)
+        hidden = interpret.export_hidden_states(trained_model, mixed)
+        return (table.entries, evaluate(trained_model, mixed),
+                [(label, vector.tobytes()) for label, vector in hidden],
+                train(split, cfg).history)
+
+    batched = model.forward_many
+    monkeypatch.setattr(model, "forward_many", counted)
+    got = run()
+    # mining, export, evaluate, then each epoch
+    assert batches == [32, 32, 6] * (3 + cfg.epochs)
+    assert got[0] and 0 < got[1]["accuracy"] < 1
+
+    def one_each(params, xs):
+        return (forward_pass(params, x) for x in xs)
+
+    monkeypatch.setattr(model, "forward_chunked", one_each)
+    monkeypatch.setattr(interpret, "forward_chunked", one_each)
+    batches.clear()
+    assert run() == got
+    assert batches == []

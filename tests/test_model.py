@@ -420,12 +420,12 @@ def test_evaluate_hand_confusion():
         LabeledSentence(("<e1>", "x", "</e1>", "<e2>", "y", "</e2>"), lab, str(i))
         for i, lab in enumerate(["a", "b", "b", "b", "c"])
     ]
-    original = model_mod.predict
-    model_mod.predict = lambda m, s: (next(outputs), None)
+    original = model_mod.classify_many
+    model_mod.classify_many = lambda m, ss: ((next(outputs), None) for _ in ss)
     try:
         metrics = model_mod.evaluate(Stub(), sentences)
     finally:
-        model_mod.predict = original
+        model_mod.classify_many = original
     # gold a,b,b,b,c ; pred a,a,b,b,a
     assert metrics["accuracy"] == pytest.approx(3 / 5)
     assert metrics["per_class_f1"]["a"] == pytest.approx(0.5)
