@@ -3,11 +3,12 @@
 # metrics.tsv and stdout of `train`, then `lisa` with and without
 # --lookahead, both `patterns` runs, `eval` and `export-hidden` on that
 # model, and the test split they read. Then the same corpus trained at the
-# SemEval shape (h100 d50, 2 epochs), with `lisa` with and without
-# --lookahead, both `patterns` runs, `eval` and `export-hidden` on it,
-# which run the prefix scorer and the batched forward pass at that shape.
-# Every file of that model is named *-h100*. Runs the checkout's own src/, so two checkouts (say, a change
-# and its parent) can be compared with `cmp`.
+# SemEval shape (h100 d50, 2 epochs) with its metrics.tsv (dev accuracy),
+# then `lisa` with and without --lookahead, both `patterns` runs, `eval`
+# and `export-hidden` on it, which run the prefix scorer and the batched
+# labeller at that shape. Every file of that model is named *-h100*. Runs
+# the checkout's own src/, so two checkouts (say, a change and its parent)
+# can be compared with `cmp`.
 #
 #   sh scripts/reference_outputs.sh OUTDIR
 set -eu
@@ -32,7 +33,7 @@ cbrnn eval --model "$d/model.txt" --data "$test" > "$d/eval.txt"
 cbrnn export-hidden --model "$d/model.txt" --data "$test" > "$d/hidden.tsv"
 wide="--synthetic 4x50 --seed 7 --epochs 2 --hidden 100 --dim 50"
 # shellcheck disable=SC2086
-cbrnn train $wide --out "$d/model-h100.txt" > "$d/train-h100.txt"
+cbrnn train $wide --out "$d/model-h100.txt" --metrics "$d/metrics-h100.tsv" > "$d/train-h100.txt"
 cbrnn lisa --model "$d/model-h100.txt" --relation rel-00 --sentence "$sentence" > "$d/lisa-h100.csv"
 cbrnn lisa --model "$d/model-h100.txt" --relation rel-00 --sentence "$sentence" --lookahead > "$d/lisa-h100-lookahead.csv"
 cbrnn patterns --model "$d/model-h100.txt" --data "$test" --all --tau 0.3 > "$d/patterns-h100-all.tsv"

@@ -11,10 +11,10 @@ in, and runs all prefixes as one lockstep block, yielding after each prefix
 ends. A curve reads every prefix, so it takes the last yield and puts every
 prefix through one stacked output layer; pattern extraction puts each
 prefix through the output layer as it is yielded and stops at the first
-that crosses. Mining only the correctly classified sentences classifies
-them a batch at a time (``model.classify_many``) and hands each one's
-forward chain to the scorer; hidden export runs its sentences through the
-same batched pass.
+that crosses. Mining only the correctly classified sentences and hidden
+export both read ``model.classify_many``, the one batched labeller: mining
+hands each correct sentence's forward chain to the scorer, export keeps
+each sentence's final combined state.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import PAD_TOKEN, InputError, LabeledSentence
-from .embeddings import EvenWindow, compose_ngram_inputs
-# forward_pass is not called here; perfbench's tests check that its probes
-# reach every namespace that holds it, this one included
+# compose_ngram_inputs and forward_pass are not called here; perfbench's
+# tests check that its probes reach every namespace that holds them, this
+# one included
+from .embeddings import EvenWindow, compose_ngram_inputs  # noqa: F401
 from .model import (  # noqa: F401
     UnknownRelation,
     classify_many,
-    forward_chunked,
     forward_pass,
     prefix_states,
     softmax,
@@ -221,10 +221,8 @@ def mine_patterns(model, sentences, tau=0.5, window=3, only_correct=True,
 def export_hidden_states(model, sentences):
     """Final combined hidden vector per sentence, paired with the gold label."""
     sentences = list(sentences)
-    inputs = (compose_ngram_inputs(model.vocab.encode(s.tokens), model.table,
-                                   model.train_cfg.window) for s in sentences)
     return [(s.label, cache.h_comb[-1].copy())
-            for s, cache in zip(sentences, forward_chunked(model.params, inputs))]
+            for s, (_, cache) in zip(sentences, classify_many(model, sentences))]
 
 
 # ---------------------------------------------------------------------------

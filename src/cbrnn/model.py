@@ -9,9 +9,11 @@ final step. Training minimizes a margin ranking loss on the raw scores.
 ``forward_pass`` runs one sentence and is the training path and
 ``predict``'s. ``forward_many`` runs a list of sentences, the three chains
 of all of them in lockstep, with each sentence's results bit for bit its
-own ``forward_pass``'s; the callers that classify many sentences
-(``evaluate``, ``train()``'s dev accuracy, and in ``interpret`` mining and
-hidden export) go through it ``_BATCH`` sentences at a time.
+own ``forward_pass``'s. ``classify_many`` is the one batched labeller: it
+runs ``_BATCH`` sentences at a time through ``forward_many`` and takes one
+row-wise softmax per batch, and every caller that labels or reads many
+sentences goes through it (``evaluate``, and so ``train()``'s dev accuracy,
+and in ``interpret`` mining and hidden export).
 """
 
 from __future__ import annotations
@@ -79,11 +81,16 @@ class LossConfig:
     m_minus: float = 0.5
 
     def __post_init__(self):
-        # written as ``not`` a comparison, so that nan fails the checks
-        if not self.gamma > 0:
-            raise SettingInvalid(f"gamma must be positive, got {self.gamma}", "gamma")
+        # written as ``not`` a comparison, so that nan fails the checks. An
+        # infinite gamma or m_plus makes every loss non-finite; m_minus =
+        # -inf only switches the competitor term off
+        if not 0 < self.gamma < np.inf:
+            raise SettingInvalid(f"gamma must be positive and finite, got {self.gamma}",
+                                 "gamma")
         if not self.m_plus > self.m_minus:
             raise SettingInvalid("m_plus must exceed m_minus", "m_plus", "m_minus")
+        if self.m_plus == np.inf:
+            raise SettingInvalid("m_plus must be finite, got inf", "m_plus")
 
 
 @dataclass
@@ -460,14 +467,6 @@ def forward_many(params, xs):
     return caches
 
 
-def forward_chunked(params, xs):
-    """``forward_many`` over the inputs of the iterable ``xs``, ``_BATCH``
-    at a time: yields each input's ``ForwardCache``, in order."""
-    xs = iter(xs)
-    while chunk := list(islice(xs, _BATCH)):
-        yield from forward_many(params, chunk)
-
-
 def _tails(params, table, padded, half):
     """The projections of the tail rows of the prefixes past the all-tail
     ones, (2, half, rows, 1, hidden): tail row i of the prefix of
@@ -763,37 +762,22 @@ def _input_of(model, sentence):
                                 model.train_cfg.window)
 
 
-def _label(model, cache):
-    return model.label_set[int(cache.probs.argmax())]
-
-
-def classify(model, sentence):
-    """The label ``predict`` gives, with the ``ForwardCache`` behind it."""
-    cache = forward_pass(model.params, _input_of(model, sentence))
-    return _label(model, cache), cache
-
-
 def classify_many(model, sentences):
-    """``classify`` of each of ``sentences``, in order and bit for bit, from
-    ``forward_many`` over ``_BATCH`` sentences at a time."""
+    """The label ``predict`` gives each of ``sentences``, with the
+    ``ForwardCache`` behind it, in order: ``forward_many`` over ``_BATCH``
+    sentences at a time, and one row-wise softmax over each batch's scores,
+    whose rows are the bits of each cache's own ``probs``."""
     inputs = (_input_of(model, s) for s in sentences)
-    for cache in forward_chunked(model.params, inputs):
-        yield _label(model, cache), cache
+    while chunk := list(islice(inputs, _BATCH)):
+        caches = forward_many(model.params, chunk)
+        rows = softmax(np.stack([cache.scores for cache in caches]))
+        for cache, probs in zip(caches, rows):
+            yield model.label_set[int(probs.argmax())], cache
 
 
 def predict(model, sentence):
-    label, cache = classify(model, sentence)
-    return label, cache.probs
-
-
-def _accuracy(model, dev):
-    """The share of ``(windows, label)`` pairs that ``predict`` labels right."""
-    inputs = (compose_ngram_inputs(windows, model.table, model.train_cfg.window)
-              for windows, _ in dev)
-    caches = forward_chunked(model.params, inputs)
-    correct = sum(_label(model, cache) == label
-                  for cache, (_, label) in zip(caches, dev))
-    return correct / len(dev)
+    probs = forward_pass(model.params, _input_of(model, sentence)).probs
+    return model.label_set[int(probs.argmax())], probs
 
 
 def train(split, train_cfg, loss_cfg=None, pretrained=None):
@@ -818,12 +802,9 @@ def train(split, train_cfg, loss_cfg=None, pretrained=None):
         table = emb_mod.load_pretrained_text(pretrained, vocab, train_cfg.embed_dim,
                                              fallback_seed=train_cfg.seed)
 
-    def windows_of(s):
-        return emb_mod.SentenceWindows(vocab.encode(s.tokens), train_cfg.window)
-
     label_index = {lab: i for i, lab in enumerate(split.label_set)}
-    encoded = [(windows_of(s), label_index[s.label]) for s in split.train]
-    dev = [(windows_of(s), s.label) for s in split.dev or split.train]
+    encoded = [(emb_mod.SentenceWindows(vocab.encode(s.tokens), train_cfg.window),
+                label_index[s.label]) for s in split.train]
 
     current = TrainedModel(
         params=params, table=table, vocab=vocab,
@@ -859,7 +840,7 @@ def train(split, train_cfg, loss_cfg=None, pretrained=None):
             raise TrainingDiverged(
                 f"epoch {epoch}: training diverged to a non-finite loss or "
                 f"weight at learning_rate {train_cfg.learning_rate}")
-        dev_acc = _accuracy(current, dev)
+        dev_acc = evaluate(current, split.dev or split.train)["accuracy"]
         history.append((epoch, mean_loss, dev_acc))
         if dev_acc >= best_acc:
             best, best_acc = snapshot(), dev_acc
@@ -1044,6 +1025,13 @@ def load_model(path):
         train_cfg = _read_config(take("train"), "train", TrainConfig)
         loss_cfg = _read_config(take("loss"), "loss", LossConfig)
         label_set = listed("labels")
+        seen = set()
+        for i, label in enumerate(label_set):
+            if not label or label in seen:
+                pos += 1 - len(label_set) + i
+                raise ModelFormatError(f"labels: label {label!r} repeated" if label
+                                       else "labels: empty label")
+            seen.add(label)
         id_to_token = listed("vocab")
         vocab = Vocabulary(id_to_token)
         if len(vocab.token_to_id) != vocab.size:

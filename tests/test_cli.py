@@ -302,6 +302,10 @@ def _exit_code(argv):
      "run.cfg:2: [Errno 2] No such file or directory: '1'"),
     ({}, [*TRAIN, "--lr", "nan"], "learning_rate must be positive, got nan"),
     ({}, [*TRAIN, "--m-plus", "nan"], "m_plus must exceed m_minus"),
+    ({}, [*TRAIN, "--gamma", "inf"], "--gamma: gamma must be positive and finite, got inf"),
+    ({}, [*TRAIN, "--m-plus", "inf"], "--m-plus: m_plus must be finite, got inf"),
+    ({"run.cfg": "seed=3\ngamma=inf\n"}, [*TRAIN, "--config", "{tmp}/run.cfg"],
+     "run.cfg:2: gamma must be positive and finite, got inf"),
     ({"run.cfg": "ngram=99999999999999999999\n"}, [*TRAIN, "--config", "{tmp}/run.cfg"],
      "run.cfg:1: hidden_size 4, embed_dim 4, window 99999999999999999999: too many"),
     ({}, [*TRAIN, "--hidden", "99999999999999999999"], "too many weights to allocate"),
@@ -371,7 +375,8 @@ def _exit_code(argv):
      "{tmp}/unknown.tsv: none of the labels ['yyy', 'zzz'] is in the model's"),
 ], ids=["config-bad-value", "config-bad-value-overridden", "config-unknown-key", "config-bad-switch",
         "config-missing", "config-out-of-range", "config-margins", "config-nan",
-        "config-names-missing-file", "lr-nan", "m-plus-nan", "config-huge-window",
+        "config-names-missing-file", "lr-nan", "m-plus-nan", "gamma-inf", "m-plus-inf",
+        "config-gamma-inf", "config-huge-window",
         "hidden-huge", "hidden-0", "hidden-negative", "dim-0", "ngram-negative",
         "seed-negative", "min-count-negative", "config-min-count-negative",
         "single-label", "model-is-directory", "out-is-directory",
@@ -448,6 +453,15 @@ def _repeat_vocab_token(lines):
     return lines
 
 
+def _second_label(value):
+    """Set the second label to ``value(first label)``."""
+    def edit(lines):
+        head = next(i for i, line in enumerate(lines) if line.startswith("labels"))
+        lines[head + 2] = value(lines[head + 1])
+        return lines
+    return edit
+
+
 def _head_count(section, k, value):
     """Set count ``k`` of the head of ``section`` to ``value(count)``."""
     def edit(lines):
@@ -484,6 +498,7 @@ def _line_of(section, offset):
     ("vocab", _repeat_vocab_token, _line_of("vocab", 8)),
     ("train", _set("learning_rate", "nan"), lambda lines: 2),
     ("loss", _set("m_minus", "nan"), lambda lines: 3),
+    ("loss", _set("gamma", "inf"), lambda lines: 3),
     ("train", _set("min_count", "-1"), lambda lines: 2),
     ("embeddings", _head_count("embeddings", 3, lambda c: "0"), _line_of("embeddings", 0)),
     ("embeddings", _head_count("embeddings", 3, lambda c: "2"), _line_of("embeddings", 0)),
@@ -494,10 +509,14 @@ def _line_of(section, offset):
     ("labels", _head_count("labels", 1, lambda c: "four"), _line_of("labels", 0)),
     # str.isdigit() takes "²", which int() rejects
     ("labels", _head_count("labels", 1, lambda c: "\u00b2"), _line_of("labels", 0)),
+    # a repeated label is named where it repeats
+    ("labels", _second_label(lambda first: first), _line_of("labels", 2)),
+    ("labels", _second_label(lambda first: ""), _line_of("labels", 2)),
 ], ids=["truncated", "missing-key", "renamed", "missing-section", "short-row",
-        "duplicate-token", "nan-setting", "nan-margin", "negative-min-count",
-        "embeddings-flag-0", "embeddings-flag-2", "embeddings-rows",
-        "embeddings-dim", "labels-count-word", "labels-count-superscript"])
+        "duplicate-token", "nan-setting", "nan-margin", "infinite-gamma",
+        "negative-min-count", "embeddings-flag-0", "embeddings-flag-2",
+        "embeddings-rows", "embeddings-dim", "labels-count-word",
+        "labels-count-superscript", "repeated-label", "empty-label"])
 def test_eval_rejects_malformed_model_exit_2(tmp_path, quick_model, capsys,
                                              section, edit, line):
     original = quick_model["model"].read_text().split("\n")

@@ -345,6 +345,13 @@ def test_settings_reject_nan(cls, name):
     assert name in exc.value.names
 
 
+@pytest.mark.parametrize("name", ["gamma", "m_plus"])
+def test_loss_settings_reject_infinity(name):
+    with pytest.raises(SettingInvalid) as exc:
+        LossConfig(**{name: math.inf})
+    assert exc.value.names == (name,)
+
+
 def test_infinite_clip_norm_means_no_clipping():
     assert TrainConfig(clip_norm=math.inf).clip_norm == math.inf
 
@@ -368,7 +375,8 @@ def test_train_zero_epochs_returns_init(synthetic_split):
 
 def test_train_computes_softmax_only_for_dev_accuracy(synthetic_split, monkeypatch):
     """A training step reads the scores, never the probabilities; each
-    epoch's dev pass takes one softmax per dev sentence."""
+    epoch's dev pass takes one row-wise softmax per batch of dev
+    sentences."""
     calls = []
 
     def counted(scores):
@@ -379,7 +387,7 @@ def test_train_computes_softmax_only_for_dev_accuracy(synthetic_split, monkeypat
     cfg = quick_cfg()
     train(synthetic_split, cfg)
     assert synthetic_split.dev
-    assert len(calls) == cfg.epochs * len(synthetic_split.dev)
+    assert len(calls) == cfg.epochs * math.ceil(len(synthetic_split.dev) / 32)
 
 
 def test_train_deterministic(synthetic_split, tmp_path):
@@ -467,6 +475,19 @@ def test_model_save_load_round_trip(synthetic_split, tmp_path):
     assert np.array_equal(loaded.table.matrix, m.table.matrix)
     assert loaded.train_cfg == m.train_cfg
     assert loaded.loss_cfg == m.loss_cfg
+
+
+def test_no_competitor_margin_trains_and_round_trips(synthetic_split, tmp_path):
+    """``m_minus = -inf`` switches the competitor term off: it trains to a
+    finite loss, and the model file keeps it."""
+    m = train(synthetic_split, quick_cfg(), LossConfig(m_minus=-math.inf))
+    assert all(np.isfinite(loss) for _, loss, _ in m.history)
+    p1, p2 = tmp_path / "m1.txt", tmp_path / "m2.txt"
+    save_model(m, p1)
+    loaded = load_model(p1)
+    save_model(loaded, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    assert loaded.loss_cfg.m_minus == -math.inf
 
 
 def random_model(vocab_size, dim, hidden, n_classes, seed=0):
