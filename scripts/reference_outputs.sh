@@ -4,9 +4,11 @@
 # --lookahead, both `patterns` runs, `eval` and `export-hidden` on that
 # model, and the test split they read. Then the same corpus trained at the
 # SemEval shape (h100 d50, 2 epochs) with its metrics.tsv (dev accuracy),
-# then `lisa` with and without --lookahead, both `patterns` runs, `eval`
-# and `export-hidden` on it, which run the prefix scorer and the batched
-# labeller at that shape. Every file of that model is named *-h100*. Runs
+# then `lisa` with and without --lookahead, `lisa` on an 81-word sentence
+# (a curve long enough at h100 to run on two threads), both `patterns`
+# runs, `eval` and `export-hidden` on it, which run the prefix scorer and
+# the batched labeller at that shape. Every file of that model is named
+# *-h100*. Runs
 # the checkout's own src/, so two checkouts (say, a change and its parent)
 # can be compared with `cmp`.
 #
@@ -21,6 +23,8 @@ cbrnn() { python -m cbrnn.cli "$@"; }
 
 ref="--synthetic 4x50 --seed 7 --epochs 30 --hidden 32 --dim 16"
 sentence="<e1> signal </e1> sent for <e2> circuit </e2> again"
+# the sentence and 24 times "sent for again": 81 words
+long="$sentence$(printf ' sent for again%.0s' $(seq 24))"
 test="$d/test.tsv"
 python -c "import sys, cbrnn; cbrnn.corpus.save_corpus_file(cbrnn.generate_synthetic(cbrnn.SyntheticConfig(4, 50, 7)).test, sys.argv[1])" "$test"
 # shellcheck disable=SC2086  # $ref is a list of flags
@@ -36,6 +40,7 @@ wide="--synthetic 4x50 --seed 7 --epochs 2 --hidden 100 --dim 50"
 cbrnn train $wide --out "$d/model-h100.txt" --metrics "$d/metrics-h100.tsv" > "$d/train-h100.txt"
 cbrnn lisa --model "$d/model-h100.txt" --relation rel-00 --sentence "$sentence" > "$d/lisa-h100.csv"
 cbrnn lisa --model "$d/model-h100.txt" --relation rel-00 --sentence "$sentence" --lookahead > "$d/lisa-h100-lookahead.csv"
+cbrnn lisa --model "$d/model-h100.txt" --relation rel-00 --sentence "$long" > "$d/lisa-h100-long.csv"
 cbrnn patterns --model "$d/model-h100.txt" --data "$test" --all --tau 0.3 > "$d/patterns-h100-all.tsv"
 cbrnn patterns --model "$d/model-h100.txt" --data "$test" > "$d/patterns-h100.tsv"
 cbrnn eval --model "$d/model-h100.txt" --data "$test" > "$d/eval-h100.txt"

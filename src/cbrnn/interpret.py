@@ -4,21 +4,26 @@ A prefix of length k is scored as its own full input: the window sequence is
 recomposed on the truncated tokens, so the last window ends in padding rather
 than the next word. Pattern *reporting* can instead take the window from the
 full sentence (``lookahead=True``), which includes the right neighbor of the
-crossing word. One scorer, ``model.prefix_states``, serves both callers: it
-composes and projects the sentence once, takes each prefix's few rows that
-differ from it, its tail, from the sentence's input with the padding written
-in, and runs all prefixes as one lockstep block, yielding after each prefix
-ends. A curve reads every prefix, so it takes the last yield and puts every
-prefix through one stacked output layer; pattern extraction puts each
+crossing word. One scorer serves both callers: it composes and projects the
+sentence once, takes each prefix's few rows that differ from it, its tail,
+from the sentence's input with the padding written in, and runs all
+prefixes as one lockstep block. Pattern extraction reads it through
+``model.prefix_states``, which yields after each prefix ends: it puts each
 prefix through the output layer as it is yielded and stops at the first
-that crosses. Mining only the correctly classified sentences and hidden
-export both read ``model.classify_many``, the one batched labeller: mining
-hands each correct sentence's forward chain to the scorer, export keeps
-each sentence's final combined state.
+that crosses, on the caller's thread. A curve reads every prefix, through
+``model.prefix_curve_states``, and puts every prefix through one stacked
+output layer; a long curve at a large hidden size runs its longer
+prefixes on a second thread, with the same bits. Mining only the correctly
+classified sentences and hidden export both read ``model.classify_many``,
+the one batched labeller: mining hands each correct sentence's cache, its
+composed input and forward chain, to the scorer, export keeps each
+sentence's final combined state.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +37,7 @@ from .model import (  # noqa: F401
     UnknownRelation,
     classify_many,
     forward_pass,
+    prefix_curve_states,
     prefix_states,
     softmax,
 )
@@ -100,14 +106,16 @@ def _relation_index(model, relation):
 
 
 def prefix_curve(model, sentence, relation, lookahead=False):
-    """Score every word-prefix of the sentence, all in one pass: the final
-    combined states of all prefixes go through one stacked output matmul,
-    one gemv per row as ``h @ out_w`` is, and one row-wise softmax."""
+    """Score every word-prefix of the sentence, all in one pass
+    (``prefix_curve_states``, on two threads for a long sentence at a large
+    hidden size): the final combined states of all prefixes go through one
+    stacked output matmul, one gemv per row as ``h @ out_w`` is, and one
+    row-wise softmax."""
     tokens, sid = _tokens_of(sentence)
     r_idx = _relation_index(model, relation)
     params = model.params
-    *_, comb = prefix_states(params, model.table, model.vocab.encode(tokens),
-                             model.train_cfg.window, lookahead)
+    comb = prefix_curve_states(params, model.table, model.vocab.encode(tokens),
+                               model.train_cfg.window, lookahead)
     rows = softmax(np.matmul(comb, params.out_w)[:, 0] + params.out_b)
     points = []
     for k, probs in enumerate(rows, start=1):
@@ -129,7 +137,7 @@ class FixedCurveModel:
     probs: tuple
 
 
-def _target_probs(model, tokens, relation, h_fwd):
+def _target_probs(model, tokens, relation, cache):
     if isinstance(model, FixedCurveModel):
         if len(model.probs) != len(tokens):
             raise ValueError("curve length does not match sentence length")
@@ -137,7 +145,7 @@ def _target_probs(model, tokens, relation, h_fwd):
     r_idx = _relation_index(model, relation)
     params = model.params
     states = prefix_states(params, model.table, model.vocab.encode(tokens),
-                           model.train_cfg.window, h_fwd=h_fwd)
+                           model.train_cfg.window, cache=cache)
     # each prefix through the output layer as it ends, so a caller that
     # stops early leaves the later steps unrun
     return (float(softmax(comb[k, 0] @ params.out_w + params.out_b)[r_idx])
@@ -165,17 +173,18 @@ def check_pattern_settings(tau, window, sentences=()):
 
 
 def extract_pattern(model, sentence, relation, tau=0.5, window=3,
-                    lookahead=True, h_fwd=None):
+                    lookahead=True, cache=None):
     """Return the last window of the first prefix whose target probability
     reaches tau, or None when no prefix crosses. The scorer advances its
     one block of prefixes word by word and is not resumed past the
-    crossing, so no step after it runs. ``h_fwd``, the sentence's forward
-    states from ``forward_pass``, spares the scorer its own. The
+    crossing, so no step after it runs. ``cache``, the sentence's
+    ``ForwardCache`` from ``forward_pass`` or ``classify_many``, spares the
+    scorer its own input and forward chain. The
     window is not bounded by the sentence's length: a short sentence's
     pattern is padded."""
     check_pattern_settings(tau, window)
     tokens, sid = _tokens_of(sentence)
-    for k, p in enumerate(_target_probs(model, tokens, relation, h_fwd),
+    for k, p in enumerate(_target_probs(model, tokens, relation, cache),
                           start=1):
         if p >= tau:
             source = tokens if lookahead else tokens[:k]
@@ -195,17 +204,17 @@ def mine_patterns(model, sentences, tau=0.5, window=3, only_correct=True,
     sentences = list(sentences)
     check_pattern_settings(tau, window, sentences)
     if only_correct:
-        # classified a batch at a time; a sentence's forward chain spares
-        # the scorer its own
-        mined = ((s, cache.h_fwd) for s, (label, cache)
+        # classified a batch at a time; a sentence's cache spares the
+        # scorer composing it and running its forward chain again
+        mined = ((s, cache) for s, (label, cache)
                  in zip(sentences, classify_many(model, sentences))
                  if label == s.label)
     else:
         mined = ((s, None) for s in sentences)
     buckets = {}
-    for s, h_fwd in mined:
+    for s, cache in mined:
         pat = extract_pattern(model, s, s.label, tau=tau, window=window,
-                              lookahead=lookahead, h_fwd=h_fwd)
+                              lookahead=lookahead, cache=cache)
         if pat is None:
             continue
         buckets.setdefault((pat.relation, pat.ngram), []).append(pat.score)
@@ -230,13 +239,16 @@ def export_hidden_states(model, sentences):
 
 
 def curve_to_csv(curve):
-    lines = ["k,token,prob_target,predicted_label,prob_predicted"]
-    for p in curve.points:
-        lines.append(
-            f"{p.k},{p.token},{p.prob_target:.17g},"
-            f"{p.predicted_label},{p.prob_predicted:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    """The curve as CSV with ``\\n`` line ends. A token or label holding a
+    comma, a double quote or a newline is quoted as RFC 4180 does; every
+    other field is written as it is."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["k", "token", "prob_target", "predicted_label",
+                     "prob_predicted"])
+    writer.writerows([p.k, p.token, f"{p.prob_target:.17g}", p.predicted_label,
+                      f"{p.prob_predicted:.17g}"] for p in curve.points)
+    return out.getvalue()
 
 
 def pattern_table_to_tsv(table):

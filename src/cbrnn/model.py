@@ -14,11 +14,22 @@ runs ``_BATCH`` sentences at a time through ``forward_many`` and takes one
 row-wise softmax per batch, and every caller that labels or reads many
 sentences goes through it (``evaluate``, and so ``train()``'s dev accuracy,
 and in ``interpret`` mining and hidden export).
+
+``prefix_states`` scores every word-prefix of one sentence, its prefixes
+as one lockstep block (``_lockstep``) that yields as each prefix ends:
+pattern extraction stops it at its crossing. ``prefix_curve_states`` runs
+the same set-up and block to the end for a curve. When the block's first
+step does ``_SPLIT_WORK`` multiply-adds or more and the process may use
+two CPUs, the block's longer prefixes run on a second thread for the
+length of the call; every row keeps its bits.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import accumulate, islice
@@ -488,7 +499,42 @@ def _tails(params, table, padded, half):
                              params.hidden_size)[:, :, 1:]
 
 
-def prefix_states(params, table, ids, window, lookahead=False, h_fwd=None):
+def _prefix_setup(params, table, ids, window, lookahead, cache=None):
+    """What a prefix scorer does off the lockstep block, all on the
+    caller's thread: a generator that composes and projects the sentence,
+    scores each all-tail prefix with its own ``forward_pass`` and yields the
+    combined states after each, and then returns ``(comb, block)``:
+    ``comb``, the combined states of every prefix, (n, 1, hidden), and
+    ``block``, the arguments of ``_lockstep`` for the other prefixes (the
+    tails' projections, the backward projections, the shared forward chain
+    and the block's state, whose row j is prefix ``half + 1 + j``'s), or
+    None when there are none. ``cache``, when given, is
+    ``forward_pass(params, full)``'s: its input and forward chain spare
+    the scorer its own."""
+    x = compose_ngram_inputs(ids, table, window) if cache is None else cache.inputs
+    full, padded = _checked_input(params, x)
+    n, half = len(full), 0 if lookahead else window // 2
+    state = np.zeros((2, n, 1, params.hidden_size))
+    comb = state[1]
+    for k in range(1, min(half, n) + 1):
+        x = compose_ngram_inputs(ids[:k], table, window)
+        comb[k - 1, 0] = forward_pass(params, x).h_comb[-1]
+        yield comb
+    if n <= half:
+        return comb, None
+    # the shared forward chain: chain[t] is the state after t words
+    chain = np.zeros((n + 1, params.hidden_size))
+    if cache is None:
+        proj_fwd, proj_bwd = _project(padded, params.in_pair[:, None])
+        _recur(proj_fwd[:n - half], params.rec_fwd, chain[1:n - half + 1])
+    else:
+        proj_bwd = _project(padded, params.in_bwd)
+        chain[1:] = cache.h_fwd
+    tails = _tails(params, table, padded, half)
+    return comb, (tails, proj_bwd[:, None], chain, state[:, half:])
+
+
+def prefix_states(params, table, ids, window, lookahead=False, cache=None):
     """Score the prefixes of k = 1, 2, ..., n words of the sentence ``ids``,
     shortest first. After prefix k ends, yield the combined states, one
     (n, 1, hidden) array, the same each time, whose row k - 1 is then
@@ -503,59 +549,103 @@ def prefix_states(params, table, ids, window, lookahead=False, h_fwd=None):
     padding row there. The whole sentence is composed and projected once,
     and the tails of all prefixes take one projection (``_tails``). One
     forward chain over the sentence serves every prefix: a prefix's forward
-    chain leaves it only at its tail. ``h_fwd``, when given, is that chain:
-    ``forward_pass(params, full).h_fwd``. A prefix of at most
+    chain leaves it only at its tail. ``cache``, when given, is
+    ``forward_pass(params, full)``'s (or ``forward_many``'s), whose input
+    and forward chain the scorer then reads. A prefix of at most
     ``window // 2`` words is all tail: it shares no row with the sentence
     and is one ``forward_pass`` call. The backward and combined chains
     depend on where the prefix ends, so every other prefix keeps its own,
     and all of them advance in lockstep as one block (``_lockstep``): a
     caller that stops after prefix k leaves the steps past word k unrun.
     """
-    full, padded = _checked_input(params, compose_ngram_inputs(ids, table, window))
-    n, half = len(full), 0 if lookahead else window // 2
-    state = np.zeros((2, n, 1, params.hidden_size))
-    comb = state[1]
-    for k in range(1, min(half, n) + 1):
-        x = compose_ngram_inputs(ids[:k], table, window)
-        comb[k - 1, 0] = forward_pass(params, x).h_comb[-1]
-        yield comb
-    if n > half:
-        # the shared forward chain: chain[t] is the state after t words
-        chain = np.zeros((n + 1, params.hidden_size))
-        if h_fwd is None:
-            proj_fwd, proj_bwd = _project(padded, params.in_pair[:, None])
-            _recur(proj_fwd[:n - half], params.rec_fwd, chain[1:n - half + 1])
-        else:
-            proj_bwd = _project(padded, params.in_bwd)
-            chain[1:] = h_fwd
-        tails = _tails(params, table, padded, half)
-        for _ in _lockstep(params, tails, proj_bwd[:, None], chain,
-                           state[:, half:]):
+    comb, block = yield from _prefix_setup(params, table, ids, window,
+                                           lookahead, cache)
+    if block is not None:
+        for _ in _lockstep(params, *block):
             yield comb
 
 
-def _lockstep(params, tails, proj_bwd, chain, state):
-    """Run the prefixes of ``depth + 1``, ``depth + 2``, ... words in
-    lockstep, ``depth = tails.shape[1]``, with their tails' projections
-    ``tails`` (see ``_tails``) and the shared forward chain ``chain``.
-    ``state``, (2, prefixes, 1, hidden) and zero on entry, holds each
-    prefix's backward and combined state in its row. After the step that
-    ends the prefix of ``depth + 1 + j`` words, yield: row j of
-    ``state[1]`` is then that prefix's final combined state,
-    ``forward_pass(params, x).h_comb[-1]`` bit for bit; a finished row is
-    not written again.
+# the least first-step gemv work, prefixes x hidden^2 multiply-adds, from
+# which a curve's block runs on two threads (see prefix_curve_states). Two
+# threads against one, window 3, one BLAS thread, 2-core VM, medians of 11
+# alternations in one process: h100 d50 0.65x at 20 words, 0.92x at 40,
+# 1.02x at 50, 1.12x at 60, 1.34x at 80, 1.53x at 100, 1.67x at 160 (1.18x
+# at 60 and 1.37x at 100 under two BLAS threads); h64 0.88x at 80 words,
+# 1.05x at 120; h150 1.07x at 23 words; h32 0.68x at 100 words, 0.82x at 160
+_SPLIT_WORK = 500_000
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def prefix_curve_states(params, table, ids, window, lookahead=False):
+    """The combined states of every prefix, (n, 1, hidden), as the last
+    yield of ``prefix_states`` holds them, bit for bit.
+
+    When the block's first step does ``_SPLIT_WORK`` or more multiply-adds
+    and the process may run on two CPUs, the block is cut in two: the
+    prefixes from row ``m = floor(rows / sqrt(2))`` on, which run the most
+    steps, run on one worker thread opened for this call, the shorter ones
+    on the caller's, and the two halves do about the same work. numpy lets
+    go of the GIL inside each step's gemv. Each row gets the bits the
+    whole block gives it: a row reads only the shared operands and writes
+    only its own state.
+    """
+    # run the set-up through its all-tail prefixes to its return value
+    setup = _prefix_setup(params, table, ids, window, lookahead)
+    try:
+        while True:
+            next(setup)
+    except StopIteration as done:
+        comb, block = done.value
+    if block is None:
+        return comb
+    *shared, state = block
+    rows = state.shape[1]
+    if rows * params.hidden_size ** 2 < _SPLIT_WORK or _usable_cpus() < 2:
+        deque(_lockstep(params, *block), maxlen=0)
+        return comb
+    m = int(rows / 2 ** 0.5)
+    with ThreadPoolExecutor(1) as pool:
+        longer = pool.submit(deque, _lockstep(params, *shared, state[:, m:], m),
+                             maxlen=0)
+        deque(_lockstep(params, *shared, state[:, :m]), maxlen=0)
+        longer.result()
+    return comb
+
+
+def _lockstep(params, tails, proj_bwd, chain, state, first=0):
+    """Run the prefixes of ``depth + 1 + first``, ``depth + 2 + first``,
+    ... words in lockstep, ``depth = tails.shape[1]``, with their tails'
+    projections ``tails`` (see ``_tails``) and the shared forward chain
+    ``chain``; ``first`` is the first prefix row of the whole block this
+    part runs. ``state``, (2, rows, 1, hidden) and zero on entry, holds each
+    of its prefixes' backward and combined state in its row. After each
+    step that ends one of them, the prefix of ``depth + 1 + first + j``
+    words, yield: row j of ``state[1]`` is then that prefix's final
+    combined state, ``forward_pass(params, x).h_comb[-1]`` bit for bit; a
+    finished row is not written again.
 
     Every operation is the one ``forward_pass`` applies to the same values.
     The stacked ``np.matmul`` of 1×h states runs one gemv per row, as
-    ``v.dot(rec)`` does; adds and ``tanh`` are elementwise.
+    ``v.dot(rec)`` does; adds and ``tanh`` are elementwise. So a row's bits
+    do not depend on which other rows run with it, and the block can be
+    run in parts.
     """
-    depth, n_pre = tails.shape[1], state.shape[1]
+    depth, rows = tails.shape[1], state.shape[1]
+    # step ``ends + j`` ends this part's row j
+    last, ends = first + rows, depth + first
     # prefix j's tail holds its rows j + 1 ... j + depth; its forward chain
-    # leaves the shared one after row j, and forward[i][j] is its state
-    # after its tail row i
-    forward, prev = [], chain[1:1 + n_pre, None]
+    # leaves the shared one after row j, and forward[i][j - first] is its
+    # state after its tail row i
+    forward, prev = [], chain[1 + first:1 + last, None]
     for i in range(depth):
-        prev = np.tanh(tails[0, i, i:i + n_pre] + np.matmul(prev, params.rec_fwd))
+        prev = np.tanh(tails[0, i, first + i:last + i]
+                       + np.matmul(prev, params.rec_fwd))
         forward.append(prev)
 
     # backward and combined state of every prefix after t steps; the
@@ -563,8 +653,8 @@ def _lockstep(params, tails, proj_bwd, chain, state):
     done, live = 0, state
     bwd_state, comb_state = live
     rec = params.rec_pair[:, None]
-    for t, shared in enumerate(chain[1:]):
-        if t > depth:
+    for t, shared in enumerate(chain[1:1 + ends + rows]):
+        if t > ends:
             done += 1
             live = state[:, done:]
             bwd_state, comb_state = live
@@ -572,10 +662,10 @@ def _lockstep(params, tails, proj_bwd, chain, state):
         # prefix j reads its row depth + j - t, a tail row for t < depth
         if t < depth:
             i = depth - 1 - t
-            bwd_in = tails[1, i, i:i + n_pre]
+            bwd_in = tails[1, i, first + i:last + i]
         else:
-            row = depth + done - t
-            bwd_in = proj_bwd[row:row + n_pre - done]
+            row = ends + done - t
+            bwd_in = proj_bwd[row:row + rows - done]
         np.add(bwd_in, carried_bwd, bwd_state)
         np.tanh(bwd_state, bwd_state)
         # forward_pass's order: (forward + backward) + carried; the sum of
@@ -583,12 +673,12 @@ def _lockstep(params, tails, proj_bwd, chain, state):
         np.add(bwd_state, shared, comb_state)
         # the prefixes whose step t reads tail row i of their forward chain
         for i in range(depth):
-            j = t - 1 - i
-            if done <= j < n_pre:
+            j = t - 1 - i - first
+            if done <= j < rows:
                 np.add(forward[i][j], bwd_state[j - done], comb_state[j - done])
         comb_state += carried_comb
         np.tanh(comb_state, comb_state)
-        if t >= depth:
+        if t >= ends:
             yield
 
 

@@ -1,10 +1,14 @@
+import csv
+import io
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cbrnn import interpret, model
 from cbrnn.corpus import LabeledSentence
 from cbrnn.embeddings import compose_ngram_inputs
 from cbrnn.interpret import (
@@ -219,6 +223,35 @@ def test_mine_patterns_sorted(trained_model, synthetic_split):
     assert keys == sorted(keys)
 
 
+def test_mining_composes_each_sentence_once(trained_model, synthetic_split,
+                                            monkeypatch):
+    """Mining the correctly classified sentences hands the scorer the
+    cache ``classify_many`` made, so a sentence is composed whole once,
+    and the pattern table has the bytes of a scorer that composes and runs
+    its forward chain itself. The all-tail prefixes, ``window // 2`` words
+    at most, are composed on their own."""
+    sentences = synthetic_split.test
+    half = trained_model.train_cfg.window // 2
+    composed = []
+
+    def spy(ids, table, window):
+        composed.append(len(ids))
+        return compose(ids, table, window)
+
+    def without_cache(trained, chosen):
+        for label, _ in classify(trained, chosen):
+            yield label, None
+
+    compose, classify = model.compose_ngram_inputs, interpret.classify_many
+    monkeypatch.setattr(model, "compose_ngram_inputs", spy)
+    table = mine_patterns(trained_model, sentences, tau=0.5, window=3)
+    assert table.entries
+    assert [n for n in composed if n > half] == [len(s.tokens) for s in sentences]
+    monkeypatch.setattr(interpret, "classify_many", without_cache)
+    uncached = mine_patterns(trained_model, sentences, tau=0.5, window=3)
+    assert pattern_table_to_tsv(table) == pattern_table_to_tsv(uncached)
+
+
 # ---------------------------------------------------------------------------
 # hidden export
 
@@ -252,6 +285,33 @@ def test_curve_csv_shape(trained_model, synthetic_split):
     lines = text.strip().split("\n")
     assert lines[0] == "k,token,prob_target,predicted_label,prob_predicted"
     assert len(lines) == len(s.tokens) + 1
+
+
+def test_curve_csv_quotes_commas_and_quotes(trained_model, synthetic_split):
+    """Labels such as SemEval's ``Cause-Effect(e1,e2)`` and the ``,`` and
+    ``"`` tokens read back through ``csv.reader`` as five fields a row,
+    equal to the curve's points; a row without such a field keeps the bytes
+    of plain comma-joined fields."""
+    labels = ["Cause-Effect(e1,e2)", "Other", 'say "it"', "a,b,c"]
+    commas = replace(trained_model, label_set=labels)
+    tokens = ("<e1>", "signal", ",", "</e1>", '"', "sent", 'a"b', "<e2>",
+              "circuit", "</e2>", ",")
+    for trained in (commas, trained_model):
+        curve = prefix_curve(trained, tokens, trained.label_set[0])
+        text = curve_to_csv(curve)
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert rows[0] == ["k", "token", "prob_target", "predicted_label",
+                           "prob_predicted"]
+        assert len(rows) == len(tokens) + 1
+        for p, row in zip(curve.points, rows[1:]):
+            assert len(row) == 5
+            assert (int(row[0]), row[1], float(row[2]), row[3], float(row[4])) == (
+                p.k, p.token, p.prob_target, p.predicted_label, p.prob_predicted)
+    s = synthetic_split.test[0]
+    curve = prefix_curve(trained_model, s, s.label)
+    assert curve_to_csv(curve).splitlines()[1:] == [
+        f"{p.k},{p.token},{p.prob_target:.17g},{p.predicted_label},"
+        f"{p.prob_predicted:.17g}" for p in curve.points]
 
 
 def test_pattern_tsv_shape(trained_model, synthetic_split):

@@ -12,8 +12,11 @@ the number of rows projected with it and whatever the other rows of its
 block hold.
 """
 
+import sys
+import threading
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,6 +49,7 @@ from cbrnn.model import (
     load_model,
     loss_gradients,
     predict,
+    prefix_curve_states,
     prefix_states,
     ranking_loss,
     save_model,
@@ -489,21 +493,22 @@ def assert_prefix_probs_bit_equal(params, ids, table, window, stop=None):
     prefix ends, through the output layer one row at a time (pattern
     extraction), and from the last yield, through one stacked output matmul
     and one row-wise softmax (curves). Both with and without the sentence's
-    forward chain handed in; and, with ``stop``, those of a caller that
-    stops after prefix ``stop``."""
+    cache (its input and forward chain) handed in; and, with ``stop``, those
+    of a caller that stops after prefix ``stop``."""
     full = compose_ngram_inputs(ids, table, window)
     prefixes = [compose_ngram_inputs(ids[:k], table, window)
                 for k in range(1, len(ids) + 1)]
-    # the scorer's own forward chain, and the one forward_pass gives
-    h_fwd = forward_pass(params, full).h_fwd
+    # the scorer's own input and forward chain, and those of the caches
+    # forward_pass and forward_many give
+    caches = (None, forward_pass(params, full), forward_many(params, [full])[0])
     out_w, out_b = params.out_w, params.out_b
     for lookahead, inputs in ((False, prefixes),
                               (True, [full[:k] for k in range(1, len(ids) + 1)])):
         want = [forward_pass(params, x).probs.tobytes() for x in inputs]
-        for chain in (None, h_fwd):
+        for cache in caches:
             lazy = []
             for k, comb in enumerate(prefix_states(params, table, ids, window,
-                                                   lookahead, chain)):
+                                                   lookahead, cache)):
                 lazy.append(softmax(comb[k, 0] @ out_w + out_b).tobytes())
             assert len(lazy) == len(ids)
             for k, (row, expected) in enumerate(zip(lazy, want), start=1):
@@ -512,9 +517,13 @@ def assert_prefix_probs_bit_equal(params, ids, table, window, stop=None):
             curve = softmax(np.matmul(comb, out_w)[:, 0] + out_b)
             assert curve.shape == (len(ids), params.n_classes)
             assert [row.tobytes() for row in curve] == want
+            # the curve path gives the last yield's bits
+            comb = prefix_curve_states(params, table, ids, window, lookahead)
+            curve = softmax(np.matmul(comb, out_w)[:, 0] + out_b)
+            assert [row.tobytes() for row in curve] == want
             if stop is not None:
                 states = prefix_states(params, table, ids, window, lookahead,
-                                       chain)
+                                       cache)
                 for k, expected in enumerate(want[:stop]):
                     row = softmax(next(states)[k, 0] @ out_w + out_b)
                     assert row.tobytes() == expected, k + 1
@@ -651,6 +660,73 @@ def test_prefix_probs_bit_equal_at_the_semeval_shape():
     assert_prefix_probs_bit_equal(params, ids, table, 3)
 
 
+# a twentieth of the active profile's budget for each window and lookahead,
+# 5 examples by default and 50 under --hypothesis-profile=fuzz, besides the
+# three fixed ones
+@pytest.mark.parametrize("window", [1, 3, 5])
+@pytest.mark.parametrize("lookahead", [False, True])
+@settings(deadline=None, max_examples=max(1, settings().max_examples // 20))
+@given(shape=st.one_of(st.tuples(st.just(100), st.integers(40, 70)),
+                       st.just((32, 160))),
+       n_classes=st.integers(2, 19), seed=seeds)
+@example(shape=(100, 48), n_classes=2, seed=0)
+@example(shape=(100, 60), n_classes=2, seed=0)
+@example(shape=(32, 160), n_classes=2, seed=0)
+def test_curve_path_bit_equal_to_forward_pass(window, lookahead, shape,
+                                              n_classes, seed):
+    """The curve path, run on two threads from ``_SPLIT_WORK`` on (h100
+    from 50 prefixes, so 40-70 words lie on both sides of it) and on one
+    below it (h32 at 160 words), gives every prefix the probabilities of
+    its own ``forward_pass``."""
+    hidden, n = shape
+    rng = np.random.default_rng(seed)
+    table = EmbeddingTable(rng.uniform(-0.1, 0.1, size=(50, 8)))
+    table.matrix[PAD_ID] = 0.0
+    ids = list(rng.integers(0, 50, size=n))
+    params = init_params(window * 8, hidden, n_classes, rng)
+    full = compose_ngram_inputs(ids, table, window)
+    inputs = [full[:k] if lookahead
+              else compose_ngram_inputs(ids[:k], table, window)
+              for k in range(1, n + 1)]
+    with mock.patch.object(model, "_usable_cpus", return_value=2):
+        comb = prefix_curve_states(params, table, ids, window, lookahead)
+    probs = softmax(np.matmul(comb, params.out_w)[:, 0] + params.out_b)
+    for k, (row, x) in enumerate(zip(probs, inputs), start=1):
+        assert row.tobytes() == forward_pass(params, x).probs.tobytes(), k
+
+
+def test_curve_path_threads_keep_to_their_rows():
+    """Four callers at once, each cutting its h100 curve's block in two, so
+    eight threads on the machine's cores, with the interpreter switching
+    threads every microsecond: every curve keeps the bits of the pass on
+    one thread."""
+    rng = np.random.default_rng(11)
+    table = random_table(11, 8)
+    params = init_params(3 * 8, 100, 4, rng)
+    sentences = [list(rng.integers(0, VOCAB, size=n)) for n in (55, 60, 70, 80)]
+    with mock.patch.object(model, "_usable_cpus", return_value=1):
+        want = [prefix_curve_states(params, table, ids, 3).tobytes()
+                for ids in sentences]
+    got = {}
+
+    def score(i):
+        got[i] = prefix_curve_states(params, table, sentences[i], 3).tobytes()
+
+    callers = [threading.Thread(target=score, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(model, "_usable_cpus", return_value=2):
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert [got.get(i) for i in range(4)] == want
+
+
 @settings(deadline=None, max_examples=40)
 @given(shape=st.sampled_from([(48, 32), (150, 100), (900, 300)]),
        place=st.integers(0, _ROW_BLOCK - 1), seed=seeds)
@@ -688,9 +764,10 @@ def test_softmax_of_rows_is_the_softmax_of_each_row(rows, n_classes, scale,
 
 
 def test_prefix_curve_probs_scores_every_prefix_in_one_block(monkeypatch):
-    """Past the all-tail prefixes, a curve (``prefix_states`` drained, its
-    last yield put through the stacked output layer) is one lockstep block
-    that runs every step, at any hidden size and sentence length."""
+    """Past the all-tail prefixes, ``prefix_states`` drained (as pattern
+    extraction runs it when no prefix crosses), its last yield put through
+    the stacked output layer, is one lockstep block that runs every step,
+    at any hidden size and sentence length."""
     blocks = []
 
     def spy(params, tails, proj_bwd, chain, state):

@@ -1,5 +1,6 @@
 """The one prefix scorer behind prefix curves and pattern extraction."""
 
+import threading
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from cbrnn.interpret import (
     FixedCurveModel,
     UnknownRelation,
     extract_pattern,
+    mine_patterns,
     prefix_curve,
 )
 
@@ -92,6 +94,54 @@ def test_extract_pattern_stops_scoring_at_the_crossing(trained_model,
         blocks.clear()
         prefix_curve(window_5_model, s.tokens[:words], s.label)
         assert blocks == want
+
+
+def test_curve_splits_its_block_from_the_constant_on(h100_model,
+                                                     synthetic_split,
+                                                     monkeypatch):
+    """A curve whose block's first step does ``_SPLIT_WORK`` multiply-adds
+    or more, on a process that may use two CPUs, runs the block's rows
+    ``[m, rows)``, ``m = floor(rows / sqrt(2))``, on one worker thread, and
+    ``[0, m)`` on the caller's; no thread outlives the call, and the curve
+    keeps its values. Below the constant, on one CPU, and in extraction and
+    mining, the block is one, on the caller's thread."""
+    blocks = []
+
+    def spy_lockstep(params, tails, proj_bwd, chain, state, first=0):
+        blocks.append((first, first + state.shape[1], threading.get_ident()))
+        yield from lockstep(params, tails, proj_bwd, chain, state, first)
+
+    lockstep, caller = model._lockstep, threading.get_ident()
+    monkeypatch.setattr(model, "_lockstep", spy_lockstep)
+    s = synthetic_split.test[0]
+    half = h100_model.train_cfg.window // 2
+    # the fewest rows whose first step does _SPLIT_WORK multiply-adds at h100
+    least = -(-model._SPLIT_WORK // 100 ** 2)
+    threads = threading.active_count()
+    for words in (half + least - 1, half + least, 160):
+        tokens = (s.tokens + ("still",) * 160)[:words]
+        rows = words - half
+        curves = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+            blocks.clear()
+            curves[cpus] = prefix_curve(h100_model, tokens, s.label).points
+            assert threading.active_count() == threads
+            if cpus == 2 and rows >= least:
+                m = int(rows / 2 ** 0.5)
+                shorter, longer = sorted(blocks)
+                assert shorter == (0, m, caller)
+                assert longer[:2] == (m, rows) and longer[2] != caller
+            else:
+                assert blocks == [(0, rows, caller)], (words, cpus)
+        assert curves[1] == curves[2]
+        blocks.clear()
+        extract_pattern(h100_model, tokens, s.label, tau=0.99)
+        assert blocks == [(0, rows, caller)]
+        blocks.clear()
+        mine_patterns(h100_model, [replace(s, tokens=tokens)], tau=0.99,
+                      only_correct=False)
+        assert blocks == [(0, rows, caller)]
 
 
 def test_extract_pattern_unknown_relation(trained_model, synthetic_split):
