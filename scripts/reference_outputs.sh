@@ -7,10 +7,11 @@
 # then `lisa` with and without --lookahead, `lisa` on an 81-word sentence
 # (a curve long enough at h100 to run on two threads), both `patterns`
 # runs, `eval` and `export-hidden` on it, which run the prefix scorer and
-# the batched labeller at that shape. Every file of that model is named
-# *-h100*. Runs
-# the checkout's own src/, so two checkouts (say, a change and its parent)
-# can be compared with `cmp`.
+# the batched labeller at that shape, and `patterns --all` over six
+# sentences of 60-120 words (the 81-word sentence and variants), long
+# enough at h100 to mine on two threads. Every file of that model is named
+# *-h100*. Runs the checkout's own src/, so two checkouts (say, a change
+# and its parent) can be compared with `cmp`.
 #
 #   sh scripts/reference_outputs.sh OUTDIR
 set -eu
@@ -45,3 +46,18 @@ cbrnn patterns --model "$d/model-h100.txt" --data "$test" --all --tau 0.3 > "$d/
 cbrnn patterns --model "$d/model-h100.txt" --data "$test" > "$d/patterns-h100.tsv"
 cbrnn eval --model "$d/model-h100.txt" --data "$test" > "$d/eval-h100.txt"
 cbrnn export-hidden --model "$d/model-h100.txt" --data "$test" > "$d/hidden-h100.tsv"
+# at tau 0.5 the 81-word sentence and a 100-word one led by "again" cross
+# within their first 10 words, two 80-word ones led by "the" and "a" in
+# their last 6, on the worker thread's prefixes, and a 60- and a 120-word
+# one never cross; the data file is not an output
+filler() { printf " $1%.0s" $(seq "$2"); }
+{
+    printf 'rel-00\t%s\n' "$long"
+    printf 'rel-01\t%s\n' "$(filler the 71) $sentence"
+    printf 'rel-00\t%s\n' "$(filler a 71) $sentence"
+    printf 'rel-03\t%s\n' "$(filler again 91) $sentence"
+    printf 'rel-03\t%s\n' "$sentence$(filler 'sent for again' 17)"
+    printf 'rel-02\t%s\n' "$sentence$(filler 'sent for again' 37)"
+} > "$d/long.tsv"
+cbrnn patterns --model "$d/model-h100.txt" --data "$d/long.tsv" --all --tau 0.5 > "$d/patterns-h100-long-all.tsv"
+rm "$d/long.tsv"

@@ -7,13 +7,13 @@ full sentence (``lookahead=True``), which includes the right neighbor of the
 crossing word. One scorer serves both callers: it composes and projects the
 sentence once, takes each prefix's few rows that differ from it, its tail,
 from the sentence's input with the padding written in, and runs all
-prefixes as one lockstep block. Pattern extraction reads it through
-``model.prefix_states``, which yields after each prefix ends: it puts each
-prefix through the output layer as it is yielded and stops at the first
-that crosses, on the caller's thread. A curve reads every prefix, through
-``model.prefix_curve_states``, and puts every prefix through one stacked
-output layer; a long curve at a large hidden size runs its longer
-prefixes on a second thread, with the same bits. Mining only the correctly
+prefixes as one lockstep block, ``model.prefix_states``, which yields
+after each prefix ends. Pattern extraction puts each prefix through the
+output layer as it is yielded, stops at the first that crosses and closes
+the scorer. A curve drains it and puts every prefix through one stacked
+output layer. For a long sentence at a large hidden size the scorer runs
+its longer prefixes on a second thread, with the same bits, and no thread
+outlives the call that drained or closed it. Mining only the correctly
 classified sentences and hidden export both read ``model.classify_many``,
 the one batched labeller: mining hands each correct sentence's cache, its
 composed input and forward chain, to the scorer, export keeps each
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,6 @@ from .model import (  # noqa: F401
     UnknownRelation,
     classify_many,
     forward_pass,
-    prefix_curve_states,
     prefix_states,
     softmax,
 )
@@ -107,15 +107,15 @@ def _relation_index(model, relation):
 
 def prefix_curve(model, sentence, relation, lookahead=False):
     """Score every word-prefix of the sentence, all in one pass
-    (``prefix_curve_states``, on two threads for a long sentence at a large
-    hidden size): the final combined states of all prefixes go through one
-    stacked output matmul, one gemv per row as ``h @ out_w`` is, and one
-    row-wise softmax."""
+    (``prefix_states`` drained, on two threads for a long sentence at a
+    large hidden size): the final combined states of all prefixes go
+    through one stacked output matmul, one gemv per row as ``h @ out_w``
+    is, and one row-wise softmax."""
     tokens, sid = _tokens_of(sentence)
     r_idx = _relation_index(model, relation)
     params = model.params
-    comb = prefix_curve_states(params, model.table, model.vocab.encode(tokens),
-                               model.train_cfg.window, lookahead)
+    *_, comb = prefix_states(params, model.table, model.vocab.encode(tokens),
+                             model.train_cfg.window, lookahead)
     rows = softmax(np.matmul(comb, params.out_w)[:, 0] + params.out_b)
     points = []
     for k, probs in enumerate(rows, start=1):
@@ -138,18 +138,21 @@ class FixedCurveModel:
 
 
 def _target_probs(model, tokens, relation, cache):
+    """Each prefix's target probability, shortest first. Closing the
+    generator closes the scorer."""
     if isinstance(model, FixedCurveModel):
         if len(model.probs) != len(tokens):
             raise ValueError("curve length does not match sentence length")
-        return model.probs
+        yield from model.probs
+        return
     r_idx = _relation_index(model, relation)
     params = model.params
-    states = prefix_states(params, model.table, model.vocab.encode(tokens),
-                           model.train_cfg.window, cache=cache)
     # each prefix through the output layer as it ends, so a caller that
     # stops early leaves the later steps unrun
-    return (float(softmax(comb[k, 0] @ params.out_w + params.out_b)[r_idx])
-            for k, comb in enumerate(states))
+    with closing(prefix_states(params, model.table, model.vocab.encode(tokens),
+                               model.train_cfg.window, cache=cache)) as states:
+        for k, comb in enumerate(states):
+            yield float(softmax(comb[k, 0] @ params.out_w + params.out_b)[r_idx])
 
 
 class WindowTooWide(InputError):
@@ -176,22 +179,24 @@ def extract_pattern(model, sentence, relation, tau=0.5, window=3,
                     lookahead=True, cache=None):
     """Return the last window of the first prefix whose target probability
     reaches tau, or None when no prefix crosses. The scorer advances its
-    one block of prefixes word by word and is not resumed past the
-    crossing, so no step after it runs. ``cache``, the sentence's
-    ``ForwardCache`` from ``forward_pass`` or ``classify_many``, spares the
-    scorer its own input and forward chain. The
-    window is not bounded by the sentence's length: a short sentence's
+    block of prefixes word by word and is closed at the crossing, or when
+    anything raises: the caller's thread runs no step past the crossing,
+    and a worker thread running the longer prefixes of a long sentence
+    stops within one step and is joined before this returns. ``cache``,
+    the sentence's ``ForwardCache`` from ``forward_pass`` or
+    ``classify_many``, spares the scorer its own input and forward chain.
+    The window is not bounded by the sentence's length: a short sentence's
     pattern is padded."""
     check_pattern_settings(tau, window)
     tokens, sid = _tokens_of(sentence)
-    for k, p in enumerate(_target_probs(model, tokens, relation, cache),
-                          start=1):
-        if p >= tau:
-            source = tokens if lookahead else tokens[:k]
-            return SaliencyPattern(
-                relation=relation, ngram=token_window(source, k, window),
-                crossing_index=k, score=float(p), sentence_id=sid,
-            )
+    with closing(_target_probs(model, tokens, relation, cache)) as probs:
+        for k, p in enumerate(probs, start=1):
+            if p >= tau:
+                source = tokens if lookahead else tokens[:k]
+                return SaliencyPattern(
+                    relation=relation, ngram=token_window(source, k, window),
+                    crossing_index=k, score=float(p), sentence_id=sid,
+                )
     return None
 
 

@@ -15,18 +15,19 @@ row-wise softmax per batch, and every caller that labels or reads many
 sentences goes through it (``evaluate``, and so ``train()``'s dev accuracy,
 and in ``interpret`` mining and hidden export).
 
-``prefix_states`` scores every word-prefix of one sentence, its prefixes
-as one lockstep block (``_lockstep``) that yields as each prefix ends:
-pattern extraction stops it at its crossing. ``prefix_curve_states`` runs
-the same set-up and block to the end for a curve. When the block's first
-step does ``_SPLIT_WORK`` multiply-adds or more and the process may use
-two CPUs, the block's longer prefixes run on a second thread for the
-length of the call; every row keeps its bits.
+``prefix_states``, the one prefix scorer, scores every word-prefix of one
+sentence, its prefixes as one lockstep block (``_lockstep``) that yields as
+each prefix ends: pattern extraction stops it at its crossing, a curve
+drains it. When the block's first step does ``_SPLIT_WORK`` multiply-adds
+or more and the process may use two CPUs, the block's longer prefixes run
+on a worker thread that the generator opens, and stops and joins when it
+is drained or closed; every row keeps its bits.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -499,41 +500,6 @@ def _tails(params, table, padded, half):
                              params.hidden_size)[:, :, 1:]
 
 
-def _prefix_setup(params, table, ids, window, lookahead, cache=None):
-    """What a prefix scorer does off the lockstep block, all on the
-    caller's thread: a generator that composes and projects the sentence,
-    scores each all-tail prefix with its own ``forward_pass`` and yields the
-    combined states after each, and then returns ``(comb, block)``:
-    ``comb``, the combined states of every prefix, (n, 1, hidden), and
-    ``block``, the arguments of ``_lockstep`` for the other prefixes (the
-    tails' projections, the backward projections, the shared forward chain
-    and the block's state, whose row j is prefix ``half + 1 + j``'s), or
-    None when there are none. ``cache``, when given, is
-    ``forward_pass(params, full)``'s: its input and forward chain spare
-    the scorer its own."""
-    x = compose_ngram_inputs(ids, table, window) if cache is None else cache.inputs
-    full, padded = _checked_input(params, x)
-    n, half = len(full), 0 if lookahead else window // 2
-    state = np.zeros((2, n, 1, params.hidden_size))
-    comb = state[1]
-    for k in range(1, min(half, n) + 1):
-        x = compose_ngram_inputs(ids[:k], table, window)
-        comb[k - 1, 0] = forward_pass(params, x).h_comb[-1]
-        yield comb
-    if n <= half:
-        return comb, None
-    # the shared forward chain: chain[t] is the state after t words
-    chain = np.zeros((n + 1, params.hidden_size))
-    if cache is None:
-        proj_fwd, proj_bwd = _project(padded, params.in_pair[:, None])
-        _recur(proj_fwd[:n - half], params.rec_fwd, chain[1:n - half + 1])
-    else:
-        proj_bwd = _project(padded, params.in_bwd)
-        chain[1:] = cache.h_fwd
-    tails = _tails(params, table, padded, half)
-    return comb, (tails, proj_bwd[:, None], chain, state[:, half:])
-
-
 def prefix_states(params, table, ids, window, lookahead=False, cache=None):
     """Score the prefixes of k = 1, 2, ..., n words of the sentence ``ids``,
     shortest first. After prefix k ends, yield the combined states, one
@@ -542,7 +508,8 @@ def prefix_states(params, table, ids, window, lookahead=False, cache=None):
     input ``x = compose_ngram_inputs(ids[:k], table, window)``; with
     ``lookahead``, for ``x = full[:k]`` of the whole sentence's input
     ``full``, whose last windows read on past word k. A finished row is not
-    written again.
+    written again. Pattern extraction stops at its crossing; a curve drains
+    the generator and reads its last yield.
 
     A prefix's input is ``full[:k]`` but for its tail: its last
     ``window // 2`` rows, whose windows reach past word k and read the
@@ -557,21 +524,68 @@ def prefix_states(params, table, ids, window, lookahead=False, cache=None):
     depend on where the prefix ends, so every other prefix keeps its own,
     and all of them advance in lockstep as one block (``_lockstep``): a
     caller that stops after prefix k leaves the steps past word k unrun.
+
+    When the block's first step does ``_SPLIT_WORK`` or more multiply-adds
+    and the process may run on two CPUs, the block is cut in two: the
+    prefixes from row ``m = floor(rows / sqrt(2))`` on, which run the most
+    steps, run on one worker thread opened by the generator, and the
+    shorter ones on the caller's, one yield after each, and the two halves
+    do about the same work; numpy lets go of the GIL inside each step's
+    gemv. The caller's part done, the worker's result is read, its thread
+    joined, and the worker's prefixes are yielded. Closing the generator
+    early stops the worker within one step and joins it before ``close()``
+    returns. Each row gets the bits the whole block gives it: a row reads
+    only the shared operands and writes only its own state.
     """
-    comb, block = yield from _prefix_setup(params, table, ids, window,
-                                           lookahead, cache)
-    if block is not None:
-        for _ in _lockstep(params, *block):
+    x = compose_ngram_inputs(ids, table, window) if cache is None else cache.inputs
+    full, padded = _checked_input(params, x)
+    n, half = len(full), 0 if lookahead else window // 2
+    state = np.zeros((2, n, 1, params.hidden_size))
+    comb = state[1]
+    for k in range(1, min(half, n) + 1):
+        x = compose_ngram_inputs(ids[:k], table, window)
+        comb[k - 1, 0] = forward_pass(params, x).h_comb[-1]
+        yield comb
+    if n <= half:
+        return
+    # the shared forward chain: chain[t] is the state after t words
+    chain = np.zeros((n + 1, params.hidden_size))
+    if cache is None:
+        proj_fwd, proj_bwd = _project(padded, params.in_pair[:, None])
+        _recur(proj_fwd[:n - half], params.rec_fwd, chain[1:n - half + 1])
+    else:
+        proj_bwd = _project(padded, params.in_bwd)
+        chain[1:] = cache.h_fwd
+    shared = (_tails(params, table, padded, half), proj_bwd[:, None], chain)
+    # row j of the block's state is prefix half + 1 + j's
+    state, rows = state[:, half:], n - half
+    if rows * params.hidden_size ** 2 < _SPLIT_WORK or _usable_cpus() < 2:
+        for _ in _lockstep(params, *shared, state):
             yield comb
+        return
+    m, stop = int(rows / 2 ** 0.5), threading.Event()
+    with ThreadPoolExecutor(1) as pool:
+        longer = pool.submit(deque, _lockstep(params, *shared, state[:, m:],
+                                              m, stop), maxlen=0)
+        try:
+            for _ in _lockstep(params, *shared, state[:, :m]):
+                yield comb
+            longer.result()
+        finally:
+            # set only once the worker is done, unless the caller stopped
+            # early or raised; leaving the with joins the worker
+            stop.set()
+    for _ in range(m, rows):
+        yield comb
 
 
 # the least first-step gemv work, prefixes x hidden^2 multiply-adds, from
-# which a curve's block runs on two threads (see prefix_curve_states). Two
-# threads against one, window 3, one BLAS thread, 2-core VM, medians of 11
-# alternations in one process: h100 d50 0.65x at 20 words, 0.92x at 40,
-# 1.02x at 50, 1.12x at 60, 1.34x at 80, 1.53x at 100, 1.67x at 160 (1.18x
-# at 60 and 1.37x at 100 under two BLAS threads); h64 0.88x at 80 words,
-# 1.05x at 120; h150 1.07x at 23 words; h32 0.68x at 100 words, 0.82x at 160
+# which a block runs on two threads (see prefix_states). Two threads against
+# one, window 3, one BLAS thread, 2-core VM, medians of 11 alternations in
+# one process: h100 d50 0.65x at 20 words, 0.92x at 40, 1.02x at 50, 1.12x
+# at 60, 1.34x at 80, 1.53x at 100, 1.67x at 160 (1.18x at 60 and 1.37x at
+# 100 under two BLAS threads); h64 0.88x at 80 words, 1.05x at 120; h150
+# 1.07x at 23 words; h32 0.68x at 100 words, 0.82x at 160
 _SPLIT_WORK = 500_000
 
 
@@ -582,43 +596,7 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def prefix_curve_states(params, table, ids, window, lookahead=False):
-    """The combined states of every prefix, (n, 1, hidden), as the last
-    yield of ``prefix_states`` holds them, bit for bit.
-
-    When the block's first step does ``_SPLIT_WORK`` or more multiply-adds
-    and the process may run on two CPUs, the block is cut in two: the
-    prefixes from row ``m = floor(rows / sqrt(2))`` on, which run the most
-    steps, run on one worker thread opened for this call, the shorter ones
-    on the caller's, and the two halves do about the same work. numpy lets
-    go of the GIL inside each step's gemv. Each row gets the bits the
-    whole block gives it: a row reads only the shared operands and writes
-    only its own state.
-    """
-    # run the set-up through its all-tail prefixes to its return value
-    setup = _prefix_setup(params, table, ids, window, lookahead)
-    try:
-        while True:
-            next(setup)
-    except StopIteration as done:
-        comb, block = done.value
-    if block is None:
-        return comb
-    *shared, state = block
-    rows = state.shape[1]
-    if rows * params.hidden_size ** 2 < _SPLIT_WORK or _usable_cpus() < 2:
-        deque(_lockstep(params, *block), maxlen=0)
-        return comb
-    m = int(rows / 2 ** 0.5)
-    with ThreadPoolExecutor(1) as pool:
-        longer = pool.submit(deque, _lockstep(params, *shared, state[:, m:], m),
-                             maxlen=0)
-        deque(_lockstep(params, *shared, state[:, :m]), maxlen=0)
-        longer.result()
-    return comb
-
-
-def _lockstep(params, tails, proj_bwd, chain, state, first=0):
+def _lockstep(params, tails, proj_bwd, chain, state, first=0, stop=None):
     """Run the prefixes of ``depth + 1 + first``, ``depth + 2 + first``,
     ... words in lockstep, ``depth = tails.shape[1]``, with their tails'
     projections ``tails`` (see ``_tails``) and the shared forward chain
@@ -628,7 +606,9 @@ def _lockstep(params, tails, proj_bwd, chain, state, first=0):
     step that ends one of them, the prefix of ``depth + 1 + first + j``
     words, yield: row j of ``state[1]`` is then that prefix's final
     combined state, ``forward_pass(params, x).h_comb[-1]`` bit for bit; a
-    finished row is not written again.
+    finished row is not written again. ``stop``, when given, is a
+    ``threading.Event`` read before each step: once it is set, the part
+    returns.
 
     Every operation is the one ``forward_pass`` applies to the same values.
     The stacked ``np.matmul`` of 1×h states runs one gemv per row, as
@@ -654,6 +634,8 @@ def _lockstep(params, tails, proj_bwd, chain, state, first=0):
     bwd_state, comb_state = live
     rec = params.rec_pair[:, None]
     for t, shared in enumerate(chain[1:1 + ends + rows]):
+        if stop is not None and stop.is_set():
+            return
         if t > ends:
             done += 1
             live = state[:, done:]

@@ -23,7 +23,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbrnn.corpus import PAD_ID, SyntheticConfig, build_vocabulary, generate_synthetic
+from cbrnn.corpus import (
+    MARKERS,
+    PAD_ID,
+    PAD_TOKEN,
+    UNK_TOKEN,
+    LabeledSentence,
+    SyntheticConfig,
+    Vocabulary,
+    build_vocabulary,
+    generate_synthetic,
+)
 from cbrnn.embeddings import (
     EmbeddingTable,
     SentenceWindows,
@@ -49,7 +59,6 @@ from cbrnn.model import (
     load_model,
     loss_gradients,
     predict,
-    prefix_curve_states,
     prefix_states,
     ranking_loss,
     save_model,
@@ -517,10 +526,6 @@ def assert_prefix_probs_bit_equal(params, ids, table, window, stop=None):
             curve = softmax(np.matmul(comb, out_w)[:, 0] + out_b)
             assert curve.shape == (len(ids), params.n_classes)
             assert [row.tobytes() for row in curve] == want
-            # the curve path gives the last yield's bits
-            comb = prefix_curve_states(params, table, ids, window, lookahead)
-            curve = softmax(np.matmul(comb, out_w)[:, 0] + out_b)
-            assert [row.tobytes() for row in curve] == want
             if stop is not None:
                 states = prefix_states(params, table, ids, window, lookahead,
                                        cache)
@@ -528,6 +533,12 @@ def assert_prefix_probs_bit_equal(params, ids, table, window, stop=None):
                     row = softmax(next(states)[k, 0] @ out_w + out_b)
                     assert row.tobytes() == expected, k + 1
                 states.close()
+
+
+def curve_states(params, table, ids, window, lookahead=False):
+    """The last yield of ``prefix_states``, as a curve reads it."""
+    *_, comb = prefix_states(params, table, ids, window, lookahead)
+    return comb
 
 
 def projection(x, w):
@@ -674,10 +685,11 @@ def test_prefix_probs_bit_equal_at_the_semeval_shape():
 @example(shape=(32, 160), n_classes=2, seed=0)
 def test_curve_path_bit_equal_to_forward_pass(window, lookahead, shape,
                                               n_classes, seed):
-    """The curve path, run on two threads from ``_SPLIT_WORK`` on (h100
-    from 50 prefixes, so 40-70 words lie on both sides of it) and on one
-    below it (h32 at 160 words), gives every prefix the probabilities of
-    its own ``forward_pass``."""
+    """The scorer, run on two threads from ``_SPLIT_WORK`` on (h100 from
+    50 prefixes, so 40-70 words lie on both sides of it) and on one below
+    it (h32 at 160 words), gives every prefix the probabilities of its own
+    ``forward_pass``: read row by row as each prefix is yielded, as
+    extraction reads it, and from the last yield, as a curve does."""
     hidden, n = shape
     rng = np.random.default_rng(seed)
     table = EmbeddingTable(rng.uniform(-0.1, 0.1, size=(50, 8)))
@@ -688,11 +700,16 @@ def test_curve_path_bit_equal_to_forward_pass(window, lookahead, shape,
     inputs = [full[:k] if lookahead
               else compose_ngram_inputs(ids[:k], table, window)
               for k in range(1, n + 1)]
+    out_w, out_b, lazy = params.out_w, params.out_b, []
     with mock.patch.object(model, "_usable_cpus", return_value=2):
-        comb = prefix_curve_states(params, table, ids, window, lookahead)
-    probs = softmax(np.matmul(comb, params.out_w)[:, 0] + params.out_b)
-    for k, (row, x) in enumerate(zip(probs, inputs), start=1):
-        assert row.tobytes() == forward_pass(params, x).probs.tobytes(), k
+        for k, comb in enumerate(prefix_states(params, table, ids, window,
+                                               lookahead)):
+            lazy.append(softmax(comb[k, 0] @ out_w + out_b))
+    probs = softmax(np.matmul(comb, out_w)[:, 0] + out_b)
+    for k, (row, early, x) in enumerate(zip(probs, lazy, inputs), start=1):
+        want = forward_pass(params, x).probs.tobytes()
+        assert row.tobytes() == want, k
+        assert early.tobytes() == want, k
 
 
 def test_curve_path_threads_keep_to_their_rows():
@@ -705,12 +722,12 @@ def test_curve_path_threads_keep_to_their_rows():
     params = init_params(3 * 8, 100, 4, rng)
     sentences = [list(rng.integers(0, VOCAB, size=n)) for n in (55, 60, 70, 80)]
     with mock.patch.object(model, "_usable_cpus", return_value=1):
-        want = [prefix_curve_states(params, table, ids, 3).tobytes()
+        want = [curve_states(params, table, ids, 3).tobytes()
                 for ids in sentences]
     got = {}
 
     def score(i):
-        got[i] = prefix_curve_states(params, table, sentences[i], 3).tobytes()
+        got[i] = curve_states(params, table, sentences[i], 3).tobytes()
 
     callers = [threading.Thread(target=score, args=(i,)) for i in range(4)]
     interval = sys.getswitchinterval()
@@ -725,6 +742,80 @@ def test_curve_path_threads_keep_to_their_rows():
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert [got.get(i) for i in range(4)] == want
+
+
+def random_h100_model(seed, n_classes):
+    """An untrained model at the SemEval shape, h100 d50, window 3, over
+    20 words and the specials."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(20)]
+    vocab = Vocabulary([PAD_TOKEN, UNK_TOKEN, *MARKERS, *words])
+    table = EmbeddingTable(rng.uniform(-0.1, 0.1, size=(vocab.size, 50)))
+    table.matrix[PAD_ID] = 0.0
+    cfg = TrainConfig(hidden_size=100, embed_dim=50, window=3)
+    return TrainedModel(init_params(150, 100, n_classes, rng), table, vocab,
+                        [f"rel-{i:02d}" for i in range(n_classes)], cfg,
+                        LossConfig()), words
+
+
+# a fortieth of the active profile's budget for each lookahead, 2 examples
+# by default and 25 under --hypothesis-profile=fuzz, besides the fixed ones
+@pytest.mark.parametrize("lookahead", [False, True])
+@settings(deadline=None, max_examples=max(1, settings().max_examples // 40))
+@given(n=st.integers(40, 170), other=st.integers(40, 170),
+       n_classes=st.integers(2, 19),
+       reach=st.sampled_from([0.03, 0.25, 0.5, 0.75, 1.0, None]), seed=seeds)
+@example(n=160, other=60, n_classes=4, reach=0.03, seed=0)
+@example(n=160, other=100, n_classes=4, reach=1.0, seed=0)
+@example(n=100, other=160, n_classes=4, reach=None, seed=0)
+def test_extraction_and_mining_equal_on_one_and_two_cpus(lookahead, n, other,
+                                                         n_classes, reach,
+                                                         seed):
+    """Extraction and ``--all`` mining on h100 sentences of 40-170 words,
+    most of which split their block on two CPUs, give the crossing index,
+    score and pattern table they give on one. The sentence's relation is
+    the one whose curve reaches its highest point over the first ``reach``
+    of its prefixes latest, and ``tau`` is that point, so the crossing
+    falls early, late (in the worker's rows) or, with no ``reach``, never."""
+    trained, words = random_h100_model(seed, n_classes)
+    rng = np.random.default_rng(seed)
+
+    def sentence(length, label):
+        body = list(rng.choice(words, size=length))
+        body[0:3] = ["<e1>", body[0], "</e1>"]
+        body[-3:] = ["<e2>", body[-1], "</e2>"]
+        return LabeledSentence(tuple(body), trained.label_set[label])
+
+    s, t = sentence(n, 0), sentence(other, 1)
+    # every relation's curve; extraction scores each prefix on its own, and
+    # lookahead only widens the pattern it reports
+    params = trained.params
+    with mock.patch.object(model, "_usable_cpus", return_value=1):
+        comb = curve_states(params, trained.table,
+                            trained.vocab.encode(s.tokens), 3)
+    curves = softmax(np.matmul(comb, params.out_w)[:, 0] + params.out_b).T
+    if reach is None:
+        tau, crossing = (curves[0].max() + 1.0) / 2, None
+    else:
+        peaks = curves[:, :max(1, int(reach * n))].argmax(axis=1)
+        label = int(peaks.argmax())
+        s = replace(s, label=trained.label_set[label])
+        crossing = int(peaks[label]) + 1
+        tau = float(curves[label, crossing - 1])
+    got = {}
+    for cpus in (1, 2):
+        with mock.patch.object(model, "_usable_cpus", return_value=cpus):
+            pat = interpret.extract_pattern(trained, s, s.label, tau=tau,
+                                            lookahead=lookahead)
+            table = interpret.mine_patterns(trained, [s, t], tau=tau,
+                                            only_correct=False,
+                                            lookahead=lookahead)
+        got[cpus] = (pat, interpret.pattern_table_to_tsv(table))
+    assert got[1] == got[2]
+    pat = got[2][0]
+    assert (pat and pat.crossing_index) == crossing
+    if pat:
+        assert pat.score == tau
 
 
 @settings(deadline=None, max_examples=40)
@@ -764,10 +855,11 @@ def test_softmax_of_rows_is_the_softmax_of_each_row(rows, n_classes, scale,
 
 
 def test_prefix_curve_probs_scores_every_prefix_in_one_block(monkeypatch):
-    """Past the all-tail prefixes, ``prefix_states`` drained (as pattern
-    extraction runs it when no prefix crosses), its last yield put through
-    the stacked output layer, is one lockstep block that runs every step,
-    at any hidden size and sentence length."""
+    """Past the all-tail prefixes, ``prefix_states`` drained (as a curve
+    and as pattern extraction when no prefix crosses run it), its last
+    yield put through the stacked output layer, is one lockstep block that
+    runs every step, at any hidden size and sentence length, on a process
+    that may use one CPU (on two, the h100 case would split its block)."""
     blocks = []
 
     def spy(params, tails, proj_bwd, chain, state):
@@ -778,6 +870,7 @@ def test_prefix_curve_probs_scores_every_prefix_in_one_block(monkeypatch):
 
     lockstep = model._lockstep
     monkeypatch.setattr(model, "_lockstep", spy)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
     rng = np.random.default_rng(0)
     ids = list(rng.integers(0, VOCAB, size=150))
     for hidden, window, n, want in ((100, 3, 150, [[149, 149]]),

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from cbrnn import model, train
+from cbrnn import interpret, model, train
 from cbrnn.interpret import (
     FixedCurveModel,
     UnknownRelation,
@@ -99,17 +99,19 @@ def test_extract_pattern_stops_scoring_at_the_crossing(trained_model,
 def test_curve_splits_its_block_from_the_constant_on(h100_model,
                                                      synthetic_split,
                                                      monkeypatch):
-    """A curve whose block's first step does ``_SPLIT_WORK`` multiply-adds
-    or more, on a process that may use two CPUs, runs the block's rows
-    ``[m, rows)``, ``m = floor(rows / sqrt(2))``, on one worker thread, and
-    ``[0, m)`` on the caller's; no thread outlives the call, and the curve
-    keeps its values. Below the constant, on one CPU, and in extraction and
-    mining, the block is one, on the caller's thread."""
+    """A block whose first step does ``_SPLIT_WORK`` multiply-adds or more,
+    on a process that may use two CPUs, runs its rows ``[m, rows)``,
+    ``m = floor(rows / sqrt(2))``, on one worker thread, and ``[0, m)`` on
+    the caller's: for a curve, for extraction and for ``--all`` mining
+    alike. Below the constant, and on one CPU, the block is one, on the
+    caller's thread. No thread outlives a call, and the curve and the
+    extraction keep their values."""
     blocks = []
 
-    def spy_lockstep(params, tails, proj_bwd, chain, state, first=0):
+    def spy_lockstep(params, tails, proj_bwd, chain, state, first=0,
+                     stop=None):
         blocks.append((first, first + state.shape[1], threading.get_ident()))
-        yield from lockstep(params, tails, proj_bwd, chain, state, first)
+        yield from lockstep(params, tails, proj_bwd, chain, state, first, stop)
 
     lockstep, caller = model._lockstep, threading.get_ident()
     monkeypatch.setattr(model, "_lockstep", spy_lockstep)
@@ -121,27 +123,118 @@ def test_curve_splits_its_block_from_the_constant_on(h100_model,
     for words in (half + least - 1, half + least, 160):
         tokens = (s.tokens + ("still",) * 160)[:words]
         rows = words - half
-        curves = {}
+        m = int(rows / 2 ** 0.5)
+        curves, found = {}, {}
         for cpus in (1, 2):
             monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
             blocks.clear()
             curves[cpus] = prefix_curve(h100_model, tokens, s.label).points
+            # above every prefix's probability, so that extraction and
+            # mining score every prefix
+            tau = (max(p.prob_target for p in curves[cpus]) + 1.0) / 2
+            found[cpus] = extract_pattern(h100_model, tokens, s.label, tau=tau)
+            mine_patterns(h100_model, [replace(s, tokens=tokens)], tau=tau,
+                          only_correct=False)
             assert threading.active_count() == threads
             if cpus == 2 and rows >= least:
-                m = int(rows / 2 ** 0.5)
-                shorter, longer = sorted(blocks)
-                assert shorter == (0, m, caller)
-                assert longer[:2] == (m, rows) and longer[2] != caller
+                for i in range(0, 6, 2):
+                    shorter, longer = sorted(blocks[i:i + 2])
+                    assert shorter == (0, m, caller)
+                    assert longer[:2] == (m, rows) and longer[2] != caller
+                assert len(blocks) == 6
             else:
-                assert blocks == [(0, rows, caller)], (words, cpus)
+                assert blocks == [(0, rows, caller)] * 3, (words, cpus)
         assert curves[1] == curves[2]
-        blocks.clear()
-        extract_pattern(h100_model, tokens, s.label, tau=0.99)
-        assert blocks == [(0, rows, caller)]
-        blocks.clear()
-        mine_patterns(h100_model, [replace(s, tokens=tokens)], tau=0.99,
-                      only_correct=False)
-        assert blocks == [(0, rows, caller)]
+        assert found[1] is found[2] is None
+
+
+class HeldStop:
+    """A worker's stop flag that holds the worker at its first step until
+    the flag is set, so that what the worker ran does not hang on how the
+    threads are scheduled, and counts the steps it ran."""
+
+    def __init__(self, stop):
+        self.flag, self.checks, self.ran = stop, 0, 0
+
+    def is_set(self):
+        if not self.checks:
+            self.flag.wait(timeout=30)
+        self.checks += 1
+        self.ran += not self.flag.is_set()
+        return self.flag.is_set()
+
+
+def test_stopping_early_stops_and_joins_the_worker(h100_model,
+                                                   synthetic_split,
+                                                   monkeypatch):
+    """On a 160-word sentence at h100 with two CPUs, extraction and mining
+    that cross within the first 10 words, extraction that raises, and a
+    scorer closed after its first yield each set the worker's stop flag
+    and join it: the worker ran fewer steps than its part has, and the
+    thread count is what it was."""
+    held = []
+
+    def spy_lockstep(params, tails, proj_bwd, chain, state, first=0,
+                     stop=None):
+        if stop is not None:
+            held.append(HeldStop(stop))
+            stop = held[-1]
+        yield from lockstep(params, tails, proj_bwd, chain, state, first, stop)
+
+    def worker_stopped():
+        # the worker's part runs one step per word of the sentence
+        assert len(held) == 1 and held[0].checks >= 1
+        assert held[0].ran < n
+        assert threading.active_count() == threads
+        held.clear()
+
+    lockstep = model._lockstep
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    s = synthetic_split.test[0]
+    tokens = (s.tokens + ("still",) * 160)[:160]
+    n, half = len(tokens), h100_model.train_cfg.window // 2
+    # a relation whose curve first reaches its highest point among the
+    # first 10 prefixes past the all-tail ones
+    for relation in h100_model.label_set:
+        curve = [p.prob_target
+                 for p in prefix_curve(h100_model, tokens, relation).points]
+        tau = max(curve[half:10])
+        crossing = next(k for k, p in enumerate(curve, start=1) if p >= tau)
+        if crossing > half:
+            break
+    assert half < crossing <= 10
+    monkeypatch.setattr(model, "_lockstep", spy_lockstep)
+    threads = threading.active_count()
+    pat = extract_pattern(h100_model, tokens, relation, tau=tau)
+    assert pat.crossing_index == crossing
+    worker_stopped()
+    table = mine_patterns(h100_model, [replace(s, tokens=tokens,
+                                               label=relation)],
+                          tau=tau, only_correct=False)
+    assert [e.support for e in table.entries] == [1]
+    worker_stopped()
+    # the output layer fails at the prefix after the crossing's
+    calls = []
+
+    def failing_softmax(scores):
+        calls.append(1)
+        if len(calls) > crossing:
+            raise FloatingPointError("stop")
+        return softmax(scores)
+
+    softmax = interpret.softmax
+    monkeypatch.setattr(interpret, "softmax", failing_softmax)
+    with pytest.raises(FloatingPointError):
+        extract_pattern(h100_model, tokens, relation, tau=1.0 - 1e-12)
+    worker_stopped()
+    monkeypatch.setattr(interpret, "softmax", softmax)
+    # with lookahead no prefix is all tail: the first yield is the block's
+    ids = h100_model.vocab.encode(tokens)
+    states = model.prefix_states(h100_model.params, h100_model.table, ids,
+                                 h100_model.train_cfg.window, lookahead=True)
+    next(states)
+    states.close()
+    worker_stopped()
 
 
 def test_extract_pattern_unknown_relation(trained_model, synthetic_split):
