@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -220,11 +220,6 @@ class CBRNNParams:
         return self._stack("in_fwd")
 
     @cached_property
-    def rec_pair(self):
-        """``rec_bwd`` and ``rec_comb`` stacked: a (2, hidden, hidden) view."""
-        return self._stack("rec_bwd")
-
-    @cached_property
     def rec_all(self):
         """``rec_fwd``, ``rec_bwd`` and ``rec_comb`` stacked: a (3, hidden,
         hidden) view."""
@@ -384,46 +379,37 @@ def forward_many(params, xs):
     ``ForwardCache`` per input, in order, each field bit for bit the one
     ``forward_pass(params, x)`` gives.
 
-    Each input is zero-padded to whole blocks of ``_ROW_BLOCK`` rows and all
-    of them are projected in one ``_project`` call, so that each row keeps
-    its place in its block (see ``_checked_input``). The inputs then run
-    longest first, the three chains of all of them in lockstep, the
-    combined chain one step behind the other two. A step is one stacked
-    ``np.matmul`` of the (3, m, 1, hidden) states of the m inputs still
-    running, one gemv per row as ``v.dot(rec)`` is; one add and one
-    ``tanh``; and the sum of the new forward and backward states, to which
-    the combined chain's next step adds its carried state. These are
-    ``forward_pass``'s operations on the same values, in its order.
+    The inputs are sorted once, longest first. Each is zero-padded to whole
+    blocks of ``_ROW_BLOCK`` rows and all of them are projected in one
+    ``_project`` call, so that each row keeps its place in its block (see
+    ``_checked_input``). The three chains of all of them then run in
+    lockstep from a zero row, the combined chain one step behind the other
+    two. A step is one stacked ``np.matmul`` of the (3, m, 1, hidden)
+    states of the m inputs still running, one gemv per row as
+    ``v.dot(rec)`` is; one add and one ``tanh``; and the sum of the new
+    forward and backward states, to which the combined chain's next step
+    adds its carried state. These are ``forward_pass``'s operations on the
+    same values, in its order.
     """
     xs = [_as_input(params, x) for x in xs]
     if not xs:
         return []
+    order = sorted(range(len(xs)), key=lambda i: len(xs[i]), reverse=True)
+    xs = [xs[i] for i in order]
     lengths = [len(x) for x in xs]
-    width, hidden, count = xs[0].shape[1], params.hidden_size, len(xs)
-    # input i's rows start block-aligned at row starts[i] of ``padded``
-    starts = [0]
-    for n in lengths:
-        starts.append(starts[-1] + _blocked(n))
+    width, hidden, count, steps = (xs[0].shape[1], params.hidden_size,
+                                   len(xs), lengths[0])
+    # input j's rows start block-aligned at row starts[j] of ``padded``
+    starts = [0, *accumulate(_blocked(n) for n in lengths)]
     n_padded = starts.pop()
-    # rank[i] = j: input i is the j-th longest; running[t] inputs have more
-    # than t rows
-    order = sorted(range(count), key=lengths.__getitem__, reverse=True)
-    rank = [0] * count
-    for j, i in enumerate(order):
-        rank[i] = j
-    steps, running, live = lengths[order[0]], [], count
-    for t in range(steps):
-        while lengths[order[live - 1]] <= t:
-            live -= 1
-        running.append(live)
 
     # one allocation for the batch's arrays: at h100 the pages of separate
     # ones went back to the system when they were freed, and faulting them
     # in again on the next call cost a third of its time.
-    # states[t, :, j] holds rank j's forward and backward states after
-    # t + 1 steps and its combined state after t
+    # states[t, :, j] holds input j's forward and backward states after t
+    # steps and its combined state after t - 1
     sizes = [n_padded * width, 2 * n_padded * hidden,
-             (steps + 1) * 3 * count * hidden, 3 * sum(lengths) * hidden]
+             (steps + 2) * 3 * count * hidden, 3 * sum(lengths) * hidden]
     ends = list(accumulate(sizes))
     work = np.empty(ends[-1])
     padded, proj, states, chains = (work[end - size:end]
@@ -435,47 +421,46 @@ def forward_many(params, xs):
     # the forward projections, then the backward ones
     proj = _project(padded, params.in_pair[:, None],
                     proj.reshape(2, -1, _ROW_BLOCK, hidden))
-    states = states.reshape(steps + 1, 3, count, hidden)
+    states = states.reshape(steps + 2, 3, count, hidden)
+    # every chain starts from zero, and the combined chain's step 0, one
+    # behind, adds zero to zero
+    states[:2] = 0.0
     # the forward chain reads an input's rows 0 up, the backward one its
     # rows n-1 down; the step after an input's last reads zeros and its
     # states are not read
-    for start, n, j in zip(starts, lengths, rank):
-        states[:n, 0, j] = proj[0, start:start + n]
-        states[:n, 1, j] = proj[1, start:start + n][::-1]
-        states[n, :2, j] = 0.0
-    states[0, 2] = 0.0
+    for j, (start, n) in enumerate(zip(starts, lengths)):
+        states[1:n + 1, 0, j] = proj[0, start:start + n]
+        states[1:n + 1, 1, j] = proj[1, start:start + n][::-1]
+        states[n + 1, :2, j] = 0.0
 
-    # the forward and backward chains' first step, from zero states; the
-    # combined chain's state before its first step is zero
-    rec = params.rec_all[:, None]
-    now = states[0, :2]
-    now += np.matmul(np.zeros((2, count, 1, hidden)), rec[:2])[:, :, 0]
-    np.tanh(now, now)
-    np.add(now[0], now[1], states[1, 2])
+    rec, m = params.rec_all[:, None], count
     carried = np.empty((3, count, 1, hidden))
-    for step in range(1, steps + 1):
-        m = running[step - 1]
-        now = states[step, :, :m]
-        now += np.matmul(states[step - 1, :, :m, None], rec,
+    for step in range(steps + 1):
+        # the inputs shorter than ``step`` words are done
+        while lengths[m - 1] < step:
+            m -= 1
+        now = states[step + 1, :, :m]
+        now += np.matmul(states[step, :, :m, None], rec,
                          out=carried[:, :m])[:, :, 0]
         np.tanh(now, now)
         if step < steps:
             # forward_pass's order: (forward + backward) + carried
-            np.add(now[0], now[1], states[step + 1, 2, :m])
+            np.add(now[0], now[1], states[step + 2, 2, :m])
 
-    scores = np.matmul(states[lengths, 2, rank][:, None], params.out_w)
+    scores = np.matmul(states[np.add(lengths, 1), 2, range(count), None],
+                       params.out_w)
     scores = scores[:, 0] + params.out_b
     # each input's chains as forward_pass lays them out: row t of h_bwd is
     # the backward state after n - t steps, row t of h_comb the combined
     # state after t + 1
-    caches, chains = [], chains.reshape(3, -1, hidden)
-    for start, n, j, end, s in zip(starts, lengths, rank, accumulate(lengths),
-                                   scores):
+    caches, chains = [None] * count, chains.reshape(3, -1, hidden)
+    for j, (start, n, end) in enumerate(zip(starts, lengths,
+                                            accumulate(lengths))):
         own = chains[:, end - n:end]
-        own[0] = states[:n, 0, j]
-        own[1] = states[n - 1::-1, 1, j]
-        own[2] = states[1:n + 1, 2, j]
-        caches.append(ForwardCache(padded[start:start + n], own, s))
+        own[0] = states[1:n + 1, 0, j]
+        own[1] = states[n:0:-1, 1, j]
+        own[2] = states[2:n + 2, 2, j]
+        caches[order[j]] = ForwardCache(padded[start:start + n], own, scores[j])
     return caches
 
 
@@ -632,7 +617,7 @@ def _lockstep(params, tails, proj_bwd, chain, state, first=0, stop=None):
     # prefixes shorter than t+1 words are done, and the next one ends here
     done, live = 0, state
     bwd_state, comb_state = live
-    rec = params.rec_pair[:, None]
+    rec = params.rec_all[1:, None]
     for t, shared in enumerate(chain[1:1 + ends + rows]):
         if stop is not None and stop.is_set():
             return
@@ -894,18 +879,21 @@ def train(split, train_cfg, loss_cfg=None, pretrained=None):
     for epoch in range(1, train_cfg.epochs + 1):
         order = rng.permutation(len(encoded)) if train_cfg.shuffle else range(len(encoded))
         total_loss = 0.0
-        for i in order:
-            windows, y = encoded[i]
-            x = compose_ngram_inputs(windows, table, train_cfg.window)
-            cache = forward_pass(params, x)
-            loss, grads, d_inputs = loss_gradients(params, cache, y, loss_cfg,
-                                                   out=grads)
-            total_loss += loss
-            emb_grads = emb_mod.input_grads_to_embeddings(
-                d_inputs, windows, train_cfg.window, vocab.size, table.dim
-            )
-            sgd_step(params, grads, train_cfg.learning_rate,
-                     train_cfg.clip_norm, table, emb_grads)
+        # a diverging run overflows on its way to the non-finite values
+        # checked below, which report it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in order:
+                windows, y = encoded[i]
+                x = compose_ngram_inputs(windows, table, train_cfg.window)
+                cache = forward_pass(params, x)
+                loss, grads, d_inputs = loss_gradients(params, cache, y,
+                                                       loss_cfg, out=grads)
+                total_loss += loss
+                emb_grads = emb_mod.input_grads_to_embeddings(
+                    d_inputs, windows, train_cfg.window, vocab.size, table.dim
+                )
+                sgd_step(params, grads, train_cfg.learning_rate,
+                         train_cfg.clip_norm, table, emb_grads)
         mean_loss = total_loss / len(encoded)
         if not (np.isfinite(mean_loss) and np.isfinite(table.matrix).all()
                 and np.isfinite(params.buffer).all()):
@@ -923,21 +911,22 @@ def train(split, train_cfg, loss_cfg=None, pretrained=None):
 def evaluate(model, sentences):
     if not sentences:
         raise EmptyEvalSet("no sentences to evaluate")
-    gold = [s.label for s in sentences]
-    present = [lab for lab in model.label_set if lab in set(gold)]
+    golds = Counter(s.label for s in sentences)
+    present = [lab for lab in model.label_set if golds[lab]]
     if not present:
-        raise UnknownRelation(f"none of the labels {sorted(set(gold))} is in "
+        raise UnknownRelation(f"none of the labels {sorted(golds)} is in "
                               f"the model's label set")
-    pred = [label for label, _ in classify_many(model, sentences)]
-    accuracy = sum(g == p for g, p in zip(gold, pred)) / len(gold)
+    # per label: the sentences it is right on, and those it is given to
+    hits, guesses = Counter(), Counter()
+    for sentence, (label, _) in zip(sentences, classify_many(model, sentences)):
+        hits[label] += label == sentence.label
+        guesses[label] += 1
+    accuracy = sum(hits.values()) / len(sentences)
 
     per_class_f1 = {}
     for lab in model.label_set:
-        tp = sum(1 for g, p in zip(gold, pred) if g == lab and p == lab)
-        fp = sum(1 for g, p in zip(gold, pred) if g != lab and p == lab)
-        fn = sum(1 for g, p in zip(gold, pred) if g == lab and p != lab)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
+        precision = hits[lab] / guesses[lab] if guesses[lab] else 0.0
+        recall = hits[lab] / golds[lab] if golds[lab] else 0.0
         f1 = (2 * precision * recall / (precision + recall)
               if precision + recall else 0.0)
         per_class_f1[lab] = f1

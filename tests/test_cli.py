@@ -399,14 +399,20 @@ def test_bad_input_exit_2(tmp_path, quick_model, capsys, files, argv, expected):
     assert not (tmp_path / "m.txt").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_diverged_writes_no_model(tmp_path, capsys):
+    """A diverging run warns of no overflow on its way: with warnings as
+    errors it still exits 2, and its one line of stderr names the epoch."""
     out = tmp_path / "m.txt"
-    rc = cli.main(["train", "--synthetic", "2x20", "--epochs", "2", "--dim", "4",
-                   "--hidden", "4", "--lr", "1e308", "--out", str(out)])
-    assert rc == 2
-    assert "epoch 1" in capsys.readouterr().err
-    assert not out.exists()
+    for lr in ("inf", "1e308"):
+        rc = cli.main(["train", "--synthetic", "2x20", "--epochs", "2",
+                       "--dim", "4", "--hidden", "4", "--lr", lr,
+                       "--out", str(out)])
+        assert rc == 2, lr
+        err = capsys.readouterr().err
+        assert err.startswith("error: epoch 1: training diverged"), lr
+        assert err.count("\n") == 1, lr
+        assert not out.exists()
 
 
 def test_bug_exit_1(quick_model, monkeypatch, capsys):

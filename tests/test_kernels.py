@@ -472,8 +472,8 @@ def test_every_params_container_is_one_buffer(tmp_path):
 
 
 def test_weight_pairs_are_views_of_the_buffer(tmp_path, trained_model):
-    """``in_pair`` and ``rec_pair`` stack two weight arrays without a copy,
-    so an update of the buffer shows in them."""
+    """``in_pair`` and ``rec_all`` stack two and three weight arrays
+    without a copy, so an update of the buffer shows in them."""
     save_model(trained_model, tmp_path / "m.txt")
     drawn = init_params(6, 3, 2, np.random.default_rng(0))
     built = {
@@ -484,15 +484,17 @@ def test_weight_pairs_are_views_of_the_buffer(tmp_path, trained_model):
     }
     for how, params in built.items():
         params.buffer[...] = np.arange(len(params.buffer))
-        for pair, names in ((params.in_pair, ("in_fwd", "in_bwd")),
-                            (params.rec_pair, ("rec_bwd", "rec_comb"))):
-            assert np.shares_memory(pair, params.buffer), (how, names)
-            for view, name in zip(pair, names):
+        for stack, names in ((params.in_pair, ("in_fwd", "in_bwd")),
+                             (params.rec_all, ("rec_fwd", "rec_bwd",
+                                               "rec_comb"))):
+            assert np.shares_memory(stack, params.buffer), (how, names)
+            for view, name in zip(stack, names):
                 assert view.ctypes.data == getattr(params, name).ctypes.data
-            assert np.array_equal(pair, np.array([getattr(params, name)
-                                                  for name in names])), how
+            assert np.array_equal(stack, np.array([getattr(params, name)
+                                                   for name in names])), how
         params.buffer += 1.0
         assert np.array_equal(params.in_pair[1], params.in_bwd), how
+        assert np.array_equal(params.rec_all[2], params.rec_comb), how
 
 
 def assert_prefix_probs_bit_equal(params, ids, table, window, stop=None):
@@ -930,20 +932,30 @@ def assert_forward_many_bit_equal(params, xs):
 @given(hidden=st.integers(1, 100), window=st.sampled_from([1, 3, 5, 7]),
        dim=st.integers(1, 4), n_classes=st.integers(2, 4),
        scale=st.sampled_from([1.0, 30.0]), count=st.integers(1, 64),
-       longest=st.integers(1, 70), seed=seeds)
+       longest=st.integers(1, 70), equal=st.booleans(), seed=seeds)
 @example(hidden=100, window=3, dim=4, n_classes=4, scale=1.0, count=64,
-         longest=70, seed=0)
+         longest=70, equal=False, seed=0)
+# a batch of one; one step, every input one word; equal lengths, so that no
+# input finishes before the last step
+@example(hidden=8, window=3, dim=2, n_classes=3, scale=1.0, count=1,
+         longest=9, equal=False, seed=0)
+@example(hidden=8, window=3, dim=2, n_classes=3, scale=1.0, count=5,
+         longest=1, equal=False, seed=0)
+@example(hidden=8, window=3, dim=2, n_classes=3, scale=1.0, count=6,
+         longest=12, equal=True, seed=0)
 def test_forward_many_bit_equal_to_forward_pass(hidden, window, dim, n_classes,
-                                                scale, count, longest, seed):
-    """``count`` sentences of 1 to ``longest`` words (1 to 64 sentences of
-    1 to 70 words), each input's every field against its own
-    ``forward_pass``."""
+                                                scale, count, longest, equal,
+                                                seed):
+    """``count`` sentences of 1 to ``longest`` words, or with ``equal`` of
+    ``longest`` words each (1 to 64 sentences of 1 to 70 words), each
+    input's every field against its own ``forward_pass``."""
     rng = np.random.default_rng(seed)
     params = scaled_params(window * dim, hidden, n_classes, scale, rng)
     table = random_table(seed, dim)
+    shortest = longest if equal else 1
     xs = [compose_ngram_inputs(list(rng.integers(0, VOCAB, size=n)), table,
                                window)
-          for n in rng.integers(1, longest + 1, size=count)]
+          for n in rng.integers(shortest, longest + 1, size=count)]
     assert_forward_many_bit_equal(params, xs)
 
 
