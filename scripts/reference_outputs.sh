@@ -10,8 +10,11 @@
 # the batched labeller at that shape, and `patterns --all` over six
 # sentences of 60-120 words (the 81-word sentence and variants), long
 # enough at h100 to mine on two threads. Every file of that model is named
-# *-h100*. Runs the checkout's own src/, so two checkouts (say, a change
-# and its parent) can be compared with `cmp`.
+# *-h100*. Last, `patterns --all` on the reference model over nine
+# sentences of 6-38 words that share two prefix blocks of unequal lengths,
+# some crossing early, some late and some never. 22 outputs. Runs the checkout's own
+# src/, so two checkouts (say, a change and its parent) can be compared
+# with `cmp`.
 #
 #   sh scripts/reference_outputs.sh OUTDIR
 set -eu
@@ -61,3 +64,26 @@ filler() { printf " $1%.0s" $(seq "$2"); }
 } > "$d/long.tsv"
 cbrnn patterns --model "$d/model-h100.txt" --data "$d/long.tsv" --all --tau 0.5 > "$d/patterns-h100-long-all.tsv"
 rm "$d/long.tsv"
+# the reference model at tau 0.5 over nine sentences of 6-38 words: the
+# six of 25-38 words share one prefix block, the 12- and 9-word ones
+# another, and the 6-word one is scored alone. The 9-word sentence, the
+# 38-word one led by "a" and the 38-word one led by "plain" cross within
+# their first 6 words, the 38-, 25- and 37-word ones led by "the", "the"
+# and "old" in their last 7, the 12-word one halfway, and the 29- and
+# 6-word ones never; the data file is not an output
+made="<e1> garden </e1> was made with <e2> garden </e2> small"
+placed="<e1> harbor </e1> placed near <e2> signal </e2> nearby"
+drawn="<e1> castle </e1> is drawn in <e2> tablet </e2> gray"
+{
+    printf 'rel-00\t%s\n' "$sentence"
+    printf 'rel-01\t%s\n' "$(filler the 28) $made"
+    printf 'rel-03\t%s\n' "$(filler the 15) $drawn"
+    printf 'rel-00\t%s\n' "$(filler the 20) $sentence"
+    printf 'rel-02\t%s\n' "$(filler slowly 3) $placed"
+    printf 'rel-03\t%s\n' "<e1> signal </e1> <e2> circuit </e2>"
+    printf 'rel-01\t%s\n' "$(filler a 28) $made"
+    printf 'rel-02\t%s\n' "$(filler old 28) $placed"
+    printf 'rel-03\t%s\n' "$(filler plain 28) $drawn"
+} > "$d/mixed.tsv"
+cbrnn patterns --model "$d/model.txt" --data "$d/mixed.tsv" --all --tau 0.5 > "$d/patterns-mixed-all.tsv"
+rm "$d/mixed.tsv"

@@ -13,11 +13,15 @@ output layer as it is yielded, stops at the first that crosses and closes
 the scorer. A curve drains it and puts every prefix through one stacked
 output layer. For a long sentence at a large hidden size the scorer runs
 its longer prefixes on a second thread, with the same bits, and no thread
-outlives the call that drained or closed it. Mining only the correctly
-classified sentences and hidden export both read ``model.classify_many``,
-the one batched labeller: mining hands each correct sentence's cache, its
-composed input and forward chain, to the scorer, export keeps each
-sentence's final combined state.
+outlives the call that drained or closed it. Mining and hidden export both
+read ``model.classify_many``, the one batched labeller: export keeps each
+sentence's final combined state, and mining takes its sentences in
+``model.batches``, labels each batch (unless it mines all of them) and
+hands its sentences, with their caches, to ``model.prefix_states_many``.
+Where a step is overhead-bound (short sentences at a small hidden size)
+their prefixes run as one shared block, which reads its probabilities
+from one output layer a step; extraction still runs once per sentence and
+stops reading at its crossing.
 """
 
 from __future__ import annotations
@@ -36,9 +40,11 @@ from .corpus import PAD_TOKEN, InputError, LabeledSentence
 from .embeddings import EvenWindow, compose_ngram_inputs  # noqa: F401
 from .model import (  # noqa: F401
     UnknownRelation,
+    batches,
     classify_many,
     forward_pass,
     prefix_states,
+    prefix_states_many,
     softmax,
 )
 
@@ -137,9 +143,11 @@ class FixedCurveModel:
     probs: tuple
 
 
-def _target_probs(model, tokens, relation, cache):
-    """Each prefix's target probability, shortest first. Closing the
-    generator closes the scorer."""
+def _target_probs(model, tokens, relation, scorer):
+    """Each prefix's target probability, shortest first, read from
+    ``scorer``, the sentence's ``(states, probs)`` pair from
+    ``model.prefix_states_many``, or from the sentence's own
+    ``prefix_states``. Closing the generator closes the scorer."""
     if isinstance(model, FixedCurveModel):
         if len(model.probs) != len(tokens):
             raise ValueError("curve length does not match sentence length")
@@ -147,12 +155,18 @@ def _target_probs(model, tokens, relation, cache):
         return
     r_idx = _relation_index(model, relation)
     params = model.params
-    # each prefix through the output layer as it ends, so a caller that
-    # stops early leaves the later steps unrun
-    with closing(prefix_states(params, model.table, model.vocab.encode(tokens),
-                               model.train_cfg.window, cache=cache)) as states:
+    if scorer is None:
+        scorer = prefix_states(params, model.table, model.vocab.encode(tokens),
+                               model.train_cfg.window), None
+    states, probs = scorer
+    # each prefix's probabilities as it ends, so a caller that stops early
+    # leaves the later steps unrun: through the output layer here, or from
+    # the shared block's, which ran it for the whole block
+    with closing(states):
         for k, comb in enumerate(states):
-            yield float(softmax(comb[k, 0] @ params.out_w + params.out_b)[r_idx])
+            row = (softmax(comb[k, 0] @ params.out_w + params.out_b)
+                   if probs is None else probs[k])
+            yield float(row[r_idx])
 
 
 class WindowTooWide(InputError):
@@ -176,20 +190,20 @@ def check_pattern_settings(tau, window, sentences=()):
 
 
 def extract_pattern(model, sentence, relation, tau=0.5, window=3,
-                    lookahead=True, cache=None):
+                    lookahead=True, scorer=None):
     """Return the last window of the first prefix whose target probability
     reaches tau, or None when no prefix crosses. The scorer advances its
     block of prefixes word by word and is closed at the crossing, or when
     anything raises: the caller's thread runs no step past the crossing,
     and a worker thread running the longer prefixes of a long sentence
-    stops within one step and is joined before this returns. ``cache``,
-    the sentence's ``ForwardCache`` from ``forward_pass`` or
-    ``classify_many``, spares the scorer its own input and forward chain.
-    The window is not bounded by the sentence's length: a short sentence's
-    pattern is padded."""
+    stops within one step and is joined before this returns. ``scorer``,
+    the sentence's ``(states, probs)`` pair from
+    ``model.prefix_states_many``, takes the place of the sentence's own
+    scorer. The window is not bounded by the sentence's length: a short
+    sentence's pattern is padded."""
     check_pattern_settings(tau, window)
     tokens, sid = _tokens_of(sentence)
-    with closing(_target_probs(model, tokens, relation, cache)) as probs:
+    with closing(_target_probs(model, tokens, relation, scorer)) as probs:
         for k, p in enumerate(probs, start=1):
             if p >= tau:
                 source = tokens if lookahead else tokens[:k]
@@ -205,24 +219,33 @@ def mine_patterns(model, sentences, tau=0.5, window=3, only_correct=True,
     """Aggregate extracted patterns per relation into support counts and
     mean scores, deterministically ordered. A window wider than
     ``2 * L - 1``, L the longest sentence's length, is rejected before any
-    sentence is scored."""
+    sentence is scored. Sentences are taken in ``model.batches``: a batch
+    is classified at once (unless every sentence is mined), and its
+    prefixes are scored as one block where that pays
+    (``model.prefix_states_many``)."""
     sentences = list(sentences)
     check_pattern_settings(tau, window, sentences)
-    if only_correct:
-        # classified a batch at a time; a sentence's cache spares the
-        # scorer composing it and running its forward chain again
-        mined = ((s, cache) for s, (label, cache)
-                 in zip(sentences, classify_many(model, sentences))
-                 if label == s.label)
-    else:
-        mined = ((s, None) for s in sentences)
     buckets = {}
-    for s, cache in mined:
-        pat = extract_pattern(model, s, s.label, tau=tau, window=window,
-                              lookahead=lookahead, cache=cache)
-        if pat is None:
-            continue
-        buckets.setdefault((pat.relation, pat.ngram), []).append(pat.score)
+    for batch in batches(sentences):
+        if only_correct:
+            # a sentence's cache spares the scorer composing it and running
+            # its forward chain again
+            mined = [(s, cache) for s, (label, cache)
+                     in zip(batch, classify_many(model, batch))
+                     if label == s.label]
+        else:
+            mined = [(s, None) for s in batch]
+        scorers = [None] * len(mined)
+        if not isinstance(model, FixedCurveModel):
+            scorers = prefix_states_many(
+                model.params, model.table,
+                [model.vocab.encode(s.tokens) for s, _ in mined],
+                model.train_cfg.window, caches=[cache for _, cache in mined])
+        for (s, _), scorer in zip(mined, scorers):
+            pat = extract_pattern(model, s, s.label, tau=tau, window=window,
+                                  lookahead=lookahead, scorer=scorer)
+            if pat is not None:
+                buckets.setdefault((pat.relation, pat.ngram), []).append(pat.score)
     entries = [
         PatternEntry(relation=rel, ngram=ngram, support=len(scores),
                      mean_score=sum(sorted(scores)) / len(scores))

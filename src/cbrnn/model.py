@@ -15,13 +15,19 @@ row-wise softmax per batch, and every caller that labels or reads many
 sentences goes through it (``evaluate``, and so ``train()``'s dev accuracy,
 and in ``interpret`` mining and hidden export).
 
-``prefix_states``, the one prefix scorer, scores every word-prefix of one
+``prefix_states``, the prefix scorer, scores every word-prefix of one
 sentence, its prefixes as one lockstep block (``_lockstep``) that yields as
 each prefix ends: pattern extraction stops it at its crossing, a curve
 drains it. When the block's first step does ``_SPLIT_WORK`` multiply-adds
 or more and the process may use two CPUs, the block's longer prefixes run
 on a worker thread that the generator opens, and stops and joins when it
-is drained or closed; every row keeps its bits.
+is drained or closed; every row keeps its bits. ``prefix_states_many``
+gives one such generator per sentence of a list, and where a sentence's
+own block would do fewer than ``_SHARED_WORK`` multiply-adds a step, the
+blocks of those sentences of like lengths run as one, with a sentence
+axis, set up at once, stepped only as far as a generator has read, and
+with one output layer a step for all of them; mining scores each
+labelled batch through it.
 """
 
 from __future__ import annotations
@@ -466,8 +472,10 @@ def forward_many(params, xs):
 
 def _tails(params, table, padded, half):
     """The projections of the tail rows of the prefixes past the all-tail
-    ones, (2, half, rows, 1, hidden): tail row i of the prefix of
-    ``half + 1 + j`` words is at ``[:, i, i + j]``.
+    ones, (2, half, rows, 1, hidden), ``padded`` the sentence's input in
+    whole blocks of ``_ROW_BLOCK`` rows: tail row i of the prefix of
+    ``half + 1 + j`` words is at ``[:, i, 1 + i + j]``. The inputs of many
+    sentences, each from the start of a block, take one call.
 
     Tail row i of the prefix of k words is row ``k - half + i`` of variant
     i: the sentence's input with the window slots from ``2 * half - i`` on,
@@ -481,8 +489,7 @@ def _tails(params, table, padded, half):
         slots[i, :, 2 * half - i:] = table.matrix[PAD_ID]
     projected = _project(variants.reshape(-1, padded.shape[1]),
                          params.in_pair[:, None])
-    return projected.reshape(2, half, len(padded), 1,
-                             params.hidden_size)[:, :, 1:]
+    return projected.reshape(2, half, len(padded), 1, params.hidden_size)
 
 
 def prefix_states(params, table, ids, window, lookahead=False, cache=None):
@@ -541,7 +548,8 @@ def prefix_states(params, table, ids, window, lookahead=False, cache=None):
     else:
         proj_bwd = _project(padded, params.in_bwd)
         chain[1:] = cache.h_fwd
-    shared = (_tails(params, table, padded, half), proj_bwd[:, None], chain)
+    shared = (_tails(params, table, padded, half)[:, :, 1:], proj_bwd[:, None],
+              chain)
     # row j of the block's state is prefix half + 1 + j's
     state, rows = state[:, half:], n - half
     if rows * params.hidden_size ** 2 < _SPLIT_WORK or _usable_cpus() < 2:
@@ -564,6 +572,159 @@ def prefix_states(params, table, ids, window, lookahead=False, cache=None):
         yield comb
 
 
+# the bound on the work of a step of a sentence's own prefix block,
+# prefixes x hidden^2 multiply-adds, below which the sentence shares a
+# block with others (see prefix_states_many): 48 prefixes at h32, 12 at
+# h64, 4 at h100. Past it a step is gemv-bound, and padding each sentence's
+# rows to its block's longest loses. Shared against one prefix_states each,
+# every prefix read and put through the output layer, caches handed in,
+# window 3, one BLAS thread, 2-core VM, medians of 9 alternations: h32 d16
+# 8-12 words 1.15x for 2 sentences, 2.17x for 10 (1.88x stopped after 5
+# prefixes), 2.67x for 32; h32 5-48 words 1.36x for 10, 1.60x for 32; h64
+# 5-12 words 1.71x, h100 d50 5-10 words 1.08x, h16 d8 5-150 words 1.21x
+# for 10. With every sentence sharing: h64 12-65 words 0.97x and h100
+# 12-40 words 0.91x for 10, h32 5-97 words 1.22x and h100 5-15 words
+# 1.23x for 32. In one block per batch, not cut at half the longest's
+# prefixes: h16 5-150 words 0.85x for 10, h32 5-48 words 1.29x for 32
+_SHARED_WORK = 50_000
+
+
+def prefix_states_many(params, table, ids, window, lookahead=False,
+                       caches=None):
+    """``prefix_states`` of each sentence of the list ``ids``, with its
+    cache from the list ``caches`` when given: one pair ``(states, probs)``
+    per sentence, in order. ``states`` yields, bit for bit, what
+    ``prefix_states`` yields for that sentence. ``probs`` is None, or an
+    (n, classes) array whose row k - 1, once ``states`` has yielded prefix
+    k, holds that prefix's class probabilities,
+    ``softmax(comb[k - 1, 0] @ out_w + out_b)`` bit for bit.
+
+    The sentences longer than their all-tail prefixes whose own block
+    would do fewer than ``_SHARED_WORK`` multiply-adds a step share lockstep
+    blocks (``_PrefixBlock``), longest first, each block's shortest with at
+    least half the prefixes of its longest; ``probs`` is a block's. Every
+    other sentence, and one alone in its block, gets its own
+    ``prefix_states``, on two threads where that splits its block, and
+    None.
+    """
+    caches = caches or [None] * len(ids)
+    half = 0 if lookahead else window // 2
+    scorers = [(prefix_states(params, table, s, window, lookahead, cache), None)
+               for s, cache in zip(ids, caches)]
+    shared = sorted((i for i, s in enumerate(ids) if 0 < (len(s) - half)
+                     * params.hidden_size ** 2 < _SHARED_WORK),
+                    key=lambda i: len(ids[i]), reverse=True)
+    # a block pads each sentence's prefixes to its longest's: the first
+    # sentence with fewer than half as many starts the next block
+    groups = []
+    for i in shared:
+        if not groups or 2 * (len(ids[i]) - half) < len(ids[groups[-1][0]]) - half:
+            groups.append([])
+        groups[-1].append(i)
+    for group in groups:
+        if len(group) > 1:
+            block = _PrefixBlock(params, table, [ids[i] for i in group],
+                                 [caches[i] for i in group], window, half)
+            for slot, i in enumerate(group):
+                scorers[i] = block.sentence(slot)
+    return scorers
+
+
+class _PrefixBlock:
+    """The prefix blocks of several sentences, longest first, as one
+    lockstep block with a sentence axis (``_lockstep`` with ``sizes``).
+
+    Prefix j past the all-tail ones has ``half + 1 + j`` words in every
+    sentence, so it ends at the same step in each, and the sentence axis
+    shrinks as the shorter sentences run out. The block is set up, and runs
+    a step, only when a sentence's generator needs a row that no step has
+    made yet, so it never runs past the furthest prefix any generator has
+    asked for. The output layer of the row a step ends runs once for the
+    whole block, padding included: one stacked matmul, one gemv per row as
+    ``h @ out_w`` is, and one row-wise softmax. Each sentence's all-tail
+    prefixes are its own ``forward_pass`` calls, run when its generator
+    reaches them.
+    """
+
+    def __init__(self, params, table, ids, caches, window, half):
+        self.params, self.table, self.ids, self.caches = params, table, ids, caches
+        self.window, self.half = window, half
+        # each sentence's count of prefixes past the all-tail ones
+        self.sizes = [len(s) - half for s in ids]
+        longest, count = len(ids[0]), len(ids)
+        self.state = np.zeros((2, longest, count, 1, params.hidden_size))
+        self.probs = np.empty((longest, count, params.n_classes))
+        # the block's rows made so far, and its steps
+        self.made, self.steps = 0, None
+
+    def sentence(self, slot):
+        """The ``(states, probs)`` pair of the sentence in ``slot``."""
+        n = len(self.ids[slot])
+        probs = self.probs[:n, slot]
+        return self._yields(slot, self.state[1, :n, slot], probs), probs
+
+    def _yields(self, slot, comb, probs):
+        ids = self.ids[slot]
+        for k in range(1, self.half + 1):
+            x = compose_ngram_inputs(ids[:k], self.table, self.window)
+            cache = forward_pass(self.params, x)
+            comb[k - 1, 0] = cache.h_comb[-1]
+            probs[k - 1] = cache.probs
+            yield comb
+        for j in range(self.sizes[slot]):
+            while self.made <= j:
+                self._step()
+            yield comb
+
+    def _step(self):
+        if self.steps is None:
+            self.steps = _lockstep(self.params, *self._operands(),
+                                   self.state[:, self.half:], sizes=self.sizes)
+        next(self.steps)
+        row, params = self.half + self.made, self.params
+        self.probs[row] = softmax(np.matmul(self.state[1, row], params.out_w)[:, 0]
+                                  + params.out_b)
+        self.made += 1
+
+    def _operands(self):
+        """``_lockstep``'s shared operands for every sentence at once: the
+        inputs, each from row 0 of its own whole blocks of ``_ROW_BLOCK``
+        rows, so that each row keeps its place in its block, projected in
+        one call, their tails in one, and the forward chains, read from the
+        caches or run in lockstep, each as far as its prefixes leave it."""
+        params, hidden, sizes = self.params, self.params.hidden_size, self.sizes
+        inputs = [_as_input(params, compose_ngram_inputs(s, self.table, self.window)
+                            if c is None else c.inputs)
+                  for s, c in zip(self.ids, self.caches)]
+        count = len(inputs)
+        padded = np.zeros((count, _blocked(len(inputs[0])), inputs[0].shape[1]))
+        for x, rows in zip(inputs, padded):
+            rows[:len(x)] = x
+        flat = padded.reshape(-1, padded.shape[2])
+        chain = np.zeros((padded.shape[1] + 1, count, hidden))
+        if any(c is None for c in self.caches):
+            proj_fwd, proj_bwd = _project(flat, params.in_pair[:, None]).reshape(
+                2, count, -1, hidden)
+            # the forward chains in lockstep, one gemv per row as _recur's
+            # dot: mining 100 desk sentences with --all (h32, 8-12 words, one
+            # BLAS thread) ran 1.14x faster than with one _recur each
+            m = count
+            for t in range(sizes[0]):
+                while sizes[m - 1] <= t:
+                    m -= 1
+                np.tanh(proj_fwd[:m, t]
+                        + np.matmul(chain[t, :m, None], params.rec_fwd)[:, 0],
+                        out=chain[t + 1, :m])
+        else:
+            proj_bwd = _project(flat, params.in_bwd).reshape(count, -1, hidden)
+            for s, c in enumerate(self.caches):
+                chain[1:len(c.h_fwd) + 1, s] = c.h_fwd
+        tails = _tails(params, self.table, flat, self.half).reshape(
+            2, self.half, *padded.shape[:2], 1, hidden)[:, :, :, 1:]
+        return (tails.swapaxes(2, 3),
+                proj_bwd.swapaxes(0, 1)[:, :, None], chain)
+
+
 # the least first-step gemv work, prefixes x hidden^2 multiply-adds, from
 # which a block runs on two threads (see prefix_states). Two threads against
 # one, window 3, one BLAS thread, 2-core VM, medians of 11 alternations in
@@ -581,33 +742,41 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _lockstep(params, tails, proj_bwd, chain, state, first=0, stop=None):
+def _lockstep(params, tails, proj_bwd, chain, state, first=0, stop=None,
+              sizes=None):
     """Run the prefixes of ``depth + 1 + first``, ``depth + 2 + first``,
     ... words in lockstep, ``depth = tails.shape[1]``, with their tails'
-    projections ``tails`` (see ``_tails``) and the shared forward chain
-    ``chain``; ``first`` is the first prefix row of the whole block this
-    part runs. ``state``, (2, rows, 1, hidden) and zero on entry, holds each
-    of its prefixes' backward and combined state in its row. After each
-    step that ends one of them, the prefix of ``depth + 1 + first + j``
-    words, yield: row j of ``state[1]`` is then that prefix's final
-    combined state, ``forward_pass(params, x).h_comb[-1]`` bit for bit; a
-    finished row is not written again. ``stop``, when given, is a
-    ``threading.Event`` read before each step: once it is set, the part
-    returns.
+    projections ``tails`` (see ``_tails``), the backward input projections
+    ``proj_bwd``, (P, 1, hidden), and the shared forward chain ``chain``,
+    (P + 1, hidden), whose row t is the state after t words; ``first``
+    is the first prefix row of the whole block this part runs. ``state``,
+    (2, rows, 1, hidden) and zero on entry, holds each of its prefixes'
+    backward and combined state in its row. After each step that ends one
+    of them, the prefix of ``depth + 1 + first + j`` words, yield: row j of
+    ``state[1]`` is then that prefix's final combined state,
+    ``forward_pass(params, x).h_comb[-1]`` bit for bit; a finished row is
+    not written again. ``stop``, when given, is a ``threading.Event`` read
+    before each step: once it is set, the part returns.
+
+    The prefix blocks of many sentences run as one with ``sizes``, each
+    sentence's count of prefixes, longest first: every operand then has a
+    sentence axis right after its row axis. Prefix j of every sentence
+    ends at step ``depth + j``; the rows past a shorter sentence's are
+    padding, and the sentence leaves the block once its rows are done.
 
     Every operation is the one ``forward_pass`` applies to the same values.
     The stacked ``np.matmul`` of 1×h states runs one gemv per row, as
     ``v.dot(rec)`` does; adds and ``tanh`` are elementwise. So a row's bits
     do not depend on which other rows run with it, and the block can be
-    run in parts.
+    run in parts, or with other sentences' rows.
     """
-    depth, rows = tails.shape[1], state.shape[1]
+    depth, rows, m = tails.shape[1], state.shape[1], len(sizes) if sizes else 0
     # step ``ends + j`` ends this part's row j
     last, ends = first + rows, depth + first
     # prefix j's tail holds its rows j + 1 ... j + depth; its forward chain
     # leaves the shared one after row j, and forward[i][j - first] is its
     # state after its tail row i
-    forward, prev = [], chain[1 + first:1 + last, None]
+    forward, prev = [], chain[1 + first:1 + last, ..., None, :]
     for i in range(depth):
         prev = np.tanh(tails[0, i, first + i:last + i]
                        + np.matmul(prev, params.rec_fwd))
@@ -617,14 +786,22 @@ def _lockstep(params, tails, proj_bwd, chain, state, first=0, stop=None):
     # prefixes shorter than t+1 words are done, and the next one ends here
     done, live = 0, state
     bwd_state, comb_state = live
-    rec = params.rec_all[1:, None]
+    rec = params.rec_all[1:, None] if m == 0 else params.rec_all[1:, None, None]
     for t, shared in enumerate(chain[1:1 + ends + rows]):
         if stop is not None and stop.is_set():
             return
         if t > ends:
             done += 1
+            if m and sizes[m - 1] <= done:
+                # the sentences whose rows are all done leave the block
+                while sizes[m - 1] <= done:
+                    m -= 1
+                state, proj_bwd = state[:, :, :m], proj_bwd[:, :m]
+                forward = [part[:, :m] for part in forward]
             live = state[:, done:]
             bwd_state, comb_state = live
+        if m:
+            shared = shared[:m, None]
         carried_bwd, carried_comb = np.matmul(live, rec)
         # prefix j reads its row depth + j - t, a tail row for t < depth
         if t < depth:
@@ -819,13 +996,20 @@ def _input_of(model, sentence):
                                 model.train_cfg.window)
 
 
+def batches(items):
+    """``items`` in lists of ``_BATCH``, the last one shorter: the batches
+    in which ``classify_many`` labels sentences."""
+    items = iter(items)
+    while batch := list(islice(items, _BATCH)):
+        yield batch
+
+
 def classify_many(model, sentences):
     """The label ``predict`` gives each of ``sentences``, with the
     ``ForwardCache`` behind it, in order: ``forward_many`` over ``_BATCH``
     sentences at a time, and one row-wise softmax over each batch's scores,
     whose rows are the bits of each cache's own ``probs``."""
-    inputs = (_input_of(model, s) for s in sentences)
-    while chunk := list(islice(inputs, _BATCH)):
+    for chunk in batches(_input_of(model, s) for s in sentences):
         caches = forward_many(model.params, chunk)
         rows = softmax(np.stack([cache.scores for cache in caches]))
         for cache, probs in zip(caches, rows):

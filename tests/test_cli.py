@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,6 +400,21 @@ def test_bad_input_exit_2(tmp_path, quick_model, capsys, files, argv, expected):
               "test": quick_model["test"]}
     assert _exit_code([arg.format(**places) for arg in argv]) == 2
     assert expected.format(**places) in capsys.readouterr().err
+    assert not (tmp_path / "m.txt").exists()
+
+
+def test_module_form_exits_with_the_cli_code(tmp_path):
+    """``python -m cbrnn`` runs the command line in a process of its own and
+    exits with its code: 2 for a bad flag, named on stderr."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "cbrnn", "train", "--synthetic", "2x20",
+         "--hidden", "0", "--dim", "4", "--out", str(tmp_path / "m.txt")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 2
+    assert "--hidden: hidden_size must be positive" in run.stderr
     assert not (tmp_path / "m.txt").exists()
 
 

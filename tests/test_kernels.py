@@ -14,6 +14,7 @@ block hold.
 
 import sys
 import threading
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
@@ -642,6 +643,89 @@ def test_prefix_probs_bit_equal_to_forward_pass(hidden, window, dim, n_classes,
                                   stop)
 
 
+# a fifth of the active profile's budget: 20 examples by default, 200 under
+# --hypothesis-profile=fuzz
+@settings(deadline=None, max_examples=max(1, settings().max_examples // 5))
+@given(hidden=st.integers(1, 32), window=windows, lookahead=st.booleans(),
+       dim=st.integers(1, 4), n_classes=st.integers(2, 4),
+       cached=st.booleans(),
+       lengths=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+       seed=seeds)
+@example(hidden=32, window=3, lookahead=False, dim=4, n_classes=4,
+         cached=True, lengths=[40, 1, 9, 2, 25, 12, 40, 3], seed=0)
+def test_shared_prefix_block_yields_what_each_sentence_scorer_yields(
+        hidden, window, lookahead, dim, n_classes, cached, lengths, seed):
+    """1 to 8 sentences of 1 to 40 words, with or without their caches,
+    their generators read in a random order and some closed early: every
+    yield of each has, in the rows of the prefixes that have ended, the
+    bytes of ``prefix_states``'s yield for its sentence, and a shared
+    block's probability row those of the output layer on that row. The
+    sentences longer than their all-tail prefixes share blocks, longest
+    first, a block's shortest with at least half its longest's prefixes,
+    and a block runs no step past the furthest prefix that any of its
+    generators has read."""
+    rng = np.random.default_rng(seed)
+    ids = [list(rng.integers(0, VOCAB, size=n)) for n in lengths]
+    params = scaled_params(window * dim, hidden, n_classes, 1.0, rng)
+    table = random_table(seed, dim)
+    half = 0 if lookahead else window // 2
+    caches = [None] * len(ids)
+    if cached:
+        caches = forward_many(params, [compose_ngram_inputs(s, table, window)
+                                       for s in ids])
+    want = [[comb.copy() for comb in prefix_states(params, table, s, window,
+                                                   lookahead, cache)]
+            for s, cache in zip(ids, caches)]
+    # each shared block's steps so far, by its sentences' prefix counts
+    steps = Counter()
+
+    def spy(*args, **kwargs):
+        for step in lockstep(*args, **kwargs):
+            steps[tuple(kwargs.get("sizes") or ())] += 1
+            yield step
+
+    lockstep = model._lockstep
+    with mock.patch.object(model, "_lockstep", spy):
+        scorers = model.prefix_states_many(params, table, ids, window,
+                                           lookahead, caches if cached else None)
+        # at most 39 prefixes at h32, under _SHARED_WORK
+        groups = []
+        for i in sorted((i for i, n in enumerate(lengths) if n > half),
+                        key=lengths.__getitem__, reverse=True):
+            if (not groups or 2 * (lengths[i] - half)
+                    < lengths[groups[-1][0]] - half):
+                groups.append([])
+            groups[-1].append(i)
+        groups = [group for group in groups if len(group) > 1]
+        shared = {i for group in groups for i in group}
+        assert ([probs is not None for _, probs in scorers]
+                == [i in shared for i in range(len(ids))])
+        read, running = [0] * len(ids), set(range(len(ids)))
+        while running:
+            i = int(rng.choice(sorted(running)))
+            states, probs = scorers[i]
+            if rng.random() < 0.05:
+                states.close()
+                running.discard(i)
+                continue
+            comb = next(states, None)
+            if comb is None:
+                assert read[i] == len(ids[i])
+                running.discard(i)
+                continue
+            read[i] += 1
+            k = read[i]
+            assert comb[:k].tobytes() == want[i][k - 1][:k].tobytes(), (i, k)
+            if probs is not None:
+                row = softmax(want[i][k - 1][k - 1, 0] @ params.out_w
+                              + params.out_b)
+                assert probs[k - 1].tobytes() == row.tobytes(), (i, k)
+            for group in groups:
+                furthest = max(read[j] - half for j in group)
+                sizes = tuple(lengths[j] - half for j in group)
+                assert steps[sizes] == max(furthest, 0), (group, read)
+
+
 @pytest.mark.parametrize("ids, window, hidden", [
     ([PAD_ID], 5, 1),
     ([1, 2, 3, 4, 5, 1, 2, 3, 4, 5], 7, 2),
@@ -1015,3 +1099,50 @@ def test_batched_callers_equal_a_forward_pass_each(trained_model,
 
     monkeypatch.setattr(model, "forward_many", one_each)
     assert run() == got
+
+
+def test_mining_shares_a_block_with_the_bytes_of_one_scorer_each(
+        trained_model, synthetic_split, monkeypatch):
+    """Mining 70 sentences of 6 to 48 words on the reference model, the
+    correctly classified ones and all of them, with and without lookahead,
+    at a tau most cross early and at one fewer cross, gives the pattern
+    table of one ``extract_pattern`` per sentence through its own
+    ``prefix_states``; the sentences of each batch share blocks, each
+    block's shortest with at least half its longest's prefixes."""
+    rng = np.random.default_rng(4)
+    pool = synthetic_split.train + synthetic_split.test
+    mixed = [replace(pool[j], tokens=pool[j].tokens + ("for",) * int(extra),
+                     id=str(i))
+             for i, (j, extra) in enumerate(zip(
+                 rng.integers(0, len(pool), size=70),
+                 rng.integers(0, 37, size=70)))]
+    blocks = []
+
+    def spy(*args, **kwargs):
+        if kwargs.get("sizes") is not None:
+            blocks.append(kwargs["sizes"])
+        return lockstep(*args, **kwargs)
+
+    def mine(only_correct, tau, lookahead):
+        table = interpret.mine_patterns(trained_model, mixed, tau=tau,
+                                        only_correct=only_correct,
+                                        lookahead=lookahead)
+        assert table.entries
+        return interpret.pattern_table_to_tsv(table)
+
+    lockstep = model._lockstep
+    monkeypatch.setattr(model, "_lockstep", spy)
+    runs = [(only_correct, tau, lookahead) for only_correct in (True, False)
+            for tau, lookahead in ((0.5, True), (0.99, False))]
+    shared = []
+    for only_correct, tau, lookahead in runs:
+        blocks.clear()
+        shared.append(mine(only_correct, tau, lookahead))
+        assert all(len(b) > 1 and 2 * b[-1] >= b[0] for b in blocks)
+        if not only_correct:
+            # every sentence of the three batches shares one of 8 blocks
+            assert len(blocks) == 8 and sum(map(len, blocks)) == 70
+    blocks.clear()
+    monkeypatch.setattr(model, "_SHARED_WORK", 0)
+    assert [mine(*run) for run in runs] == shared
+    assert blocks == []
