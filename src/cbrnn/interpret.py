@@ -4,11 +4,12 @@ A prefix of length k is scored as its own full input: the window sequence is
 recomposed on the truncated tokens, so the last window ends in padding rather
 than the next word. Pattern *reporting* can instead take the window from the
 full sentence (``lookahead=True``), which includes the right neighbor of the
-crossing word. One scorer serves both callers: it composes and projects the
-sentence once, takes each prefix's few rows that differ from it, its tail,
-from the sentence's input with the padding written in, and runs all
-prefixes as one lockstep block, ``model.prefix_states``, which yields
-after each prefix ends. Pattern extraction puts each prefix through the
+crossing word. One scorer serves both callers, ``model.prefix_states``. Its
+set-up, the same for one sentence or a shared block of many, composes and
+projects the sentence once and takes each prefix's few rows that differ
+from it, its tail, from the sentence's input with the padding written in;
+it then runs all prefixes as one lockstep block, which yields after each
+prefix ends. Pattern extraction puts each prefix through the
 output layer as it is yielded, stops at the first that crosses and closes
 the scorer. A curve drains it and puts every prefix through one stacked
 output layer. For a long sentence at a large hidden size the scorer runs

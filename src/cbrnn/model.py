@@ -25,9 +25,10 @@ is drained or closed; every row keeps its bits. ``prefix_states_many``
 gives one such generator per sentence of a list, and where a sentence's
 own block would do fewer than ``_SHARED_WORK`` multiply-adds a step, the
 blocks of those sentences of like lengths run as one, with a sentence
-axis, set up at once, stepped only as far as a generator has read, and
-with one output layer a step for all of them; mining scores each
-labelled batch through it.
+axis, stepped only as far as a generator has read, and with one output
+layer a step for all of them; mining scores each labelled batch through
+it. One function, ``_prefix_operands``, sets up a block of one sentence
+or many and checks its inputs before the first yield.
 """
 
 from __future__ import annotations
@@ -492,6 +493,52 @@ def _tails(params, table, padded, half):
     return projected.reshape(2, half, len(padded), 1, params.hidden_size)
 
 
+def _prefix_operands(params, table, ids, caches, window, half):
+    """``_lockstep``'s shared operands ``(tails, proj_bwd, chain)`` for the
+    sentences ``ids``, each with its cache from ``caches`` or None, with a
+    sentence axis after the row axis. Each input is composed or read from
+    its cache, and checked, and is zero-padded from the start of its own
+    blocks of ``_ROW_BLOCK`` rows, so that each row keeps the bits its own
+    input gives it (see ``_checked_input``); all of them are projected in
+    one ``_project`` call and their tails in one ``_tails`` call. A forward
+    chain, row t the state after t words, is read from the cache, or is
+    ``_recur`` over the sentence's rows as far as its prefixes leave it.
+    """
+    inputs = [_as_input(params, compose_ngram_inputs(s, table, window)
+                        if c is None else c.inputs) for s, c in zip(ids, caches)]
+    count, hidden = len(inputs), params.hidden_size
+    padded = np.zeros((count, _blocked(max(map(len, inputs))), inputs[0].shape[1]))
+    for x, own in zip(inputs, padded):
+        own[:len(x)] = x
+    flat = padded.reshape(-1, padded.shape[2])
+    # the forward projections only where a chain is not read from a cache
+    proj = _project(flat, params.in_pair[:, None] if None in caches
+                    else params.in_bwd).reshape(-1, *padded.shape[:2], hidden)
+    chain = np.zeros((padded.shape[1] + 1, count, hidden))
+    for s, (x, cache) in enumerate(zip(inputs, caches)):
+        if cache is None:
+            rows = max(len(x) - half, 0)
+            _recur(proj[0, s, :rows], params.rec_fwd, chain[1:rows + 1, s])
+        else:
+            chain[1:len(x) + 1, s] = cache.h_fwd
+    tails = _tails(params, table, flat, half).reshape(2, half, *padded.shape[:2],
+                                                      1, hidden)
+    return (tails[:, :, :, 1:].swapaxes(2, 3), proj[-1, :, :, None].swapaxes(0, 1),
+            chain)
+
+
+def _all_tail(params, table, ids, window, half, comb, probs=None):
+    """The all-tail prefixes of ``ids``, of at most ``half`` words, one
+    ``forward_pass`` each: write prefix k's final combined state, and its
+    probabilities when ``probs`` is given, to row k - 1 and yield ``comb``."""
+    for k in range(1, min(half, len(ids)) + 1):
+        cache = forward_pass(params, compose_ngram_inputs(ids[:k], table, window))
+        comb[k - 1, 0] = cache.h_comb[-1]
+        if probs is not None:
+            probs[k - 1] = cache.probs
+        yield comb
+
+
 def prefix_states(params, table, ids, window, lookahead=False, cache=None):
     """Score the prefixes of k = 1, 2, ..., n words of the sentence ``ids``,
     shortest first. After prefix k ends, yield the combined states, one
@@ -501,21 +548,22 @@ def prefix_states(params, table, ids, window, lookahead=False, cache=None):
     ``lookahead``, for ``x = full[:k]`` of the whole sentence's input
     ``full``, whose last windows read on past word k. A finished row is not
     written again. Pattern extraction stops at its crossing; a curve drains
-    the generator and reads its last yield.
+    the generator and reads its last yield. A bad sentence or cache raises
+    before the first yield.
 
     A prefix's input is ``full[:k]`` but for its tail: its last
     ``window // 2`` rows, whose windows reach past word k and read the
     padding row there. The whole sentence is composed and projected once,
-    and the tails of all prefixes take one projection (``_tails``). One
-    forward chain over the sentence serves every prefix: a prefix's forward
-    chain leaves it only at its tail. ``cache``, when given, is
-    ``forward_pass(params, full)``'s (or ``forward_many``'s), whose input
-    and forward chain the scorer then reads. A prefix of at most
-    ``window // 2`` words is all tail: it shares no row with the sentence
-    and is one ``forward_pass`` call. The backward and combined chains
-    depend on where the prefix ends, so every other prefix keeps its own,
-    and all of them advance in lockstep as one block (``_lockstep``): a
-    caller that stops after prefix k leaves the steps past word k unrun.
+    and the tails of all prefixes take one projection (``_prefix_operands``
+    of one sentence). One forward chain over the sentence serves every
+    prefix: a prefix's forward chain leaves it only at its tail. ``cache``,
+    when given, is ``forward_pass(params, full)``'s (or ``forward_many``'s),
+    whose input and forward chain the scorer then reads. A prefix of at
+    most ``window // 2`` words is all tail: it shares no row with the
+    sentence and is one ``forward_pass`` call. The backward and combined
+    chains depend on where the prefix ends, so every other prefix keeps its
+    own, and all of them advance in lockstep as one block (``_lockstep``):
+    a caller that stops after prefix k leaves the steps past word k unrun.
 
     When the block's first step does ``_SPLIT_WORK`` or more multiply-adds
     and the process may run on two CPUs, the block is cut in two: the
@@ -529,27 +577,16 @@ def prefix_states(params, table, ids, window, lookahead=False, cache=None):
     returns. Each row gets the bits the whole block gives it: a row reads
     only the shared operands and writes only its own state.
     """
-    x = compose_ngram_inputs(ids, table, window) if cache is None else cache.inputs
-    full, padded = _checked_input(params, x)
-    n, half = len(full), 0 if lookahead else window // 2
+    half = 0 if lookahead else window // 2
+    tails, proj_bwd, chain = _prefix_operands(params, table, [ids], [cache],
+                                              window, half)
+    n = len(ids)
     state = np.zeros((2, n, 1, params.hidden_size))
     comb = state[1]
-    for k in range(1, min(half, n) + 1):
-        x = compose_ngram_inputs(ids[:k], table, window)
-        comb[k - 1, 0] = forward_pass(params, x).h_comb[-1]
-        yield comb
+    yield from _all_tail(params, table, ids, window, half, comb)
     if n <= half:
         return
-    # the shared forward chain: chain[t] is the state after t words
-    chain = np.zeros((n + 1, params.hidden_size))
-    if cache is None:
-        proj_fwd, proj_bwd = _project(padded, params.in_pair[:, None])
-        _recur(proj_fwd[:n - half], params.rec_fwd, chain[1:n - half + 1])
-    else:
-        proj_bwd = _project(padded, params.in_bwd)
-        chain[1:] = cache.h_fwd
-    shared = (_tails(params, table, padded, half)[:, :, 1:], proj_bwd[:, None],
-              chain)
+    shared = tails[:, :, :, 0], proj_bwd[:, 0], chain[:, 0]
     # row j of the block's state is prefix half + 1 + j's
     state, rows = state[:, half:], n - half
     if rows * params.hidden_size ** 2 < _SPLIT_WORK or _usable_cpus() < 2:
@@ -636,93 +673,50 @@ class _PrefixBlock:
 
     Prefix j past the all-tail ones has ``half + 1 + j`` words in every
     sentence, so it ends at the same step in each, and the sentence axis
-    shrinks as the shorter sentences run out. The block is set up, and runs
-    a step, only when a sentence's generator needs a row that no step has
-    made yet, so it never runs past the furthest prefix any generator has
-    asked for. The output layer of the row a step ends runs once for the
-    whole block, padding included: one stacked matmul, one gemv per row as
-    ``h @ out_w`` is, and one row-wise softmax. Each sentence's all-tail
-    prefixes are its own ``forward_pass`` calls, run when its generator
-    reaches them.
+    shrinks as the shorter sentences run out. The block's operands are set
+    up at once (``_prefix_operands``), so a bad input raises before any
+    yield; the block runs a step only when a sentence's generator needs a
+    row that no step has made yet, so it never runs past the furthest
+    prefix any generator has asked for. The output layer of the row a step
+    ends runs once for the whole block, padding included: one stacked
+    matmul, one gemv per row as ``h @ out_w`` is, and one row-wise softmax.
+    Each sentence's all-tail prefixes are its own ``forward_pass`` calls,
+    run when its generator reaches them.
     """
 
     def __init__(self, params, table, ids, caches, window, half):
-        self.params, self.table, self.ids, self.caches = params, table, ids, caches
+        self.params, self.table, self.ids = params, table, ids
         self.window, self.half = window, half
-        # each sentence's count of prefixes past the all-tail ones
-        self.sizes = [len(s) - half for s in ids]
         longest, count = len(ids[0]), len(ids)
         self.state = np.zeros((2, longest, count, 1, params.hidden_size))
         self.probs = np.empty((longest, count, params.n_classes))
-        # the block's rows made so far, and its steps
-        self.made, self.steps = 0, None
+        # the block's rows made so far, and its steps; sizes are each
+        # sentence's count of prefixes past the all-tail ones
+        self.made = 0
+        self.steps = _lockstep(params, *_prefix_operands(params, table, ids, caches,
+                                                         window, half),
+                               self.state[:, half:], sizes=[len(s) - half for s in ids])
 
     def sentence(self, slot):
         """The ``(states, probs)`` pair of the sentence in ``slot``."""
-        n = len(self.ids[slot])
-        probs = self.probs[:n, slot]
-        return self._yields(slot, self.state[1, :n, slot], probs), probs
-
-    def _yields(self, slot, comb, probs):
         ids = self.ids[slot]
-        for k in range(1, self.half + 1):
-            x = compose_ngram_inputs(ids[:k], self.table, self.window)
-            cache = forward_pass(self.params, x)
-            comb[k - 1, 0] = cache.h_comb[-1]
-            probs[k - 1] = cache.probs
-            yield comb
-        for j in range(self.sizes[slot]):
+        probs = self.probs[:len(ids), slot]
+        return self._yields(ids, self.state[1, :len(ids), slot], probs), probs
+
+    def _yields(self, ids, comb, probs):
+        yield from _all_tail(self.params, self.table, ids, self.window, self.half,
+                             comb, probs)
+        for j in range(len(ids) - self.half):
             while self.made <= j:
                 self._step()
             yield comb
 
     def _step(self):
-        if self.steps is None:
-            self.steps = _lockstep(self.params, *self._operands(),
-                                   self.state[:, self.half:], sizes=self.sizes)
         next(self.steps)
         row, params = self.half + self.made, self.params
         self.probs[row] = softmax(np.matmul(self.state[1, row], params.out_w)[:, 0]
                                   + params.out_b)
         self.made += 1
-
-    def _operands(self):
-        """``_lockstep``'s shared operands for every sentence at once: the
-        inputs, each from row 0 of its own whole blocks of ``_ROW_BLOCK``
-        rows, so that each row keeps its place in its block, projected in
-        one call, their tails in one, and the forward chains, read from the
-        caches or run in lockstep, each as far as its prefixes leave it."""
-        params, hidden, sizes = self.params, self.params.hidden_size, self.sizes
-        inputs = [_as_input(params, compose_ngram_inputs(s, self.table, self.window)
-                            if c is None else c.inputs)
-                  for s, c in zip(self.ids, self.caches)]
-        count = len(inputs)
-        padded = np.zeros((count, _blocked(len(inputs[0])), inputs[0].shape[1]))
-        for x, rows in zip(inputs, padded):
-            rows[:len(x)] = x
-        flat = padded.reshape(-1, padded.shape[2])
-        chain = np.zeros((padded.shape[1] + 1, count, hidden))
-        if any(c is None for c in self.caches):
-            proj_fwd, proj_bwd = _project(flat, params.in_pair[:, None]).reshape(
-                2, count, -1, hidden)
-            # the forward chains in lockstep, one gemv per row as _recur's
-            # dot: mining 100 desk sentences with --all (h32, 8-12 words, one
-            # BLAS thread) ran 1.14x faster than with one _recur each
-            m = count
-            for t in range(sizes[0]):
-                while sizes[m - 1] <= t:
-                    m -= 1
-                np.tanh(proj_fwd[:m, t]
-                        + np.matmul(chain[t, :m, None], params.rec_fwd)[:, 0],
-                        out=chain[t + 1, :m])
-        else:
-            proj_bwd = _project(flat, params.in_bwd).reshape(count, -1, hidden)
-            for s, c in enumerate(self.caches):
-                chain[1:len(c.h_fwd) + 1, s] = c.h_fwd
-        tails = _tails(params, self.table, flat, self.half).reshape(
-            2, self.half, *padded.shape[:2], 1, hidden)[:, :, :, 1:]
-        return (tails.swapaxes(2, 3),
-                proj_bwd.swapaxes(0, 1)[:, :, None], chain)
 
 
 # the least first-step gemv work, prefixes x hidden^2 multiply-adds, from

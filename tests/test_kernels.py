@@ -653,18 +653,24 @@ def test_prefix_probs_bit_equal_to_forward_pass(hidden, window, dim, n_classes,
        seed=seeds)
 @example(hidden=32, window=3, lookahead=False, dim=4, n_classes=4,
          cached=True, lengths=[40, 1, 9, 2, 25, 12, 40, 3], seed=0)
+@example(hidden=32, window=3, lookahead=False, dim=4, n_classes=4,
+         cached=False, lengths=[40, 1, 9, 2, 25, 12, 40, 3], seed=0)
 def test_shared_prefix_block_yields_what_each_sentence_scorer_yields(
         hidden, window, lookahead, dim, n_classes, cached, lengths, seed):
     """1 to 8 sentences of 1 to 40 words, with or without their caches,
     their generators read in a random order and some closed early: every
     yield of each has, in the rows of the prefixes that have ended, the
     bytes of ``prefix_states``'s yield for its sentence, and a shared
-    block's probability row those of the output layer on that row. The
+    block's probability row those of the output layer on that row. Since
+    the two share their set-up, a sample of a shared block's ended rows is
+    also checked against ``forward_pass`` on the prefix's own input. The
     sentences longer than their all-tail prefixes share blocks, longest
     first, a block's shortest with at least half its longest's prefixes,
     and a block runs no step past the furthest prefix that any of its
     generators has read."""
     rng = np.random.default_rng(seed)
+    # a stream of its own, so that the reading order is the seed's
+    sample = np.random.default_rng(seed + 1)
     ids = [list(rng.integers(0, VOCAB, size=n)) for n in lengths]
     params = scaled_params(window * dim, hidden, n_classes, 1.0, rng)
     table = random_table(seed, dim)
@@ -720,6 +726,12 @@ def test_shared_prefix_block_yields_what_each_sentence_scorer_yields(
                 row = softmax(want[i][k - 1][k - 1, 0] @ params.out_w
                               + params.out_b)
                 assert probs[k - 1].tobytes() == row.tobytes(), (i, k)
+                if sample.random() < 0.25:
+                    x = (compose_ngram_inputs(ids[i], table, window)[:k]
+                         if lookahead else
+                         compose_ngram_inputs(ids[i][:k], table, window))
+                    oracle = forward_pass(params, x).h_comb[-1]
+                    assert comb[k - 1, 0].tobytes() == oracle.tobytes(), (i, k)
             for group in groups:
                 furthest = max(read[j] - half for j in group)
                 sizes = tuple(lengths[j] - half for j in group)

@@ -3,9 +3,12 @@
 import threading
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from cbrnn import interpret, model, train
+from cbrnn.corpus import PAD_ID
+from cbrnn.embeddings import EmbeddingTable
 from cbrnn.interpret import (
     FixedCurveModel,
     UnknownRelation,
@@ -235,6 +238,52 @@ def test_stopping_early_stops_and_joins_the_worker(h100_model,
     next(states)
     states.close()
     worker_stopped()
+
+
+@pytest.mark.parametrize("window", [1, 3, 5])
+@pytest.mark.parametrize("lookahead", [False, True])
+def test_bad_input_raises_before_the_first_yield(window, lookahead):
+    """An empty sentence, and a cache whose input is narrower than the
+    weights, raise before the scorer yields anything, whether or not the
+    sentence has all-tail prefixes: through ``prefix_states``, and through
+    ``prefix_states_many``, alone and in a shared block."""
+    rng = np.random.default_rng(0)
+    dim, width = 2, 2 * window
+    params = model.init_params(width, 4, 3, rng)
+    matrix = rng.uniform(-0.1, 0.1, size=(6, dim))
+    matrix[PAD_ID] = 0.0
+    table, ids = EmbeddingTable(matrix), [1, 2, 3, 4, 5]
+    narrow = model.forward_pass(model.init_params(width - 1, 4, 3, rng),
+                                np.ones((len(ids), width - 1)))
+    empty, too_narrow = "empty id sequence", f"input dim {width - 1} != "
+    with pytest.raises(ValueError, match=empty):
+        next(model.prefix_states(params, table, [], window, lookahead))
+    with pytest.raises(model.ShapeMismatch, match=too_narrow):
+        next(model.prefix_states(params, table, ids, window, lookahead, narrow))
+    # one sentence alone gets its own scorer, two share a block
+    for count in (1, 2):
+        scorers = model.prefix_states_many(params, table, [[]] + [ids] * count,
+                                           window, lookahead)
+        assert [probs is None for _, probs in scorers[1:]] == [count == 1] * count
+        with pytest.raises(ValueError, match=empty):
+            next(scorers[0][0])
+        with pytest.raises(model.ShapeMismatch, match=too_narrow):
+            for states, _ in model.prefix_states_many(params, table, [ids] * count,
+                                                      window, lookahead,
+                                                      [narrow] * count):
+                next(states)
+
+
+def test_empty_sentence_is_rejected_before_it_is_scored(trained_model,
+                                                         synthetic_split):
+    """A curve and an extraction of an empty sentence name it, with and
+    without lookahead."""
+    label = synthetic_split.test[0].label
+    for lookahead in (False, True):
+        with pytest.raises(ValueError, match="empty id sequence"):
+            prefix_curve(trained_model, (), label, lookahead)
+        with pytest.raises(ValueError, match="empty id sequence"):
+            extract_pattern(trained_model, (), label, lookahead=lookahead)
 
 
 def test_extract_pattern_unknown_relation(trained_model, synthetic_split):
