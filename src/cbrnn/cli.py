@@ -91,6 +91,10 @@ def _load_split(args):
     if bool(args.data) == bool(args.synthetic):
         raise InputError("exactly one of --data / --synthetic is required")
     if args.synthetic:
+        for name in ("dev", "test"):
+            if getattr(args, name):
+                raise _config_error(InputError(f"--{name} cannot be used with"
+                                               " --synthetic"), args, [name])
         m = re.fullmatch(r"(\d+)x(\d+)", args.synthetic)
         if not m:
             raise InputError("--synthetic expects RELATIONSxSENTENCES, e.g. 4x50")
@@ -165,6 +169,8 @@ def cmd_train(args):
 
 def _pick_sentence(args):
     if args.sentence:
+        if args.data or args.id:
+            raise InputError("--sentence cannot be used with --data or --id")
         try:
             return corpus.LabeledSentence(tokens=tuple(args.sentence.split()),
                                           label=args.relation, id="cli")

@@ -18,17 +18,15 @@ and in ``interpret`` mining and hidden export).
 ``prefix_states``, the prefix scorer, scores every word-prefix of one
 sentence, its prefixes as one lockstep block (``_lockstep``) that yields as
 each prefix ends: pattern extraction stops it at its crossing, a curve
-drains it. When the block's first step does ``_SPLIT_WORK`` multiply-adds
-or more and the process may use two CPUs, the block's longer prefixes run
-on a worker thread that the generator opens, and stops and joins when it
-is drained or closed; every row keeps its bits. ``prefix_states_many``
-gives one such generator per sentence of a list, and where a sentence's
-own block would do fewer than ``_SHARED_WORK`` multiply-adds a step, the
-blocks of those sentences of like lengths run as one, with a sentence
-axis, stepped only as far as a generator has read, and with one output
-layer a step for all of them; mining scores each labelled batch through
-it. One function, ``_prefix_operands``, sets up a block of one sentence
-or many and checks its inputs before the first yield.
+drains it. Where the block's first step does ``_SPLIT_WORK`` multiply-adds
+or more, ``_split`` runs it on two threads; every row keeps its bits.
+``prefix_states_many`` gives one such generator per sentence of a list,
+and where a sentence's own block would do fewer than ``_SHARED_WORK``
+multiply-adds a step, the blocks of sentences of like lengths run as one
+(``_shared_block``), with a sentence axis, one output layer a step for all
+of them, and a ``tee`` of its steps for each sentence; mining scores each
+labelled batch through it. One function, ``_prefix_operands``, sets up a
+block of one sentence or many and checks its inputs before the first yield.
 """
 
 from __future__ import annotations
@@ -37,10 +35,11 @@ import os
 import threading
 import warnings
 from collections import Counter, deque
+from contextlib import closing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, islice, tee
 
 import numpy as np
 
@@ -566,16 +565,7 @@ def prefix_states(params, table, ids, window, lookahead=False, cache=None):
     a caller that stops after prefix k leaves the steps past word k unrun.
 
     When the block's first step does ``_SPLIT_WORK`` or more multiply-adds
-    and the process may run on two CPUs, the block is cut in two: the
-    prefixes from row ``m = floor(rows / sqrt(2))`` on, which run the most
-    steps, run on one worker thread opened by the generator, and the
-    shorter ones on the caller's, one yield after each, and the two halves
-    do about the same work; numpy lets go of the GIL inside each step's
-    gemv. The caller's part done, the worker's result is read, its thread
-    joined, and the worker's prefixes are yielded. Closing the generator
-    early stops the worker within one step and joins it before ``close()``
-    returns. Each row gets the bits the whole block gives it: a row reads
-    only the shared operands and writes only its own state.
+    and the process may use two CPUs, ``_split`` runs it on two threads.
     """
     half = 0 if lookahead else window // 2
     tails, proj_bwd, chain = _prefix_operands(params, table, [ids], [cache],
@@ -588,25 +578,38 @@ def prefix_states(params, table, ids, window, lookahead=False, cache=None):
         return
     shared = tails[:, :, :, 0], proj_bwd[:, 0], chain[:, 0]
     # row j of the block's state is prefix half + 1 + j's
-    state, rows = state[:, half:], n - half
-    if rows * params.hidden_size ** 2 < _SPLIT_WORK or _usable_cpus() < 2:
-        for _ in _lockstep(params, *shared, state):
+    state = state[:, half:]
+    if (n - half) * params.hidden_size ** 2 < _SPLIT_WORK or _usable_cpus() < 2:
+        steps = _lockstep(params, *shared, state)
+    else:
+        steps = _split(params, shared, state)
+    with closing(steps):
+        for _ in steps:
             yield comb
-        return
-    m, stop = int(rows / 2 ** 0.5), threading.Event()
+
+
+def _split(params, shared, state):
+    """``_lockstep`` of the prefix block ``state`` on two threads, one yield
+    as each prefix ends. Rows ``m = floor(rows / sqrt(2))`` on, which run
+    the most steps, run on a worker thread and the rest on the caller's, so
+    the two do about the same work; numpy lets go of the GIL inside each
+    step's gemv. The caller's part done, the worker is joined, and one yield
+    follows per worker row. Closing the generator stops the worker within
+    one step and joins it. A row reads only the shared operands and writes
+    only its own state, so it keeps its bits."""
+    m, stop = int(state.shape[1] / 2 ** 0.5), threading.Event()
     with ThreadPoolExecutor(1) as pool:
         longer = pool.submit(deque, _lockstep(params, *shared, state[:, m:],
                                               m, stop), maxlen=0)
         try:
-            for _ in _lockstep(params, *shared, state[:, :m]):
-                yield comb
+            yield from _lockstep(params, *shared, state[:, :m])
             longer.result()
         finally:
             # set only once the worker is done, unless the caller stopped
             # early or raised; leaving the with joins the worker
             stop.set()
-    for _ in range(m, rows):
-        yield comb
+    for _ in range(m, state.shape[1]):
+        yield
 
 
 # the bound on the work of a step of a sentence's own prefix block,
@@ -638,7 +641,7 @@ def prefix_states_many(params, table, ids, window, lookahead=False,
 
     The sentences longer than their all-tail prefixes whose own block
     would do fewer than ``_SHARED_WORK`` multiply-adds a step share lockstep
-    blocks (``_PrefixBlock``), longest first, each block's shortest with at
+    blocks (``_shared_block``), longest first, each block's shortest with at
     least half the prefixes of its longest; ``probs`` is a block's. Every
     other sentence, and one alone in its block, gets its own
     ``prefix_states``, on two threads where that splits its block, and
@@ -660,63 +663,53 @@ def prefix_states_many(params, table, ids, window, lookahead=False,
         groups[-1].append(i)
     for group in groups:
         if len(group) > 1:
-            block = _PrefixBlock(params, table, [ids[i] for i in group],
-                                 [caches[i] for i in group], window, half)
-            for slot, i in enumerate(group):
-                scorers[i] = block.sentence(slot)
+            for i, pair in zip(group, _shared_block(
+                    params, table, [ids[i] for i in group],
+                    [caches[i] for i in group], window, half)):
+                scorers[i] = pair
     return scorers
 
 
-class _PrefixBlock:
-    """The prefix blocks of several sentences, longest first, as one
-    lockstep block with a sentence axis (``_lockstep`` with ``sizes``).
+def _shared_block(params, table, ids, caches, window, half):
+    """``prefix_states_many``'s ``(states, probs)`` pairs for sentences,
+    longest first, whose prefixes run as one lockstep block with a sentence
+    axis (``_lockstep`` with ``sizes``).
 
     Prefix j past the all-tail ones has ``half + 1 + j`` words in every
     sentence, so it ends at the same step in each, and the sentence axis
-    shrinks as the shorter sentences run out. The block's operands are set
-    up at once (``_prefix_operands``), so a bad input raises before any
-    yield; the block runs a step only when a sentence's generator needs a
-    row that no step has made yet, so it never runs past the furthest
-    prefix any generator has asked for. The output layer of the row a step
-    ends runs once for the whole block, padding included: one stacked
-    matmul, one gemv per row as ``h @ out_w`` is, and one row-wise softmax.
-    Each sentence's all-tail prefixes are its own ``forward_pass`` calls,
-    run when its generator reaches them.
+    shrinks as the shorter sentences run out. The operands are set up here
+    (``_prefix_operands``), so a bad input raises before any yield. Each
+    sentence reads the block's steps through its own ``tee`` of one step
+    generator, so the block never runs past the furthest prefix any sentence
+    has read. The output layer of the row a step ends runs once for the
+    whole block, padding included: one stacked matmul, one gemv per row as
+    ``h @ out_w`` is, and one row-wise softmax. A sentence's all-tail
+    prefixes are its own ``forward_pass`` calls (``_all_tail``).
     """
+    longest, count = len(ids[0]), len(ids)
+    state = np.zeros((2, longest, count, 1, params.hidden_size))
+    probs = np.empty((longest, count, params.n_classes))
+    steps = _lockstep(params, *_prefix_operands(params, table, ids, caches,
+                                                window, half),
+                      state[:, half:], sizes=[len(s) - half for s in ids])
 
-    def __init__(self, params, table, ids, caches, window, half):
-        self.params, self.table, self.ids = params, table, ids
-        self.window, self.half = window, half
-        longest, count = len(ids[0]), len(ids)
-        self.state = np.zeros((2, longest, count, 1, params.hidden_size))
-        self.probs = np.empty((longest, count, params.n_classes))
-        # the block's rows made so far, and its steps; sizes are each
-        # sentence's count of prefixes past the all-tail ones
-        self.made = 0
-        self.steps = _lockstep(params, *_prefix_operands(params, table, ids, caches,
-                                                         window, half),
-                               self.state[:, half:], sizes=[len(s) - half for s in ids])
+    def outputs():
+        for row, _ in enumerate(steps, start=half):
+            probs[row] = softmax(np.matmul(state[1, row], params.out_w)[:, 0]
+                                 + params.out_b)
+            yield
 
-    def sentence(self, slot):
-        """The ``(states, probs)`` pair of the sentence in ``slot``."""
-        ids = self.ids[slot]
-        probs = self.probs[:len(ids), slot]
-        return self._yields(ids, self.state[1, :len(ids), slot], probs), probs
-
-    def _yields(self, ids, comb, probs):
-        yield from _all_tail(self.params, self.table, ids, self.window, self.half,
-                             comb, probs)
-        for j in range(len(ids) - self.half):
-            while self.made <= j:
-                self._step()
+    def sentence(s, comb, own, made):
+        yield from _all_tail(params, table, s, window, half, comb, own)
+        for _ in range(len(s) - half):
+            # once a step has raised, the tee ends: next turns that into an
+            # error here, where a for loop would end the sentence early
+            next(made)
             yield comb
 
-    def _step(self):
-        next(self.steps)
-        row, params = self.half + self.made, self.params
-        self.probs[row] = softmax(np.matmul(self.state[1, row], params.out_w)[:, 0]
-                                  + params.out_b)
-        self.made += 1
+    return [(sentence(s, state[1, :len(s), slot], probs[:len(s), slot], made),
+             probs[:len(s), slot])
+            for slot, (s, made) in enumerate(zip(ids, tee(outputs(), count)))]
 
 
 # the least first-step gemv work, prefixes x hidden^2 multiply-adds, from

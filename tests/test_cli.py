@@ -377,6 +377,17 @@ def _exit_code(argv):
     ({"unknown.tsv": f"zzz\t{SENTENCE}\nyyy\t{SENTENCE}\n"},
      ["eval", "--model", "{model}", "--data", "{tmp}/unknown.tsv"],
      "{tmp}/unknown.tsv: none of the labels ['yyy', 'zzz'] is in the model's"),
+    # a generated corpus makes its own dev and test splits
+    ({}, [*TRAIN, "--test", "{tmp}/unk.tsv"],
+     "--test cannot be used with --synthetic"),
+    ({"run.cfg": "seed=3\ndev=unk.tsv\n"}, [*TRAIN, "--config", "{tmp}/run.cfg"],
+     "run.cfg:2: --dev cannot be used with --synthetic"),
+    ({}, ["lisa", "--model", "{model}", "--relation", "rel-00",
+          "--sentence", SENTENCE, "--data", "{test}", "--id", "3"],
+     "--sentence cannot be used with --data or --id"),
+    ({}, ["lisa", "--model", "{model}", "--relation", "rel-00",
+          "--sentence", SENTENCE, "--id", "3"],
+     "--sentence cannot be used with --data or --id"),
 ], ids=["config-bad-value", "config-bad-value-overridden", "config-unknown-key", "config-bad-switch",
         "config-missing", "config-out-of-range", "config-margins", "config-nan",
         "config-names-missing-file", "lr-nan", "m-plus-nan", "gamma-inf", "m-plus-inf",
@@ -391,7 +402,9 @@ def _exit_code(argv):
         "metrics-is-directory", "patterns-tau", "patterns-even-window",
         "lisa-sentence-markers", "eval-empty-data", "patterns-tau-nan",
         "patterns-all-unknown-relation", "lisa-unknown-relation",
-        "eval-unknown-labels-names-file"])
+        "eval-unknown-labels-names-file", "synthetic-with-test",
+        "config-synthetic-with-dev", "lisa-sentence-with-data",
+        "lisa-sentence-with-id"])
 def test_bad_input_exit_2(tmp_path, quick_model, capsys, files, argv, expected):
     for name, content in files.items():
         path = tmp_path / name

@@ -274,6 +274,47 @@ def test_bad_input_raises_before_the_first_yield(window, lookahead):
                 next(states)
 
 
+def test_a_step_that_raised_makes_the_other_sentences_raise(monkeypatch):
+    """When a shared block's output layer raises at one step, the sentence
+    that ran the step gets the error, and another sentence of the block
+    reads every prefix before that step and then raises too, rather than
+    ending early with its later prefixes unscored."""
+    rng = np.random.default_rng(1)
+    window, dim = 3, 2
+    params = model.init_params(window * dim, 4, 3, rng)
+    matrix = rng.uniform(-0.1, 0.1, size=(6, dim))
+    matrix[PAD_ID] = 0.0
+    table = EmbeddingTable(matrix)
+    ids = [[1, 2, 3, 4, 5, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 5, 4, 3, 2]]
+    steps = []
+
+    def failing_softmax(scores):
+        # the block's output layer scores a row per sentence, an all-tail
+        # prefix's forward_pass one vector
+        if scores.ndim == 2:
+            steps.append(1)
+            if len(steps) == 3:
+                raise FloatingPointError("step 3")
+        return softmax(scores)
+
+    softmax = model.softmax
+    monkeypatch.setattr(model, "softmax", failing_softmax)
+    (first, first_probs), (second, _) = model.prefix_states_many(
+        params, table, ids, window)
+    assert first_probs is not None
+    # prefix 1 is all tail; block step j ends prefix 1 + j
+    for _ in range(3):
+        next(first)
+    with pytest.raises(FloatingPointError, match="step 3"):
+        next(first)
+    read = 0
+    with pytest.raises(RuntimeError):
+        for _ in second:
+            read += 1
+    assert read == 3
+    assert len(steps) == 3
+
+
 def test_empty_sentence_is_rejected_before_it_is_scored(trained_model,
                                                          synthetic_split):
     """A curve and an extraction of an empty sentence name it, with and
