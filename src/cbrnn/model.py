@@ -26,7 +26,8 @@ multiply-adds a step, the blocks of sentences of like lengths run as one
 (``_shared_block``), with a sentence axis, one output layer a step for all
 of them, and a ``tee`` of its steps for each sentence; mining scores each
 labelled batch through it. One function, ``_prefix_operands``, sets up a
-block of one sentence or many and checks its inputs before the first yield.
+block of one sentence or many and checks its inputs before the first yield:
+it projects the inputs and their tail variants in one call.
 """
 
 from __future__ import annotations
@@ -470,60 +471,44 @@ def forward_many(params, xs):
     return caches
 
 
-def _tails(params, table, padded, half):
-    """The projections of the tail rows of the prefixes past the all-tail
-    ones, (2, half, rows, 1, hidden), ``padded`` the sentence's input in
-    whole blocks of ``_ROW_BLOCK`` rows: tail row i of the prefix of
-    ``half + 1 + j`` words is at ``[:, i, 1 + i + j]``. The inputs of many
-    sentences, each from the start of a block, take one call.
-
-    Tail row i of the prefix of k words is row ``k - half + i`` of variant
-    i: the sentence's input with the window slots from ``2 * half - i`` on,
-    which read past word k, set to the padding row. So each tail row keeps
-    its place in its 4-row block, and its product is the one the prefix's
-    own input gives it (see ``_checked_input``).
-    """
-    variants = np.repeat(padded[None], half, axis=0)
-    slots = variants.reshape(half, len(padded), 2 * half + 1, table.dim)
-    for i in range(half):
-        slots[i, :, 2 * half - i:] = table.matrix[PAD_ID]
-    projected = _project(variants.reshape(-1, padded.shape[1]),
-                         params.in_pair[:, None])
-    return projected.reshape(2, half, len(padded), 1, params.hidden_size)
-
-
 def _prefix_operands(params, table, ids, caches, window, half):
     """``_lockstep``'s shared operands ``(tails, proj_bwd, chain)`` for the
     sentences ``ids``, each with its cache from ``caches`` or None, with a
     sentence axis after the row axis. Each input is composed or read from
-    its cache, and checked, and is zero-padded from the start of its own
-    blocks of ``_ROW_BLOCK`` rows, so that each row keeps the bits its own
-    input gives it (see ``_checked_input``); all of them are projected in
-    one ``_project`` call and their tails in one ``_tails`` call. A forward
-    chain, row t the state after t words, is read from the cache, or is
-    ``_recur`` over the sentence's rows as far as its prefixes leave it.
+    its cache, and checked. A forward chain, row t the state after t words,
+    is read from the cache, or is ``_recur`` over the sentence's rows as far
+    as its prefixes leave it.
+
+    One ``_project`` call projects the inputs, each zero-padded from the
+    start of its own blocks of ``_ROW_BLOCK`` rows, in slot 0, and their
+    tail variants in slots 1 + i. Tail row i of the prefix of k words is
+    row ``k - half + i`` of variant i, the input with the window slots from
+    ``2 * half - i`` on, which read past word k, set to the padding row; it
+    is ``tails[:, i, k - half - 1 + i]``. So every row keeps its place in
+    its block, and its product is the one its own input gives it (see
+    ``_checked_input``).
     """
     inputs = [_as_input(params, compose_ngram_inputs(s, table, window)
                         if c is None else c.inputs) for s, c in zip(ids, caches)]
     count, hidden = len(inputs), params.hidden_size
-    padded = np.zeros((count, _blocked(max(map(len, inputs))), inputs[0].shape[1]))
-    for x, own in zip(inputs, padded):
-        own[:len(x)] = x
-    flat = padded.reshape(-1, padded.shape[2])
-    # the forward projections only where a chain is not read from a cache
-    proj = _project(flat, params.in_pair[:, None] if None in caches
-                    else params.in_bwd).reshape(-1, *padded.shape[:2], hidden)
-    chain = np.zeros((padded.shape[1] + 1, count, hidden))
+    padded = np.zeros((1 + half, count, _blocked(max(map(len, inputs))),
+                       inputs[0].shape[1]))
+    for x, own in zip(inputs, padded.swapaxes(0, 1)):
+        own[:, :len(x)] = x
+    slots = padded.reshape(*padded.shape[:3], window, table.dim)
+    for i in range(half):
+        slots[1 + i, :, :, 2 * half - i:] = table.matrix[PAD_ID]
+    proj = _project(padded.reshape(-1, padded.shape[3]), params.in_pair[:, None])
+    proj = proj.reshape(2, *padded.shape[:3], hidden)
+    chain = np.zeros((padded.shape[2] + 1, count, hidden))
     for s, (x, cache) in enumerate(zip(inputs, caches)):
         if cache is None:
             rows = max(len(x) - half, 0)
-            _recur(proj[0, s, :rows], params.rec_fwd, chain[1:rows + 1, s])
+            _recur(proj[0, 0, s, :rows], params.rec_fwd, chain[1:rows + 1, s])
         else:
             chain[1:len(x) + 1, s] = cache.h_fwd
-    tails = _tails(params, table, flat, half).reshape(2, half, *padded.shape[:2],
-                                                      1, hidden)
-    return (tails[:, :, :, 1:].swapaxes(2, 3), proj[-1, :, :, None].swapaxes(0, 1),
-            chain)
+    return (proj[:, 1:, :, 1:, None].swapaxes(2, 3),
+            proj[1, 0, :, :, None].swapaxes(0, 1), chain)
 
 
 def _all_tail(params, table, ids, window, half, comb, probs=None):
@@ -552,9 +537,9 @@ def prefix_states(params, table, ids, window, lookahead=False, cache=None):
 
     A prefix's input is ``full[:k]`` but for its tail: its last
     ``window // 2`` rows, whose windows reach past word k and read the
-    padding row there. The whole sentence is composed and projected once,
-    and the tails of all prefixes take one projection (``_prefix_operands``
-    of one sentence). One forward chain over the sentence serves every
+    padding row there. The whole sentence is composed once, and it and the
+    tails of all prefixes take one projection (``_prefix_operands`` of one
+    sentence). One forward chain over the sentence serves every
     prefix: a prefix's forward chain leaves it only at its tail. ``cache``,
     when given, is ``forward_pass(params, full)``'s (or ``forward_many``'s),
     whose input and forward chain the scorer then reads. A prefix of at
@@ -733,14 +718,14 @@ def _lockstep(params, tails, proj_bwd, chain, state, first=0, stop=None,
               sizes=None):
     """Run the prefixes of ``depth + 1 + first``, ``depth + 2 + first``,
     ... words in lockstep, ``depth = tails.shape[1]``, with their tails'
-    projections ``tails`` (see ``_tails``), the backward input projections
-    ``proj_bwd``, (P, 1, hidden), and the shared forward chain ``chain``,
-    (P + 1, hidden), whose row t is the state after t words; ``first``
-    is the first prefix row of the whole block this part runs. ``state``,
-    (2, rows, 1, hidden) and zero on entry, holds each of its prefixes'
-    backward and combined state in its row. After each step that ends one
-    of them, the prefix of ``depth + 1 + first + j`` words, yield: row j of
-    ``state[1]`` is then that prefix's final combined state,
+    projections ``tails`` (see ``_prefix_operands``), the backward input
+    projections ``proj_bwd``, (P, 1, hidden), and the shared forward chain
+    ``chain``, (P + 1, hidden), whose row t is the state after t words;
+    ``first`` is the first prefix row of the whole block this part runs.
+    ``state``, (2, rows, 1, hidden) and zero on entry, holds each of its
+    prefixes' backward and combined state in its row. After each step that
+    ends one of them, the prefix of ``depth + 1 + first + j`` words, yield:
+    row j of ``state[1]`` is then that prefix's final combined state,
     ``forward_pass(params, x).h_comb[-1]`` bit for bit; a finished row is
     not written again. ``stop``, when given, is a ``threading.Event`` read
     before each step: once it is set, the part returns.
@@ -1205,9 +1190,12 @@ def _parse_rows(block, n, width):
 def load_model(path):
     """Read a model file; any deviation from what ``save_model`` writes for
     the file's own train, labels and vocab lines raises ``ModelFormatError``
-    naming ``path:line`` and the section. Lines are numbered as
-    ``str.splitlines`` splits them."""
-    lines = read_text(path).splitlines()
+    naming ``path:line`` and the section, a line after ``end`` too. Lines
+    are split at ``\\n`` alone, where ``save_model`` joins them, so a label
+    may hold ``\\f``, ``\\x85`` or U+2028."""
+    lines = read_text(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final line break
     pos = 1  # the 1-based number of the line read last: the one an error names
 
     def take(section):
@@ -1287,6 +1275,9 @@ def load_model(path):
         line = take("end")
         if line != "end":
             raise ModelFormatError(f"end: unexpected section {line!r}")
+        if pos < len(lines):
+            line = take("end")
+            raise ModelFormatError(f"end: unexpected line after the end {line!r}")
         return TrainedModel(
             params=CBRNNParams(*weights), table=EmbeddingTable(matrix), vocab=vocab,
             label_set=label_set, train_cfg=train_cfg, loss_cfg=loss_cfg,

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,24 @@ def test_repeat_run_byte_identical(tmp_path, quick_model):
                        "--data", str(quick_model["test"]), "--out", str(out)])
         assert rc == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_labels_with_other_line_breaks_round_trip(tmp_path, synthetic_split,
+                                                  capsys):
+    """A model file's lines end at ``\\n`` alone: labels holding U+2028,
+    ``\\f`` or ``\\x85``, which ``str.splitlines`` also breaks at, train,
+    evaluate and load back as they were."""
+    names = {"rel-00": "cause\u2028effect", "rel-01": "part\fwhole",
+             "rel-02": "member\x85group"}
+    sentences = [replace(s, label=names.get(s.label, s.label))
+                 for s in synthetic_split.train + synthetic_split.test]
+    data, out = tmp_path / "data.tsv", tmp_path / "m.txt"
+    save_corpus_file(sentences, data)
+    assert cli.main(["train", "--data", str(data), "--out", str(out), *QUICK]) == 0
+    assert cli.main(["eval", "--model", str(out), "--data", str(data)]) == 0, \
+        capsys.readouterr().err
+    assert load_model(out).label_set == list(dict.fromkeys(
+        s.label for s in sentences))
 
 
 @pytest.mark.parametrize("section, value", [("matrix out_w", "nan"),
@@ -550,11 +569,15 @@ def _line_of(section, offset):
     # a repeated label is named where it repeats
     ("labels", _second_label(lambda first: first), _line_of("labels", 2)),
     ("labels", _second_label(lambda first: ""), _line_of("labels", 2)),
+    # nothing may follow "end": the same model again, or one more line
+    ("end", lambda lines: lines[:-1] + lines, len),
+    ("end", lambda lines: lines[:-1] + ["garbage", ""], len),
 ], ids=["truncated", "missing-key", "renamed", "missing-section", "short-row",
         "duplicate-token", "nan-setting", "nan-margin", "infinite-gamma",
         "negative-min-count", "embeddings-flag-0", "embeddings-flag-2",
         "embeddings-rows", "embeddings-dim", "labels-count-word",
-        "labels-count-superscript", "repeated-label", "empty-label"])
+        "labels-count-superscript", "repeated-label", "empty-label",
+        "written-twice", "trailing-line"])
 def test_eval_rejects_malformed_model_exit_2(tmp_path, quick_model, capsys,
                                              section, edit, line):
     original = quick_model["model"].read_text().split("\n")

@@ -40,10 +40,11 @@ def test_extract_pattern_stops_scoring_at_the_crossing(trained_model,
                                                        monkeypatch):
     """At h32 and h100, past the all-tail prefixes (1 for window 3, 1 and 2
     for window 5, each one ``forward_pass``), every prefix of a sentence is
-    one lockstep block, whose tails are projected once. A curve runs every
-    step of it; extraction runs it only up to the step that ends the
-    crossing prefix."""
-    blocks, alone, tailed = [], [], []
+    one lockstep block, whose inputs and tails are projected in one
+    ``_project`` call, as each all-tail prefix's are in its ``forward_pass``.
+    A curve runs every step of it; extraction runs it only up to the step
+    that ends the crossing prefix."""
+    blocks, alone, projected = [], [], []
 
     def spy_lockstep(params, tails, proj_bwd, chain, state):
         blocks.append([state.shape[1], 0])
@@ -51,9 +52,9 @@ def test_extract_pattern_stops_scoring_at_the_crossing(trained_model,
             blocks[-1][1] += 1
             yield step
 
-    def spy_tails(params, table, padded, half):
-        tailed.append(half)
-        return tails(params, table, padded, half)
+    def spy_project(padded, w, out=None):
+        projected.append(len(padded))
+        return project(padded, w, out)
 
     def spy_forward(params, x):
         alone.append(len(x))
@@ -63,21 +64,21 @@ def test_extract_pattern_stops_scoring_at_the_crossing(trained_model,
     # 24 words more, so that the block runs well past the crossing
     longer = replace(s, tokens=s.tokens + ("still",) * 24)
     n = len(longer.tokens)
-    lockstep, forward, tails = model._lockstep, model.forward_pass, model._tails
+    lockstep, forward, project = model._lockstep, model.forward_pass, model._project
     monkeypatch.setattr(model, "_lockstep", spy_lockstep)
-    monkeypatch.setattr(model, "_tails", spy_tails)
+    monkeypatch.setattr(model, "_project", spy_project)
     monkeypatch.setattr(model, "forward_pass", spy_forward)
     for trained, lookahead in ((trained_model, True), (window_5_model, False),
                                (h100_model, True)):
         half = trained.train_cfg.window // 2
         blocks.clear()
         alone.clear()
-        tailed.clear()
+        projected.clear()
         curve = [p.prob_target
                  for p in prefix_curve(trained, longer, s.label).points]
         assert blocks == [[n - half, n - half]]
         assert alone == list(range(1, half + 1))
-        assert tailed == [half]
+        assert len(projected) == half + 1
         # a tau the curve first reaches at its highest point in the first
         # half of the sentence
         tau = max(curve[:n // 2])
@@ -85,12 +86,12 @@ def test_extract_pattern_stops_scoring_at_the_crossing(trained_model,
         assert half < crossing < n
         blocks.clear()
         alone.clear()
-        tailed.clear()
+        projected.clear()
         pat = extract_pattern(trained, longer, s.label, tau=tau, window=3,
                               lookahead=lookahead)
         assert pat.crossing_index == crossing
         assert alone == list(range(1, half + 1))
-        assert tailed == [half]
+        assert len(projected) == half + 1
         assert blocks == [[n - half, crossing - half]]
     # a sentence of window // 2 words is all tail, one word more one block
     for words, want in ((2, []), (3, [[1, 1]])):
