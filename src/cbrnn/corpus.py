@@ -17,6 +17,7 @@ UNK_TOKEN = "__UNK__"
 PAD_ID = 0
 UNK_ID = 1
 MARKERS = ("<e1>", "</e1>", "<e2>", "</e2>")
+_MARKER_SET = frozenset(MARKERS)
 
 _PUNCT = set(".,;:!?\"'()")
 
@@ -73,6 +74,16 @@ def validate_markers(tokens):
     marker missing, then one repeated, each in marker order, then the order
     and the two gaps."""
     tokens = tuple(tokens)  # a str's count() would count substrings
+    # the quick pass: with four marker tokens in all, finding the four in
+    # order, each where the layout allows it, shows each is there once
+    if sum(map(_MARKER_SET.__contains__, tokens)) == 4:
+        try:
+            e1_end = tokens.index("</e1>", tokens.index("<e1>") + 2)
+            tokens.index("</e2>", tokens.index("<e2>", e1_end + 1) + 2)
+        except ValueError:
+            pass  # the checks below name what is wrong
+        else:
+            return
     order = []
     for m in MARKERS:
         count = tokens.count(m)
@@ -97,6 +108,8 @@ class LabeledSentence:
     id: str = "0"
 
     def __post_init__(self):
+        # a tuple, so that the tokens checked here stay the ones checked
+        object.__setattr__(self, "tokens", tuple(self.tokens))
         if not self.tokens:
             raise EmptyTokens("sentence has no tokens")
         if not self.label:
@@ -115,6 +128,13 @@ def serialize_sentence(s):
     return f"{s.label}\t{' '.join(s.tokens)}"
 
 
+def _unify_line_ends(text):
+    """``text`` with ``\\r\\n`` and ``\\r`` as ``\\n``, to be split at ``\\n``
+    alone: ``str.splitlines`` also breaks at ``\\f``, ``\\x85``, U+2028 and
+    other characters that may sit inside a line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def read_text(path):
     """The text of a UTF-8 file with ``\\r\\n`` and ``\\r`` read as ``\\n``, as
     text-mode ``open`` reads it; bytes that are not UTF-8 raise ``NotUtf8``
@@ -126,7 +146,7 @@ def read_text(path):
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise NotUtf8(f"{path}:{line}: not valid utf-8 ({exc.reason})") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return _unify_line_ends(text)
 
 
 def load_corpus_file(path):
@@ -180,7 +200,7 @@ def import_semeval(raw):
     """
     blocks = []
     current = []
-    for line in raw.splitlines():
+    for line in _unify_line_ends(raw).split("\n"):
         if line.strip():
             current.append(line.strip())
         elif current:
@@ -234,8 +254,9 @@ def build_vocabulary(sentences, min_count=1):
     # a Counter keeps its keys in first-occurrence order
     counts = Counter(chain.from_iterable(s.tokens for s in sentences))
     specials = [PAD_TOKEN, UNK_TOKEN, *MARKERS]
+    skip = set(specials)
     return Vocabulary(specials + [tok for tok, count in counts.items()
-                                  if count >= min_count and tok not in specials])
+                                  if count >= min_count and tok not in skip])
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ def load_pretrained_text(path, vocab, dim, fallback_seed=0):
     one for a word outside the vocabulary. Errors name ``path:line``; an
     optional ``count dim`` header, two runs of ASCII digits, is line 1."""
     table = init_random(vocab, dim, fallback_seed)
-    lines = read_text(path).splitlines()
+    lines = read_text(path).split("\n")
     start = 0
     if lines:
         head = lines[0].split()

@@ -960,10 +960,14 @@ class TrainedModel:
 
 
 def _input_of(model, sentence):
-    """The composed input of ``sentence``, a ``LabeledSentence`` or a
-    sequence of tokens, whose markers are checked first."""
-    tokens = sentence.tokens if isinstance(sentence, LabeledSentence) else tuple(sentence)
-    validate_markers(tokens)
+    """The composed input of ``sentence``, a ``LabeledSentence`` (whose
+    markers were checked when it was made) or a sequence of tokens, whose
+    markers are checked first."""
+    if isinstance(sentence, LabeledSentence):
+        tokens = sentence.tokens
+    else:
+        tokens = tuple(sentence)
+        validate_markers(tokens)
     return compose_ngram_inputs(model.vocab.encode(tokens), model.table,
                                 model.train_cfg.window)
 

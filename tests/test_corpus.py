@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cbrnn import corpus
@@ -58,6 +58,15 @@ def test_parse_duplicate_marker():
 def test_parse_empty_label():
     with pytest.raises(corpus.EmptyLabel):
         parse_marked_sentence("\t<e1> a </e1> <e2> b </e2>")
+
+
+def test_sentence_keeps_the_tokens_it_checked():
+    """Tokens given as a list are kept as a tuple, so changing the list
+    afterwards cannot change a sentence whose markers were checked."""
+    tokens = ["<e1>", "a", "</e1>", "<e2>", "b", "</e2>"]
+    s = LabeledSentence(tokens, "X")
+    tokens.clear()
+    assert s.tokens == ("<e1>", "a", "</e1>", "<e2>", "b", "</e2>")
 
 
 def test_empty_pair_rejected():
@@ -131,6 +140,12 @@ def _outcome(check, tokens):
 
 
 @given(marker_layouts())
+@example(["<e1>", "</e1>", "a", "<e2>", "b", "</e2>"])
+@example(["a", "</e1>", "<e1>", "b", "<e2>", "c", "</e2>"])
+@example(["<e1>", "a", "<e2>", "b", "</e1>", "c", "</e2>"])
+@example(["<e1>", "a", "</e1>", "b", "<e2>", "</e2>"])
+@example(["<e1>", "a", "</e1>", "<e1>", "b", "</e2>"])
+@example(["<e1>", "a", "<e2>", "b", "<e2>", "</e2>"])
 def test_validate_markers_matches_per_marker_scan(tokens):
     """The same exception, message and precedence as one scan per marker,
     for lists and tuples."""
@@ -160,6 +175,15 @@ def test_import_semeval():
         "<e2>", "terror", "</e2>", ".",
     )
     assert sentences[1].label == "Entity-Destination(e1,e2)"
+
+
+def test_import_semeval_splits_at_line_ends_only():
+    """A ``\\x85`` inside a sentence line, at which ``str.splitlines`` also
+    breaks, separates two words; ``\\n``, ``\\r\\n`` and ``\\r`` end lines."""
+    want = import_semeval(SEMEVAL_RAW)
+    raw = SEMEVAL_RAW.replace("was the", "was\x85the")
+    for end in ("\n", "\r\n", "\r"):
+        assert import_semeval(raw.replace("\n", end)) == want
 
 
 def test_import_semeval_empty():

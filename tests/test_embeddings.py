@@ -79,6 +79,31 @@ def test_load_pretrained_rejects_non_finite_entries(tmp_path, vocab, word, value
     assert exc.value.lineno == 2
 
 
+def test_load_pretrained_form_feed_separates_fields(tmp_path, vocab):
+    """``str.split`` reads ``\\f`` as whitespace, so ``b\\f0.3 0.4`` is a
+    record, not a line break."""
+    path = tmp_path / "vec.txt"
+    path.write_text("cause 0.1 0.2\nb\f0.3 0.4\n")
+    t = load_pretrained_text(path, vocab, 2)
+    assert t.matrix[vocab.token_to_id["b"]].tolist() == [0.3, 0.4]
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("cause 0.1 0.2\nb 0.3 0.4\x85\nof 0.5 0.6\noops\n", MalformedLine,
+     "vec.txt:4: expected word and vector"),
+    ("b 0.3 0.4\x1e c 0.5 0.6\n", DimensionMismatch,
+     "vec.txt:1: expected dimension 2, found 5"),
+])
+def test_load_pretrained_lines_end_at_line_ends_only(tmp_path, vocab, text,
+                                                     error, message):
+    """``\\x85`` and ``\\x1e``, at which ``str.splitlines`` also breaks, sit
+    inside their line: they neither shift line numbers nor start a record."""
+    path = tmp_path / "vec.txt"
+    path.write_text(text)
+    with pytest.raises(error, match=message):
+        load_pretrained_text(path, vocab, 2)
+
+
 def test_load_pretrained_missing_tokens_reproducible(tmp_path, vocab):
     path = tmp_path / "vecs.txt"
     path.write_text("cause 0.1 0.2 0.3 0.4 0.5\n")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cbrnn import SyntheticConfig, generate_synthetic
 from cbrnn import model as model_mod
-from cbrnn.corpus import LabeledSentence, Vocabulary
+from cbrnn.corpus import LabeledSentence, MissingMarker, Vocabulary
 from cbrnn.embeddings import EmbeddingTable
 from cbrnn.model import (
     CBRNNParams,
@@ -19,6 +19,7 @@ from cbrnn.model import (
     ShapeMismatch,
     SingleClass,
     TrainConfig,
+    classify_many,
     evaluate,
     forward_pass,
     global_grad_norm,
@@ -414,6 +415,36 @@ def test_predict_validates_markers(synthetic_split):
     m = train(synthetic_split, quick_cfg(epochs=0))
     with pytest.raises(Exception):
         predict(m, ("just", "words"))
+
+
+def test_markers_checked_once_per_sentence(synthetic_split, monkeypatch):
+    """A ``LabeledSentence`` had its markers checked when it was made, so
+    ``predict``, ``classify_many`` and ``evaluate`` do not check it again; a
+    raw token tuple they check once."""
+    m = train(synthetic_split, quick_cfg(epochs=0))
+    checked, check = [], model_mod.validate_markers
+
+    def spy(tokens):
+        checked.append(tuple(tokens))
+        check(tokens)
+
+    monkeypatch.setattr(model_mod, "validate_markers", spy)
+    sentences = synthetic_split.test[:5]
+    predict(m, sentences[0])
+    list(classify_many(m, sentences))
+    evaluate(m, sentences)
+    assert checked == []
+
+    raw = [s.tokens for s in sentences]
+    predict(m, raw[0])
+    assert checked == raw[:1]
+    checked.clear()
+    list(classify_many(m, raw))
+    assert checked == raw
+    with pytest.raises(MissingMarker):
+        predict(m, ("just", "words"))
+    with pytest.raises(MissingMarker):
+        list(classify_many(m, [raw[0], ("<e1>", "x", "</e1>")]))
 
 
 def test_evaluate_hand_confusion():
