@@ -4,25 +4,17 @@ A prefix of length k is scored as its own full input: the window sequence is
 recomposed on the truncated tokens, so the last window ends in padding rather
 than the next word. Pattern *reporting* can instead take the window from the
 full sentence (``lookahead=True``), which includes the right neighbor of the
-crossing word. One scorer serves both callers, ``model.prefix_states``. Its
-set-up, the same for one sentence or a shared block of many, composes and
-projects the sentence once and takes each prefix's few rows that differ
-from it, its tail, from the sentence's input with the padding written in;
-it then runs all prefixes as one lockstep block, which yields after each
-prefix ends. Pattern extraction puts each prefix through the
-output layer as it is yielded, stops at the first that crosses and closes
-the scorer. A curve drains it and puts every prefix through one stacked
-output layer. For a long sentence at a large hidden size the scorer runs
-its longer prefixes on a second thread, with the same bits, and no thread
-outlives the call that drained or closed it. Mining and hidden export both
+crossing word. Both callers read the prefix scorer, ``model.prefix_states``,
+which yields the final combined states as each prefix ends (see ``model``
+for how it runs), and put them through the output layer,
+``model.class_scores``. A curve drains the scorer and scores every prefix in
+one call; pattern extraction scores each prefix as it is yielded, stops at
+the first that crosses and closes the scorer. Mining and hidden export both
 read ``model.classify_many``, the one batched labeller: export keeps each
 sentence's final combined state, and mining takes its sentences in
-``model.batches``, labels each batch (unless it mines all of them) and
-hands its sentences, with their caches, to ``model.prefix_states_many``.
-Where a step is overhead-bound (short sentences at a small hidden size)
-their prefixes run as one shared block, which reads its probabilities
-from one output layer a step; extraction still runs once per sentence and
-stops reading at its crossing.
+``model.batches``, labels each batch (unless it mines all of them) and hands
+its sentences, with their caches, to ``model.prefix_states_many``, whose
+shared blocks hand back their prefixes' probabilities as well.
 """
 
 from __future__ import annotations
@@ -32,8 +24,6 @@ import io
 from contextlib import closing
 from dataclasses import dataclass
 
-import numpy as np
-
 from .corpus import PAD_TOKEN, InputError, LabeledSentence
 # compose_ngram_inputs and forward_pass are not called here; perfbench's
 # tests check that its probes reach every namespace that holds them, this
@@ -42,6 +32,7 @@ from .embeddings import EvenWindow, compose_ngram_inputs  # noqa: F401
 from .model import (  # noqa: F401
     UnknownRelation,
     batches,
+    class_scores,
     classify_many,
     forward_pass,
     prefix_states,
@@ -114,16 +105,14 @@ def _relation_index(model, relation):
 
 def prefix_curve(model, sentence, relation, lookahead=False):
     """Score every word-prefix of the sentence, all in one pass
-    (``prefix_states`` drained, on two threads for a long sentence at a
-    large hidden size): the final combined states of all prefixes go
-    through one stacked output matmul, one gemv per row as ``h @ out_w``
-    is, and one row-wise softmax."""
+    (``prefix_states`` drained): the final combined states of all prefixes
+    go through one ``class_scores`` call and one row-wise softmax."""
     tokens, sid = _tokens_of(sentence)
     r_idx = _relation_index(model, relation)
     params = model.params
     *_, comb = prefix_states(params, model.table, model.vocab.encode(tokens),
                              model.train_cfg.window, lookahead)
-    rows = softmax(np.matmul(comb, params.out_w)[:, 0] + params.out_b)
+    rows = softmax(class_scores(params, comb))
     points = []
     for k, probs in enumerate(rows, start=1):
         p_idx = int(probs.argmax())
@@ -165,7 +154,7 @@ def _target_probs(model, tokens, relation, scorer):
     # the shared block's, which ran it for the whole block
     with closing(states):
         for k, comb in enumerate(states):
-            row = (softmax(comb[k, 0] @ params.out_w + params.out_b)
+            row = (softmax(class_scores(params, comb[k]))
                    if probs is None else probs[k])
             yield float(row[r_idx])
 

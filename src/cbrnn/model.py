@@ -4,7 +4,8 @@ Three recurrent parts share one decision: a forward chain over the sentence,
 a backward chain over the reversed sentence, and a combined chain that adds
 the two directional states after the same number of steps and carries its own
 recurrent connection. The class scores come from the combined state at the
-final step. Training minimizes a margin ranking loss on the raw scores.
+final step, through the one output layer, ``class_scores``. Training
+minimizes a margin ranking loss on the raw scores.
 
 ``forward_pass`` runs one sentence and is the training path and
 ``predict``'s. ``forward_many`` runs a list of sentences, the three chains
@@ -217,11 +218,6 @@ class CBRNNParams:
             (count,) + array.shape)
 
     @cached_property
-    def flat_arrays(self):
-        """Every array as a 1-D view of the buffer, in field order."""
-        return [a.reshape(-1) for a in self.arrays().values()]
-
-    @cached_property
     def in_pair(self):
         """``in_fwd`` and ``in_bwd`` stacked: a (2, input, hidden) view."""
         return self._stack("in_fwd")
@@ -246,6 +242,17 @@ def init_params(input_dim, hidden_size, n_classes, rng):
            for name, shape in shapes.items()},
         out_b=np.zeros(n_classes),
     )
+
+
+def class_scores(params, states):
+    """The output layer: the class scores of final combined states stacked
+    as (..., 1, hidden), shape (..., classes).
+
+    Each state goes through ``out_w`` as its own gemv, the product
+    ``h @ out_w`` takes for one state ``h``, so a row's scores do not depend
+    on the other rows of the stack. The same states as the rows of one gemm,
+    ``states[..., 0, :] @ out_w``, round differently."""
+    return np.matmul(states, params.out_w)[..., 0, :] + params.out_b
 
 
 def softmax(scores):
@@ -369,7 +376,7 @@ def forward_pass(params, x):
     # after t+1 steps the backward chain has consumed words n..n-t, whose
     # state sits at position n-1-t
     _recur(h_fwd + h_bwd[::-1], params.rec_comb, h_comb)
-    return ForwardCache(x, states, h_comb[n - 1] @ params.out_w + params.out_b)
+    return ForwardCache(x, states, class_scores(params, h_comb[n - 1:n]))
 
 
 # inputs per ``forward_many`` call where many sentences are classified, a
@@ -454,9 +461,8 @@ def forward_many(params, xs):
             # forward_pass's order: (forward + backward) + carried
             np.add(now[0], now[1], states[step + 2, 2, :m])
 
-    scores = np.matmul(states[np.add(lengths, 1), 2, range(count), None],
-                       params.out_w)
-    scores = scores[:, 0] + params.out_b
+    scores = class_scores(params,
+                          states[np.add(lengths, 1), 2, range(count), None])
     # each input's chains as forward_pass lays them out: row t of h_bwd is
     # the backward state after n - t steps, row t of h_comb the combined
     # state after t + 1
@@ -622,7 +628,7 @@ def prefix_states_many(params, table, ids, window, lookahead=False,
     ``prefix_states`` yields for that sentence. ``probs`` is None, or an
     (n, classes) array whose row k - 1, once ``states`` has yielded prefix
     k, holds that prefix's class probabilities,
-    ``softmax(comb[k - 1, 0] @ out_w + out_b)`` bit for bit.
+    ``softmax(class_scores(params, comb[k - 1]))`` bit for bit.
 
     The sentences longer than their all-tail prefixes whose own block
     would do fewer than ``_SHARED_WORK`` multiply-adds a step share lockstep
@@ -666,10 +672,10 @@ def _shared_block(params, table, ids, caches, window, half):
     (``_prefix_operands``), so a bad input raises before any yield. Each
     sentence reads the block's steps through its own ``tee`` of one step
     generator, so the block never runs past the furthest prefix any sentence
-    has read. The output layer of the row a step ends runs once for the
-    whole block, padding included: one stacked matmul, one gemv per row as
-    ``h @ out_w`` is, and one row-wise softmax. A sentence's all-tail
-    prefixes are its own ``forward_pass`` calls (``_all_tail``).
+    has read. The output layer (``class_scores``) of the row a step ends
+    runs once for the whole block, padding included, with one row-wise
+    softmax. A sentence's all-tail prefixes are its own ``forward_pass``
+    calls (``_all_tail``).
     """
     longest, count = len(ids[0]), len(ids)
     state = np.zeros((2, longest, count, 1, params.hidden_size))
@@ -680,8 +686,7 @@ def _shared_block(params, table, ids, caches, window, half):
 
     def outputs():
         for row, _ in enumerate(steps, start=half):
-            probs[row] = softmax(np.matmul(state[1, row], params.out_w)[:, 0]
-                                 + params.out_b)
+            probs[row] = softmax(class_scores(params, state[1, row]))
             yield
 
     def sentence(s, comb, own, made):
@@ -927,7 +932,7 @@ def global_grad_norm(grads, emb_grads=None):
     """Euclidean norm over every weight gradient and, when given, the
     embedding rows ``(row_ids, row_grads)`` an example touched; one ``vdot``
     per array, in field order."""
-    arrays = grads.flat_arrays
+    arrays = grads.arrays().values()
     if emb_grads is not None:
         arrays = [*arrays, emb_grads[1]]
     return np.sqrt(sum(float(np.vdot(a, a)) for a in arrays))

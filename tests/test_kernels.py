@@ -53,6 +53,7 @@ from cbrnn.model import (
     _ROW_BLOCK,
     _checked_input,
     _project,
+    class_scores,
     evaluate,
     forward_many,
     forward_pass,
@@ -987,10 +988,13 @@ def test_prefix_curve_probs_scores_every_prefix_in_one_block(monkeypatch):
 
 
 @given(hidden=st.sampled_from([1, 2, 3, 5, 8, 32, 100]),
-       rows=st.integers(1, 9), live=st.integers(0, 8), seed=seeds)
-def test_stacked_matmul_rows_equal_vector_dot(hidden, rows, live, seed):
+       rows=st.integers(1, 9), live=st.integers(0, 8),
+       classes=st.integers(2, 300), seed=seeds)
+def test_stacked_matmul_rows_equal_vector_dot(hidden, rows, live, classes,
+                                              seed):
     """The scorer's one matmul per step, on the trailing rows it keeps, its
-    forward tail steps and its stacked input projections."""
+    forward tail steps, its stacked input projections, and the output layer
+    on a stack of final combined states and on one."""
     rng = np.random.default_rng(seed)
     rec = rng.uniform(-1.0, 1.0, size=(2, hidden, hidden))
     states = rng.uniform(-1.0, 1.0, size=(2, rows, 1, hidden))
@@ -1008,6 +1012,13 @@ def test_stacked_matmul_rows_equal_vector_dot(hidden, rows, live, seed):
     both = _project(blocks, w[:, None])
     for c in range(2):
         assert np.array_equal(both[c], _project(blocks, w[c]))
+    out = SimpleNamespace(out_w=rng.uniform(-1.0, 1.0, size=(hidden, classes)),
+                          out_b=rng.uniform(-1.0, 1.0, size=classes))
+    scores = class_scores(out, states[0])
+    for j in range(rows):
+        want = states[0, j, 0] @ out.out_w + out.out_b
+        assert np.array_equal(scores[j], want)
+        assert np.array_equal(class_scores(out, states[0, j]), want)
 
 
 FORWARD_FIELDS = ("inputs", "states", "h_fwd", "h_bwd", "h_comb", "scores",
