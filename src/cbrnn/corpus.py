@@ -131,14 +131,17 @@ def serialize_sentence(s):
 def _unify_line_ends(text):
     """``text`` with ``\\r\\n`` and ``\\r`` as ``\\n``, to be split at ``\\n``
     alone: ``str.splitlines`` also breaks at ``\\f``, ``\\x85``, U+2028 and
-    other characters that may sit inside a line."""
+    other characters that may sit inside a line. A text with no ``\\r``, as
+    in every file ``save_model`` writes, is returned as it is."""
+    if "\r" not in text:
+        return text
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def read_text(path):
     """The text of a UTF-8 file with ``\\r\\n`` and ``\\r`` read as ``\\n``, as
-    text-mode ``open`` reads it; bytes that are not UTF-8 raise ``NotUtf8``
-    naming ``path:line``."""
+    text-mode ``open`` reads it, and a file with no ``\\r`` as decoded;
+    bytes that are not UTF-8 raise ``NotUtf8`` naming ``path:line``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:

@@ -1148,6 +1148,15 @@ def _format_rows(array):
 
 
 def save_model(model, path):
+    """Write ``model`` as text, one line per label, vocabulary token and array
+    row; a label or token holding ``\\n`` or ``\\r``, which would split its
+    line, raises ``ModelFormatError`` before the file is opened."""
+    items = [*model.label_set, *model.vocab.id_to_token]
+    joined = "".join(items)  # one scan for all, not one test per token
+    if "\n" in joined or "\r" in joined:
+        item = next(t for t in items if "\n" in t or "\r" in t)
+        where = "labels: label" if item in model.label_set else "vocab: token"
+        raise ModelFormatError(f"{path}: {where} {item!r} holds a line break")
     lines = [
         "cbrnn-model 1",
         _config_line("train", model.train_cfg),
@@ -1201,7 +1210,8 @@ def load_model(path):
     the file's own train, labels and vocab lines raises ``ModelFormatError``
     naming ``path:line`` and the section, a line after ``end`` too. Lines
     are split at ``\\n`` alone, where ``save_model`` joins them, so a label
-    may hold ``\\f``, ``\\x85`` or U+2028."""
+    may hold ``\\f``, ``\\x85`` or U+2028. A file with ``\\r\\n`` or ``\\r``
+    line ends loads too: ``read_text`` makes them ``\\n`` before the split."""
     lines = read_text(path).split("\n")
     if lines[-1] == "":
         lines.pop()  # the final line break
@@ -1216,12 +1226,17 @@ def load_model(path):
 
     def listed(keyword):
         """The lines of the list under the head ``keyword <count>``."""
+        nonlocal pos
         line = take(keyword)
         parts = line.split()
         if len(parts) != 2 or parts[0] != keyword or not parts[1].isdecimal():
             raise ModelFormatError(f"{keyword}: expected {keyword!r} and a count, "
                                    f"found {line!r}")
-        return [take(keyword) for _ in range(int(parts[1]))]
+        start, pos = pos, pos + int(parts[1])
+        if pos > len(lines):
+            pos = len(lines) + 1  # the line past the last, as take() names it
+            raise ModelFormatError(f"{keyword}: unexpected end of file")
+        return lines[start:pos]
 
     def rows(section, n, width):
         nonlocal pos

@@ -545,6 +545,8 @@ def _line_of(section, offset):
 @pytest.mark.parametrize("section, edit, line", [
     # one row kept, so the end of file is 2 lines after the head
     ("matrix rec_bwd", _truncate_in("matrix rec_bwd"), _line_of("matrix rec_bwd", 2)),
+    ("labels", _truncate_in("labels"), _line_of("labels", 2)),
+    ("vocab", _truncate_in("vocab"), _line_of("vocab", 2)),
     ("train", lambda lines: [line.replace(" seed=3", "") for line in lines],
      lambda lines: 2),
     ("matrix rec_comb", _rename("matrix rec_comb", "matrix rec_combined 6 6"),
@@ -572,12 +574,12 @@ def _line_of(section, offset):
     # nothing may follow "end": the same model again, or one more line
     ("end", lambda lines: lines[:-1] + lines, len),
     ("end", lambda lines: lines[:-1] + ["garbage", ""], len),
-], ids=["truncated", "missing-key", "renamed", "missing-section", "short-row",
-        "duplicate-token", "nan-setting", "nan-margin", "infinite-gamma",
-        "negative-min-count", "embeddings-flag-0", "embeddings-flag-2",
-        "embeddings-rows", "embeddings-dim", "labels-count-word",
-        "labels-count-superscript", "repeated-label", "empty-label",
-        "written-twice", "trailing-line"])
+], ids=["truncated", "labels-truncated", "vocab-truncated", "missing-key",
+        "renamed", "missing-section", "short-row", "duplicate-token",
+        "nan-setting", "nan-margin", "infinite-gamma", "negative-min-count",
+        "embeddings-flag-0", "embeddings-flag-2", "embeddings-rows",
+        "embeddings-dim", "labels-count-word", "labels-count-superscript",
+        "repeated-label", "empty-label", "written-twice", "trailing-line"])
 def test_eval_rejects_malformed_model_exit_2(tmp_path, quick_model, capsys,
                                              section, edit, line):
     original = quick_model["model"].read_text().split("\n")

@@ -19,6 +19,7 @@ from cbrnn.corpus import (
     import_semeval,
     load_corpus_file,
     parse_marked_sentence,
+    read_text,
     serialize_sentence,
 )
 
@@ -184,6 +185,21 @@ def test_import_semeval_splits_at_line_ends_only():
     raw = SEMEVAL_RAW.replace("was the", "was\x85the")
     for end in ("\n", "\r\n", "\r"):
         assert import_semeval(raw.replace("\n", end)) == want
+
+
+@pytest.fixture(scope="module")
+def text_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("read_text") / "text.txt"
+
+
+@given(st.text(alphabet=["a", " ", "\t", "\r", "\n", "\x85", "\f", "\u2028"]))
+@example("a\r\n\r\rb\n\r")
+@example("a\x85 b\u2028\f\n")
+def test_read_text_reads_line_ends_as_newlines(text_file, text):
+    """``\\r\\n`` and ``\\r`` read as ``\\n``, and nothing else changes,
+    whether the file holds a ``\\r`` or not."""
+    text_file.write_bytes(text.encode("utf-8"))
+    assert read_text(text_file) == text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def test_import_semeval_empty():

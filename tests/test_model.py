@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from cbrnn import SyntheticConfig, generate_synthetic
 from cbrnn import model as model_mod
-from cbrnn.corpus import LabeledSentence, MissingMarker, Vocabulary
+from cbrnn.corpus import (
+    LabeledSentence,
+    MissingMarker,
+    Vocabulary,
+    load_corpus_file,
+    save_corpus_file,
+)
 from cbrnn.embeddings import EmbeddingTable
 from cbrnn.model import (
     CBRNNParams,
@@ -643,3 +649,42 @@ def test_semeval_sized_round_trip_byte_identical(tmp_path):
     save_model(model, p1)
     save_model(load_model(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("labels, tokens, named", [
+    (["r0", "r\rx", "r\ny"], [], "labels: label 'r\\rx'"),
+    (["r0", "r1", "r2"], ["b\rc"], "vocab: token 'b\\rc'"),
+    (["r0", "r1", "r2"], ["b\nc", "d\re"], "vocab: token 'b\\nc'"),
+], ids=["label-cr", "token-cr", "token-lf"])
+def test_save_rejects_a_line_break_in_a_label_or_token(tmp_path, labels, tokens,
+                                                       named):
+    """The file would split the item's line, and ``load_model`` would reject
+    it; no file is left behind."""
+    model = random_model(8, 2, 5, 3)
+    model.label_set[:] = labels
+    ids = model.vocab.id_to_token
+    ids[len(ids) - len(tokens):] = tokens  # the last words, sizes kept
+    path = tmp_path / "m.txt"
+    with pytest.raises(ModelFormatError) as exc:
+        save_model(model, path)
+    assert str(exc.value) == f"{path}: {named} holds a line break"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_files_with_other_line_ends_load_as_with_newlines(small_model_file,
+                                                          synthetic_split,
+                                                          tmp_path, end):
+    """``\\r\\n`` and ``\\r`` files read as their ``\\n`` originals: a model
+    that saves back to the original bytes, and the same sentences."""
+    original = small_model_file.read_bytes()
+    path = tmp_path / "model.txt"
+    path.write_bytes(original.replace(b"\n", end.encode()))
+    save_model(load_model(path), tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_bytes() == original
+
+    save_corpus_file(synthetic_split.test, tmp_path / "corpus.tsv")
+    want = load_corpus_file(tmp_path / "corpus.tsv")
+    path = tmp_path / "corpus-ends.tsv"
+    path.write_bytes((tmp_path / "corpus.tsv").read_bytes().replace(b"\n", end.encode()))
+    assert load_corpus_file(path) == want
