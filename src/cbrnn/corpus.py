@@ -165,6 +165,19 @@ def load_corpus_file(path):
 
 
 def save_corpus_file(sentences, path):
+    """Write ``sentences`` one record a line. A label holding a tab or a line
+    break, or a token that is empty or holds whitespace, would not reload as
+    itself: it raises ``CorpusError`` naming the sentence and the item
+    before the file is opened."""
+    sentences = list(sentences)
+    for s in sentences:
+        if any(c in s.label for c in "\t\n\r"):
+            raise CorpusError(f"sentence {s.id}: label {s.label!r} holds a "
+                              "tab or a line break")
+        for tok in s.tokens:
+            if tok.split() != [tok]:
+                raise CorpusError(f"sentence {s.id}: token {tok!r} is empty "
+                                  "or holds whitespace")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for s in sentences:
             fh.write(serialize_sentence(s) + "\n")

@@ -4,17 +4,16 @@ A prefix of length k is scored as its own full input: the window sequence is
 recomposed on the truncated tokens, so the last window ends in padding rather
 than the next word. Pattern *reporting* can instead take the window from the
 full sentence (``lookahead=True``), which includes the right neighbor of the
-crossing word. Both callers read the prefix scorer, ``model.prefix_states``,
+crossing word. A curve drains the prefix scorer, ``model.prefix_states``,
 which yields the final combined states as each prefix ends (see ``model``
-for how it runs), and put them through the output layer,
-``model.class_scores``. A curve drains the scorer and scores every prefix in
-one call; pattern extraction scores each prefix as it is yielded, stops at
-the first that crosses and closes the scorer. Mining and hidden export both
-read ``model.classify_many``, the one batched labeller: export keeps each
+for how it runs), and puts them all through the output layer,
+``model.class_scores``, in one call. Pattern extraction reads a stream of
+probability rows from ``model.prefix_probs_many`` and stops it at the
+crossing (``first_crossing``). Mining and hidden export both read
+``model.classify_many``, the one batched labeller: export keeps each
 sentence's final combined state, and mining takes its sentences in
 ``model.batches``, labels each batch (unless it mines all of them) and hands
-its sentences, with their caches, to ``model.prefix_states_many``, whose
-shared blocks hand back their prefixes' probabilities as well.
+its sentences, with their caches, to ``model.prefix_probs_many``.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from .model import (  # noqa: F401
     class_scores,
     classify_many,
     forward_pass,
+    prefix_probs_many,
     prefix_states,
-    prefix_states_many,
     softmax,
 )
 
@@ -133,30 +132,14 @@ class FixedCurveModel:
     probs: tuple
 
 
-def _target_probs(model, tokens, relation, scorer):
-    """Each prefix's target probability, shortest first, read from
-    ``scorer``, the sentence's ``(states, probs)`` pair from
-    ``model.prefix_states_many``, or from the sentence's own
-    ``prefix_states``. Closing the generator closes the scorer."""
-    if isinstance(model, FixedCurveModel):
-        if len(model.probs) != len(tokens):
-            raise ValueError("curve length does not match sentence length")
-        yield from model.probs
-        return
-    r_idx = _relation_index(model, relation)
-    params = model.params
-    if scorer is None:
-        scorer = prefix_states(params, model.table, model.vocab.encode(tokens),
-                               model.train_cfg.window), None
-    states, probs = scorer
-    # each prefix's probabilities as it ends, so a caller that stops early
-    # leaves the later steps unrun: through the output layer here, or from
-    # the shared block's, which ran it for the whole block
-    with closing(states):
-        for k, comb in enumerate(states):
-            row = (softmax(class_scores(params, comb[k]))
-                   if probs is None else probs[k])
-            yield float(row[r_idx])
+def first_crossing(probs, tau):
+    """``(k, p)`` for the first element ``p`` of ``probs``, ``k`` its 1-based
+    place, with ``p >= tau``, or None when none has; no element past it is
+    read."""
+    for k, p in enumerate(probs, start=1):
+        if p >= tau:
+            return k, p
+    return None
 
 
 class WindowTooWide(InputError):
@@ -182,26 +165,34 @@ def check_pattern_settings(tau, window, sentences=()):
 def extract_pattern(model, sentence, relation, tau=0.5, window=3,
                     lookahead=True, scorer=None):
     """Return the last window of the first prefix whose target probability
-    reaches tau, or None when no prefix crosses. The scorer advances its
-    block of prefixes word by word and is closed at the crossing, or when
-    anything raises: the caller's thread runs no step past the crossing,
-    and a worker thread running the longer prefixes of a long sentence
-    stops within one step and is joined before this returns. ``scorer``,
-    the sentence's ``(states, probs)`` pair from
-    ``model.prefix_states_many``, takes the place of the sentence's own
-    scorer. The window is not bounded by the sentence's length: a short
-    sentence's pattern is padded."""
+    reaches tau, or None when no prefix crosses. The probabilities come from
+    ``scorer``, the sentence's generator from ``model.prefix_probs_many``,
+    or from the sentence's own; it advances word by word and is closed at
+    the crossing or when anything raises: the caller's thread runs no step
+    past the crossing, and a worker thread running the longer prefixes of a
+    long sentence stops within one step and is joined before this returns.
+    The window is not bounded by the sentence's length: a short sentence's
+    pattern is padded."""
     check_pattern_settings(tau, window)
     tokens, sid = _tokens_of(sentence)
-    with closing(_target_probs(model, tokens, relation, scorer)) as probs:
-        for k, p in enumerate(probs, start=1):
-            if p >= tau:
-                source = tokens if lookahead else tokens[:k]
-                return SaliencyPattern(
-                    relation=relation, ngram=token_window(source, k, window),
-                    crossing_index=k, score=float(p), sentence_id=sid,
-                )
-    return None
+    if isinstance(model, FixedCurveModel):
+        if len(model.probs) != len(tokens):
+            raise ValueError("curve length does not match sentence length")
+        crossing = first_crossing(model.probs, tau)
+    else:
+        r_idx = _relation_index(model, relation)
+        if scorer is None:
+            scorer, = prefix_probs_many(model.params, model.table,
+                                        [model.vocab.encode(tokens)],
+                                        model.train_cfg.window)
+        with closing(scorer):
+            crossing = first_crossing((row[r_idx] for row in scorer), tau)
+    if crossing is None:
+        return None
+    k, p = crossing
+    source = tokens if lookahead else tokens[:k]
+    return SaliencyPattern(relation=relation, ngram=token_window(source, k, window),
+                           crossing_index=k, score=float(p), sentence_id=sid)
 
 
 def mine_patterns(model, sentences, tau=0.5, window=3, only_correct=True,
@@ -212,7 +203,7 @@ def mine_patterns(model, sentences, tau=0.5, window=3, only_correct=True,
     sentence is scored. Sentences are taken in ``model.batches``: a batch
     is classified at once (unless every sentence is mined), and its
     prefixes are scored as one block where that pays
-    (``model.prefix_states_many``)."""
+    (``model.prefix_probs_many``)."""
     sentences = list(sentences)
     check_pattern_settings(tau, window, sentences)
     buckets = {}
@@ -227,7 +218,7 @@ def mine_patterns(model, sentences, tau=0.5, window=3, only_correct=True,
             mined = [(s, None) for s in batch]
         scorers = [None] * len(mined)
         if not isinstance(model, FixedCurveModel):
-            scorers = prefix_states_many(
+            scorers = prefix_probs_many(
                 model.params, model.table,
                 [model.vocab.encode(s.tokens) for s, _ in mined],
                 model.train_cfg.window, caches=[cache for _, cache in mined])

@@ -21,12 +21,13 @@ sentence, its prefixes as one lockstep block (``_lockstep``) that yields as
 each prefix ends: pattern extraction stops it at its crossing, a curve
 drains it. Where the block's first step does ``_SPLIT_WORK`` multiply-adds
 or more, ``_split`` runs it on two threads; every row keeps its bits.
-``prefix_states_many`` gives one such generator per sentence of a list,
-and where a sentence's own block would do fewer than ``_SHARED_WORK``
-multiply-adds a step, the blocks of sentences of like lengths run as one
-(``_shared_block``), with a sentence axis, one output layer a step for all
-of them, and a ``tee`` of its steps for each sentence; mining scores each
-labelled batch through it. One function, ``_prefix_operands``, sets up a
+``prefix_probs_many`` gives one generator per sentence of a list, each
+yielding a prefix's class probabilities as it ends: the sentence's own
+``prefix_states`` through the output layer or, where its own block would do
+fewer than ``_SHARED_WORK`` multiply-adds a step, a block shared with
+sentences of like lengths (``_shared_block``), with a sentence axis, one
+output layer a step for all of them, and a ``tee`` of its steps for each
+sentence; mining scores each labelled batch through it. One function, ``_prefix_operands``, sets up a
 block of one sentence or many and checks its inputs before the first yield:
 it projects the inputs and their tail variants in one call.
 """
@@ -517,16 +518,11 @@ def _prefix_operands(params, table, ids, caches, window, half):
             proj[1, 0, :, :, None].swapaxes(0, 1), chain)
 
 
-def _all_tail(params, table, ids, window, half, comb, probs=None):
-    """The all-tail prefixes of ``ids``, of at most ``half`` words, one
-    ``forward_pass`` each: write prefix k's final combined state, and its
-    probabilities when ``probs`` is given, to row k - 1 and yield ``comb``."""
+def _all_tail(params, table, ids, window, half):
+    """The ``ForwardCache`` of each all-tail prefix of ``ids``, of at most
+    ``half`` words, shortest first: one ``forward_pass`` each."""
     for k in range(1, min(half, len(ids)) + 1):
-        cache = forward_pass(params, compose_ngram_inputs(ids[:k], table, window))
-        comb[k - 1, 0] = cache.h_comb[-1]
-        if probs is not None:
-            probs[k - 1] = cache.probs
-        yield comb
+        yield forward_pass(params, compose_ngram_inputs(ids[:k], table, window))
 
 
 def prefix_states(params, table, ids, window, lookahead=False, cache=None):
@@ -564,7 +560,9 @@ def prefix_states(params, table, ids, window, lookahead=False, cache=None):
     n = len(ids)
     state = np.zeros((2, n, 1, params.hidden_size))
     comb = state[1]
-    yield from _all_tail(params, table, ids, window, half, comb)
+    for k, cache in enumerate(_all_tail(params, table, ids, window, half)):
+        comb[k, 0] = cache.h_comb[-1]
+        yield comb
     if n <= half:
         return
     shared = tails[:, :, :, 0], proj_bwd[:, 0], chain[:, 0]
@@ -605,7 +603,7 @@ def _split(params, shared, state):
 
 # the bound on the work of a step of a sentence's own prefix block,
 # prefixes x hidden^2 multiply-adds, below which the sentence shares a
-# block with others (see prefix_states_many): 48 prefixes at h32, 12 at
+# block with others (see prefix_probs_many): 48 prefixes at h32, 12 at
 # h64, 4 at h100. Past it a step is gemv-bound, and padding each sentence's
 # rows to its block's longest loses. Shared against one prefix_states each,
 # every prefix read and put through the output layer, caches handed in,
@@ -620,27 +618,24 @@ def _split(params, shared, state):
 _SHARED_WORK = 50_000
 
 
-def prefix_states_many(params, table, ids, window, lookahead=False,
-                       caches=None):
-    """``prefix_states`` of each sentence of the list ``ids``, with its
-    cache from the list ``caches`` when given: one pair ``(states, probs)``
-    per sentence, in order. ``states`` yields, bit for bit, what
-    ``prefix_states`` yields for that sentence. ``probs`` is None, or an
-    (n, classes) array whose row k - 1, once ``states`` has yielded prefix
-    k, holds that prefix's class probabilities,
-    ``softmax(class_scores(params, comb[k - 1]))`` bit for bit.
+def prefix_probs_many(params, table, ids, window, lookahead=False,
+                      caches=None):
+    """One generator per sentence of the list ``ids``, in order, with its
+    cache from the list ``caches`` when given. After prefix k ends, it
+    yields that prefix's class probabilities, bit for bit
+    ``softmax(class_scores(params, comb[k - 1]))`` of the sentence's
+    ``prefix_states`` yield ``comb``.
 
     The sentences longer than their all-tail prefixes whose own block
     would do fewer than ``_SHARED_WORK`` multiply-adds a step share lockstep
     blocks (``_shared_block``), longest first, each block's shortest with at
-    least half the prefixes of its longest; ``probs`` is a block's. Every
-    other sentence, and one alone in its block, gets its own
-    ``prefix_states``, on two threads where that splits its block, and
-    None.
+    least half the prefixes of its longest. Every other sentence, and one
+    alone in its block, reads its own ``prefix_states`` (``_own_probs``), on
+    two threads where that splits its block.
     """
     caches = caches or [None] * len(ids)
     half = 0 if lookahead else window // 2
-    scorers = [(prefix_states(params, table, s, window, lookahead, cache), None)
+    scorers = [_own_probs(params, table, s, window, lookahead, cache)
                for s, cache in zip(ids, caches)]
     shared = sorted((i for i, s in enumerate(ids) if 0 < (len(s) - half)
                      * params.hidden_size ** 2 < _SHARED_WORK),
@@ -654,17 +649,25 @@ def prefix_states_many(params, table, ids, window, lookahead=False,
         groups[-1].append(i)
     for group in groups:
         if len(group) > 1:
-            for i, pair in zip(group, _shared_block(
+            for i, probs in zip(group, _shared_block(
                     params, table, [ids[i] for i in group],
                     [caches[i] for i in group], window, half)):
-                scorers[i] = pair
+                scorers[i] = probs
     return scorers
 
 
+def _own_probs(params, *args):
+    """Prefix k's probabilities from row k - 1 of each yield of
+    ``prefix_states(params, *args)``; closing this closes the scorer."""
+    with closing(prefix_states(params, *args)) as states:
+        for k, comb in enumerate(states):
+            yield softmax(class_scores(params, comb[k]))
+
+
 def _shared_block(params, table, ids, caches, window, half):
-    """``prefix_states_many``'s ``(states, probs)`` pairs for sentences,
-    longest first, whose prefixes run as one lockstep block with a sentence
-    axis (``_lockstep`` with ``sizes``).
+    """``prefix_probs_many``'s generators for sentences, longest first,
+    whose prefixes run as one lockstep block with a sentence axis
+    (``_lockstep`` with ``sizes``).
 
     Prefix j past the all-tail ones has ``half + 1 + j`` words in every
     sentence, so it ends at the same step in each, and the sentence axis
@@ -679,26 +682,23 @@ def _shared_block(params, table, ids, caches, window, half):
     """
     longest, count = len(ids[0]), len(ids)
     state = np.zeros((2, longest, count, 1, params.hidden_size))
-    probs = np.empty((longest, count, params.n_classes))
     steps = _lockstep(params, *_prefix_operands(params, table, ids, caches,
                                                 window, half),
                       state[:, half:], sizes=[len(s) - half for s in ids])
 
     def outputs():
         for row, _ in enumerate(steps, start=half):
-            probs[row] = softmax(class_scores(params, state[1, row]))
-            yield
+            yield softmax(class_scores(params, state[1, row]))
 
-    def sentence(s, comb, own, made):
-        yield from _all_tail(params, table, s, window, half, comb, own)
+    def sentence(s, slot, made):
+        for cache in _all_tail(params, table, s, window, half):
+            yield cache.probs
         for _ in range(len(s) - half):
             # once a step has raised, the tee ends: next turns that into an
             # error here, where a for loop would end the sentence early
-            next(made)
-            yield comb
+            yield next(made)[slot]
 
-    return [(sentence(s, state[1, :len(s), slot], probs[:len(s), slot], made),
-             probs[:len(s), slot])
+    return [sentence(s, slot, made)
             for slot, (s, made) in enumerate(zip(ids, tee(outputs(), count)))]
 
 

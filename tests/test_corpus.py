@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from cbrnn import corpus
 from cbrnn.corpus import (
     ConfigInvalid,
+    CorpusError,
     DuplicateMarker,
     EmptyCorpus,
     LabeledSentence,
@@ -20,6 +22,7 @@ from cbrnn.corpus import (
     load_corpus_file,
     parse_marked_sentence,
     read_text,
+    save_corpus_file,
     serialize_sentence,
 )
 
@@ -77,25 +80,80 @@ def test_empty_pair_rejected():
 
 words = st.text(alphabet="abcdef", min_size=1, max_size=5)
 word_lists = st.lists(words, max_size=3)
-nonempty_word_lists = st.lists(words, min_size=1, max_size=3)
 
 
 @st.composite
-def marked_sentences(draw):
+def marked_sentences(draw, words=words,
+                     labels=st.text(alphabet="xyz-", min_size=1, max_size=8)):
+    gap = st.lists(words, max_size=3)
+    entity = st.lists(words, min_size=1, max_size=3)
     tokens = (
-        tuple(draw(word_lists))
-        + ("<e1>",) + tuple(draw(nonempty_word_lists)) + ("</e1>",)
-        + tuple(draw(word_lists))
-        + ("<e2>",) + tuple(draw(nonempty_word_lists)) + ("</e2>",)
-        + tuple(draw(word_lists))
+        tuple(draw(gap))
+        + ("<e1>",) + tuple(draw(entity)) + ("</e1>",)
+        + tuple(draw(gap))
+        + ("<e2>",) + tuple(draw(entity)) + ("</e2>",)
+        + tuple(draw(gap))
     )
-    label = draw(st.text(alphabet="xyz-", min_size=1, max_size=8))
-    return LabeledSentence(tokens=tokens, label=label, id=draw(words))
+    return LabeledSentence(tokens=tokens, label=draw(labels), id=draw(words))
 
 
-@given(marked_sentences())
-def test_serialize_roundtrip(s):
-    assert parse_marked_sentence(serialize_sentence(s), sid=s.id) == s
+# a tab, a space, line breaks and characters that str.split or
+# str.splitlines break at (\x85, \x1f, U+2028); odd words include the empty
+# token
+ODD = "\t \n\r\x85\x1f\u2028"
+odd_words = st.one_of(words, st.text(alphabet="ab" + ODD, max_size=3))
+odd_labels = st.text(alphabet="xy" + ODD, min_size=1, max_size=4)
+
+
+@given(s=st.one_of(marked_sentences(words=odd_words),
+                   marked_sentences(labels=odd_labels),
+                   marked_sentences(words=odd_words, labels=odd_labels)))
+def test_serialize_roundtrip(s, tmp_path_factory):
+    """A sentence is either refused by ``save_corpus_file`` or reloaded by
+    ``load_corpus_file`` equal to itself, as the first record of its file;
+    it is refused just when its record, written as it is, would not
+    reload as itself."""
+    path = tmp_path_factory.getbasetemp() / "roundtrip.tsv"
+    want = [replace(s, id="0")]
+    path.write_bytes((serialize_sentence(s) + "\n").encode("utf-8"))
+    try:
+        reloads = load_corpus_file(path) == want
+    except CorpusError:
+        reloads = False
+    path.unlink()
+    try:
+        save_corpus_file([s], path)
+    except CorpusError:
+        assert not reloads
+        assert not path.exists()
+    else:
+        assert reloads
+        assert load_corpus_file(path) == want
+        assert parse_marked_sentence(serialize_sentence(s), sid=s.id) == s
+
+
+@pytest.mark.parametrize("label, tokens, named", [
+    ("x\ty", (), "label 'x\\ty'"),
+    ("x\ny", (), "label 'x\\ny'"),
+    ("x\ry", (), "label 'x\\ry'"),
+    ("x", ("p q",), "token 'p q'"),
+    ("x", ("u\x85v",), "token 'u\\x85v'"),
+    ("x", ("",), "token ''"),
+], ids=["label-tab", "label-newline", "label-cr", "token-space", "token-nel",
+        "token-empty"])
+def test_save_corpus_file_refuses_what_would_reload_differently(
+        tmp_path, label, tokens, named):
+    """A label holding a tab or a line break, and a token that is empty or
+    holds whitespace, would reload as another sentence or make the file
+    unreadable: ``save_corpus_file`` names the sentence and the item, and
+    writes no file."""
+    good = LabeledSentence(("<e1>", "a", "</e1>", "<e2>", "b", "</e2>"), "y")
+    bad = LabeledSentence(good.tokens + tokens, label, id="s7")
+    path = tmp_path / "c.tsv"
+    with pytest.raises(CorpusError) as exc:
+        save_corpus_file([good, bad], path)
+    assert str(exc.value).startswith(f"sentence s7: {named} ")
+    assert not path.exists()
 
 
 def reference_validate_markers(tokens):

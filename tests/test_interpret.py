@@ -18,6 +18,7 @@ from cbrnn.interpret import (
     curve_to_csv,
     export_hidden_states,
     extract_pattern,
+    first_crossing,
     hidden_to_tsv,
     mine_patterns,
     pattern_table_to_tsv,
@@ -142,6 +143,45 @@ def test_raising_tau_never_lowers_crossing(probs, tau_lo, delta):
         assert hi is None
     elif hi is not None:
         assert hi.crossing_index >= lo.crossing_index
+
+
+class CountingIterator:
+    """An iterator over ``items`` that counts the elements read from it."""
+
+    def __init__(self, items):
+        self.items, self.read = iter(items), 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        item = next(self.items)
+        self.read += 1
+        return item
+
+
+# probabilities with NaN, 0 and 1 drawn often, beside the rest of [0, 1]
+edge_probs = st.one_of(st.sampled_from([float("nan"), 0.0, 1.0]),
+                       st.floats(min_value=0.0, max_value=1.0))
+
+
+@given(probs=st.lists(edge_probs, max_size=12),
+       tau=st.one_of(st.sampled_from([0.0, 1.0]),
+                     st.floats(min_value=0.0, max_value=1.0)))
+def test_first_crossing_equals_a_reference_scan(probs, tau):
+    """The first ``(k, p)`` with ``p >= tau``, k 1-based, as a scan of every
+    element finds it (a NaN never crosses), or None when no element
+    crosses; no element past the crossing is read."""
+    crossed = [k for k, p in enumerate(probs, start=1) if p >= tau]
+    counted = CountingIterator(probs)
+    got = first_crossing(counted, tau)
+    if not crossed:
+        assert got is None
+        assert counted.read == len(probs)
+    else:
+        k = crossed[0]
+        assert got == (k, probs[k - 1])
+        assert counted.read == k
 
 
 def test_token_window_pads_out_of_range():

@@ -659,13 +659,12 @@ def test_prefix_probs_bit_equal_to_forward_pass(hidden, window, dim, n_classes,
 def test_shared_prefix_block_yields_what_each_sentence_scorer_yields(
         hidden, window, lookahead, dim, n_classes, cached, lengths, seed):
     """1 to 8 sentences of 1 to 40 words, with or without their caches,
-    their generators read in a random order and some closed early: every
-    yield of each has, in the rows of the prefixes that have ended, the
-    bytes of ``prefix_states``'s yield for its sentence, and a shared
-    block's probability row those of the output layer on that row. Since
-    the two share their set-up, a sample of a shared block's ended rows is
-    also checked against ``forward_pass`` on the prefix's own input. The
-    sentences longer than their all-tail prefixes share blocks, longest
+    their generators read in a random order and some closed early: yield k
+    of each, alone or in a shared block, has the bytes of the output layer
+    on row k - 1 of ``prefix_states``'s yield k for its sentence, and keeps
+    them after later reads. Since the two share their set-up, a sample of
+    a shared block's rows is also checked against ``forward_pass`` on the
+    prefix's own input. The sentences longer than their all-tail prefixes share blocks, longest
     first, a block's shortest with at least half its longest's prefixes,
     and a block runs no step past the furthest prefix that any of its
     generators has read."""
@@ -691,10 +690,19 @@ def test_shared_prefix_block_yields_what_each_sentence_scorer_yields(
             steps[tuple(kwargs.get("sizes") or ())] += 1
             yield step
 
-    lockstep = model._lockstep
-    with mock.patch.object(model, "_lockstep", spy):
-        scorers = model.prefix_states_many(params, table, ids, window,
-                                           lookahead, caches if cached else None)
+    # the generators each shared block hands back
+    made = []
+
+    def block_spy(*args):
+        block = shared_block(*args)
+        made.extend(block)
+        return block
+
+    lockstep, shared_block = model._lockstep, model._shared_block
+    with mock.patch.object(model, "_lockstep", spy), \
+            mock.patch.object(model, "_shared_block", block_spy):
+        scorers = model.prefix_probs_many(params, table, ids, window,
+                                          lookahead, caches if cached else None)
         # at most 39 prefixes at h32, under _SHARED_WORK
         groups = []
         for i in sorted((i for i, n in enumerate(lengths) if n > half),
@@ -705,38 +713,41 @@ def test_shared_prefix_block_yields_what_each_sentence_scorer_yields(
             groups[-1].append(i)
         groups = [group for group in groups if len(group) > 1]
         shared = {i for group in groups for i in group}
-        assert ([probs is not None for _, probs in scorers]
+        assert ([any(g is m for m in made) for g in scorers]
                 == [i in shared for i in range(len(ids))])
         read, running = [0] * len(ids), set(range(len(ids)))
+        # every row read with the row it must keep
+        rows = []
         while running:
             i = int(rng.choice(sorted(running)))
-            states, probs = scorers[i]
+            probs = scorers[i]
             if rng.random() < 0.05:
-                states.close()
+                probs.close()
                 running.discard(i)
                 continue
-            comb = next(states, None)
-            if comb is None:
+            row = next(probs, None)
+            if row is None:
                 assert read[i] == len(ids[i])
                 running.discard(i)
                 continue
             read[i] += 1
             k = read[i]
-            assert comb[:k].tobytes() == want[i][k - 1][:k].tobytes(), (i, k)
-            if probs is not None:
-                row = softmax(want[i][k - 1][k - 1, 0] @ params.out_w
-                              + params.out_b)
-                assert probs[k - 1].tobytes() == row.tobytes(), (i, k)
-                if sample.random() < 0.25:
-                    x = (compose_ngram_inputs(ids[i], table, window)[:k]
-                         if lookahead else
-                         compose_ngram_inputs(ids[i][:k], table, window))
-                    oracle = forward_pass(params, x).h_comb[-1]
-                    assert comb[k - 1, 0].tobytes() == oracle.tobytes(), (i, k)
+            want_row = softmax(want[i][k - 1][k - 1, 0] @ params.out_w
+                               + params.out_b)
+            assert row.tobytes() == want_row.tobytes(), (i, k)
+            rows.append((row, want_row))
+            if i in shared and sample.random() < 0.25:
+                x = (compose_ngram_inputs(ids[i], table, window)[:k]
+                     if lookahead else
+                     compose_ngram_inputs(ids[i][:k], table, window))
+                oracle = forward_pass(params, x).probs
+                assert row.tobytes() == oracle.tobytes(), (i, k)
             for group in groups:
                 furthest = max(read[j] - half for j in group)
                 sizes = tuple(lengths[j] - half for j in group)
                 assert steps[sizes] == max(furthest, 0), (group, read)
+    # a row once read is not written again
+    assert all(row.tobytes() == want_row.tobytes() for row, want_row in rows)
 
 
 @pytest.mark.parametrize("ids, window, hidden", [

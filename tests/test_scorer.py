@@ -226,12 +226,12 @@ def test_stopping_early_stops_and_joins_the_worker(h100_model,
             raise FloatingPointError("stop")
         return softmax(scores)
 
-    softmax = interpret.softmax
-    monkeypatch.setattr(interpret, "softmax", failing_softmax)
+    softmax = model.softmax
+    monkeypatch.setattr(model, "softmax", failing_softmax)
     with pytest.raises(FloatingPointError):
         extract_pattern(h100_model, tokens, relation, tau=1.0 - 1e-12)
     worker_stopped()
-    monkeypatch.setattr(interpret, "softmax", softmax)
+    monkeypatch.setattr(model, "softmax", softmax)
     # with lookahead no prefix is all tail: the first yield is the block's
     ids = h100_model.vocab.encode(tokens)
     states = model.prefix_states(h100_model.params, h100_model.table, ids,
@@ -241,13 +241,26 @@ def test_stopping_early_stops_and_joins_the_worker(h100_model,
     worker_stopped()
 
 
+def spy_shared_blocks(monkeypatch):
+    """The sentences of each shared block made from now on, in a list."""
+    blocks, shared_block = [], model._shared_block
+
+    def spy(params, table, ids, *rest):
+        blocks.append(ids)
+        return shared_block(params, table, ids, *rest)
+
+    monkeypatch.setattr(model, "_shared_block", spy)
+    return blocks
+
+
 @pytest.mark.parametrize("window", [1, 3, 5])
 @pytest.mark.parametrize("lookahead", [False, True])
-def test_bad_input_raises_before_the_first_yield(window, lookahead):
+def test_bad_input_raises_before_the_first_yield(window, lookahead,
+                                                 monkeypatch):
     """An empty sentence, and a cache whose input is narrower than the
     weights, raise before the scorer yields anything, whether or not the
     sentence has all-tail prefixes: through ``prefix_states``, and through
-    ``prefix_states_many``, alone and in a shared block."""
+    ``prefix_probs_many``, alone and in a shared block."""
     rng = np.random.default_rng(0)
     dim, width = 2, 2 * window
     params = model.init_params(width, 4, 3, rng)
@@ -261,18 +274,20 @@ def test_bad_input_raises_before_the_first_yield(window, lookahead):
         next(model.prefix_states(params, table, [], window, lookahead))
     with pytest.raises(model.ShapeMismatch, match=too_narrow):
         next(model.prefix_states(params, table, ids, window, lookahead, narrow))
+    blocks = spy_shared_blocks(monkeypatch)
     # one sentence alone gets its own scorer, two share a block
     for count in (1, 2):
-        scorers = model.prefix_states_many(params, table, [[]] + [ids] * count,
-                                           window, lookahead)
-        assert [probs is None for _, probs in scorers[1:]] == [count == 1] * count
+        blocks.clear()
+        scorers = model.prefix_probs_many(params, table, [[]] + [ids] * count,
+                                          window, lookahead)
+        assert blocks == [[ids] * count] * (count - 1)
         with pytest.raises(ValueError, match=empty):
-            next(scorers[0][0])
+            next(scorers[0])
         with pytest.raises(model.ShapeMismatch, match=too_narrow):
-            for states, _ in model.prefix_states_many(params, table, [ids] * count,
-                                                      window, lookahead,
-                                                      [narrow] * count):
-                next(states)
+            for probs in model.prefix_probs_many(params, table, [ids] * count,
+                                                 window, lookahead,
+                                                 [narrow] * count):
+                next(probs)
 
 
 def test_a_step_that_raised_makes_the_other_sentences_raise(monkeypatch):
@@ -300,9 +315,9 @@ def test_a_step_that_raised_makes_the_other_sentences_raise(monkeypatch):
 
     softmax = model.softmax
     monkeypatch.setattr(model, "softmax", failing_softmax)
-    (first, first_probs), (second, _) = model.prefix_states_many(
-        params, table, ids, window)
-    assert first_probs is not None
+    blocks = spy_shared_blocks(monkeypatch)
+    first, second = model.prefix_probs_many(params, table, ids, window)
+    assert blocks == [ids]
     # prefix 1 is all tail; block step j ends prefix 1 + j
     for _ in range(3):
         next(first)
