@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, groupby
 
 PAD_TOKEN = "__PAD__"
 UNK_TOKEN = "__UNK__"
@@ -19,7 +19,7 @@ UNK_ID = 1
 MARKERS = ("<e1>", "</e1>", "<e2>", "</e2>")
 _MARKER_SET = frozenset(MARKERS)
 
-_PUNCT = set(".,;:!?\"'()")
+_PUNCT = ".,;:!?\"'()"
 
 
 class InputError(ValueError):
@@ -117,6 +117,19 @@ class LabeledSentence:
         validate_markers(self.tokens)
 
 
+def sentence_tokens(sentence):
+    """The tokens a model scores for ``sentence``: a ``LabeledSentence``'s
+    as made, checked then, or any other sequence as a tuple, its markers
+    checked (``validate_markers``). ``predict``, ``classify_many``, prefix
+    curves and pattern extraction all take a sentence through this one
+    rule."""
+    if isinstance(sentence, LabeledSentence):
+        return sentence.tokens
+    tokens = tuple(sentence)
+    validate_markers(tokens)
+    return tokens
+
+
 def parse_marked_sentence(line, sid="0"):
     """Parse one normalized ``label<TAB>tokens`` record."""
     label, _, text = line.rstrip("\n").partition("\t")
@@ -184,47 +197,30 @@ def save_corpus_file(sentences, path):
 
 
 def _split_punct(token):
-    if token in MARKERS:
-        return [token]
-    lead = []
-    trail = []
-    while token and token[0] in _PUNCT:
-        lead.append(token[0])
-        token = token[1:]
-    while token and token[-1] in _PUNCT:
-        trail.append(token[-1])
-        token = token[:-1]
-    core = [token] if token else []
-    return lead + core + list(reversed(trail))
+    """``token`` with each leading and trailing ``_PUNCT`` character split
+    off as a token of its own."""
+    rest = token.lstrip(_PUNCT)
+    core = rest.rstrip(_PUNCT)
+    lead, trail = token[:len(token) - len(rest)], rest[len(core):]
+    return [*lead, *([core] if core else []), *trail]
 
 
 def _normalize_semeval_text(text):
-    for tag in ("<e1>", "</e1>", "<e2>", "</e2>"):
+    for tag in MARKERS:
         text = text.replace(tag, f" {tag} ")
-    tokens = []
-    for raw in text.split():
-        for tok in _split_punct(raw):
-            tokens.append(tok if tok in MARKERS else tok.lower())
-    return tuple(tokens)
+    # no marker holds a character of _PUNCT or one that lower() changes
+    return tuple(tok.lower() for raw in text.split() for tok in _split_punct(raw))
 
 
 def import_semeval(raw):
     """Convert the SemEval10 Task 8 two-line record format to LabeledSentences.
 
     Each record is a numbered quoted sentence line, a relation line, and an
-    optional ``Comment:`` line; records are separated by blank lines.
+    optional ``Comment:`` line; records are separated by blank lines. An
+    error names its record as ``record N:``, N counted from 0.
     """
-    blocks = []
-    current = []
-    for line in _unify_line_ends(raw).split("\n"):
-        if line.strip():
-            current.append(line.strip())
-        elif current:
-            blocks.append(current)
-            current = []
-    if current:
-        blocks.append(current)
-
+    stripped = [line.strip() for line in _unify_line_ends(raw).split("\n")]
+    blocks = [list(block) for kept, block in groupby(stripped, key=bool) if kept]
     sentences = []
     for i, block in enumerate(blocks):
         lines = [ln for ln in block if not ln.startswith("Comment")]
@@ -233,13 +229,13 @@ def import_semeval(raw):
         num, _, text = lines[0].partition("\t")
         if not text:
             raise MalformedRecord(i, "sentence line lacks a tab")
-        text = text.strip().strip('"')
-        label = lines[1].strip()
-        if not label:
-            raise MalformedRecord(i, "empty relation line")
-        tokens = _normalize_semeval_text(text)
-        sid = num.strip() if num.strip() else str(i)
-        sentences.append(LabeledSentence(tokens=tokens, label=label, id=sid))
+        tokens = _normalize_semeval_text(text.strip().strip('"'))
+        try:
+            sentences.append(LabeledSentence(tokens=tokens, label=lines[1],
+                                             id=num.strip()))
+        except CorpusError as exc:
+            exc.args = (f"record {i}: {exc}",)
+            raise
     return sentences
 
 

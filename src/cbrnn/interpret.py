@@ -23,7 +23,7 @@ import io
 from contextlib import closing
 from dataclasses import dataclass
 
-from .corpus import PAD_TOKEN, InputError, LabeledSentence
+from .corpus import PAD_TOKEN, InputError, LabeledSentence, sentence_tokens
 # compose_ngram_inputs and forward_pass are not called here; perfbench's
 # tests check that its probes reach every namespace that holds them, this
 # one included
@@ -80,10 +80,15 @@ class PatternTable:
     window: int
 
 
-def _tokens_of(sentence):
+def _tokens_of(model, sentence):
+    """The tokens ``model`` scores for ``sentence``, and its id: a trained
+    model's come through ``corpus.sentence_tokens``, the rule ``predict``
+    follows; a ``FixedCurveModel`` scores nothing and takes any words."""
     if isinstance(sentence, LabeledSentence):
         return sentence.tokens, sentence.id
-    return tuple(sentence), "0"
+    if isinstance(model, FixedCurveModel):
+        return tuple(sentence), "0"
+    return sentence_tokens(sentence), "0"
 
 
 def token_window(tokens, k, window):
@@ -106,7 +111,7 @@ def prefix_curve(model, sentence, relation, lookahead=False):
     """Score every word-prefix of the sentence, all in one pass
     (``prefix_states`` drained): the final combined states of all prefixes
     go through one ``class_scores`` call and one row-wise softmax."""
-    tokens, sid = _tokens_of(sentence)
+    tokens, sid = _tokens_of(model, sentence)
     r_idx = _relation_index(model, relation)
     params = model.params
     *_, comb = prefix_states(params, model.table, model.vocab.encode(tokens),
@@ -165,16 +170,18 @@ def check_pattern_settings(tau, window, sentences=()):
 def extract_pattern(model, sentence, relation, tau=0.5, window=3,
                     lookahead=True, scorer=None):
     """Return the last window of the first prefix whose target probability
-    reaches tau, or None when no prefix crosses. The probabilities come from
-    ``scorer``, the sentence's generator from ``model.prefix_probs_many``,
-    or from the sentence's own; it advances word by word and is closed at
-    the crossing or when anything raises: the caller's thread runs no step
-    past the crossing, and a worker thread running the longer prefixes of a
-    long sentence stops within one step and is joined before this returns.
-    The window is not bounded by the sentence's length: a short sentence's
-    pattern is padded."""
+    reaches tau, or None when no prefix crosses. A trained model scores the
+    tokens ``predict`` would and refuses what it refuses
+    (``corpus.sentence_tokens``). The probabilities come from ``scorer``,
+    the sentence's generator from ``model.prefix_probs_many(params, table,
+    ids, window, caches)``, or from the sentence's own; it advances word by
+    word and is closed at the crossing or when anything raises: the
+    caller's thread runs no step past the crossing, and a worker thread
+    running the longer prefixes of a long sentence stops within one step
+    and is joined before this returns. The window is not bounded by the
+    sentence's length: a short sentence's pattern is padded."""
     check_pattern_settings(tau, window)
-    tokens, sid = _tokens_of(sentence)
+    tokens, sid = _tokens_of(model, sentence)
     if isinstance(model, FixedCurveModel):
         if len(model.probs) != len(tokens):
             raise ValueError("curve length does not match sentence length")

@@ -21,15 +21,17 @@ sentence, its prefixes as one lockstep block (``_lockstep``) that yields as
 each prefix ends: pattern extraction stops it at its crossing, a curve
 drains it. Where the block's first step does ``_SPLIT_WORK`` multiply-adds
 or more, ``_split`` runs it on two threads; every row keeps its bits.
-``prefix_probs_many`` gives one generator per sentence of a list, each
-yielding a prefix's class probabilities as it ends: the sentence's own
-``prefix_states`` through the output layer or, where its own block would do
-fewer than ``_SHARED_WORK`` multiply-adds a step, a block shared with
-sentences of like lengths (``_shared_block``), with a sentence axis, one
-output layer a step for all of them, and a ``tee`` of its steps for each
-sentence; mining scores each labelled batch through it. One function, ``_prefix_operands``, sets up a
-block of one sentence or many and checks its inputs before the first yield:
-it projects the inputs and their tail variants in one call.
+``prefix_probs_many(params, table, ids, window, caches=None)`` gives one
+generator per sentence of a list, each yielding a prefix's class
+probabilities, the prefix scored as its own input, as it ends: the
+sentence's own ``prefix_states`` through the output layer or, where its own
+block would do fewer than ``_SHARED_WORK`` multiply-adds a step, a block
+shared with sentences of like lengths (``_shared_block``), with a sentence
+axis, one output layer a step for all of them, and a ``tee`` of its steps
+for each sentence; mining scores each labelled batch through it. One
+function, ``_prefix_operands``, sets up a block of one sentence or many and
+checks its inputs before the first yield: it projects the inputs and their
+tail variants in one call.
 """
 
 from __future__ import annotations
@@ -50,11 +52,10 @@ from . import embeddings as emb_mod
 from .corpus import (
     PAD_ID,
     InputError,
-    LabeledSentence,
     Vocabulary,
     build_vocabulary,
     read_text,
-    validate_markers,
+    sentence_tokens,
 )
 from .embeddings import EmbeddingTable, compose_ngram_inputs, init_random
 
@@ -618,13 +619,13 @@ def _split(params, shared, state):
 _SHARED_WORK = 50_000
 
 
-def prefix_probs_many(params, table, ids, window, lookahead=False,
-                      caches=None):
+def prefix_probs_many(params, table, ids, window, caches=None):
     """One generator per sentence of the list ``ids``, in order, with its
     cache from the list ``caches`` when given. After prefix k ends, it
     yields that prefix's class probabilities, bit for bit
     ``softmax(class_scores(params, comb[k - 1]))`` of the sentence's
-    ``prefix_states`` yield ``comb``.
+    ``prefix_states(params, table, ids[i], window)`` yield ``comb``: each
+    prefix is scored as its own input, its last windows padded.
 
     The sentences longer than their all-tail prefixes whose own block
     would do fewer than ``_SHARED_WORK`` multiply-adds a step share lockstep
@@ -634,8 +635,8 @@ def prefix_probs_many(params, table, ids, window, lookahead=False,
     two threads where that splits its block.
     """
     caches = caches or [None] * len(ids)
-    half = 0 if lookahead else window // 2
-    scorers = [_own_probs(params, table, s, window, lookahead, cache)
+    half = window // 2
+    scorers = [_own_probs(params, table, s, window, cache)
                for s, cache in zip(ids, caches)]
     shared = sorted((i for i, s in enumerate(ids) if 0 < (len(s) - half)
                      * params.hidden_size ** 2 < _SHARED_WORK),
@@ -651,20 +652,21 @@ def prefix_probs_many(params, table, ids, window, lookahead=False,
         if len(group) > 1:
             for i, probs in zip(group, _shared_block(
                     params, table, [ids[i] for i in group],
-                    [caches[i] for i in group], window, half)):
+                    [caches[i] for i in group], window)):
                 scorers[i] = probs
     return scorers
 
 
-def _own_probs(params, *args):
+def _own_probs(params, table, ids, window, cache):
     """Prefix k's probabilities from row k - 1 of each yield of
-    ``prefix_states(params, *args)``; closing this closes the scorer."""
-    with closing(prefix_states(params, *args)) as states:
+    ``prefix_states``; closing this closes the scorer."""
+    with closing(prefix_states(params, table, ids, window,
+                               cache=cache)) as states:
         for k, comb in enumerate(states):
             yield softmax(class_scores(params, comb[k]))
 
 
-def _shared_block(params, table, ids, caches, window, half):
+def _shared_block(params, table, ids, caches, window):
     """``prefix_probs_many``'s generators for sentences, longest first,
     whose prefixes run as one lockstep block with a sentence axis
     (``_lockstep`` with ``sizes``).
@@ -680,7 +682,7 @@ def _shared_block(params, table, ids, caches, window, half):
     softmax. A sentence's all-tail prefixes are its own ``forward_pass``
     calls (``_all_tail``).
     """
-    longest, count = len(ids[0]), len(ids)
+    longest, count, half = len(ids[0]), len(ids), window // 2
     state = np.zeros((2, longest, count, 1, params.hidden_size))
     steps = _lockstep(params, *_prefix_operands(params, table, ids, caches,
                                                 window, half),
@@ -965,16 +967,10 @@ class TrainedModel:
 
 
 def _input_of(model, sentence):
-    """The composed input of ``sentence``, a ``LabeledSentence`` (whose
-    markers were checked when it was made) or a sequence of tokens, whose
-    markers are checked first."""
-    if isinstance(sentence, LabeledSentence):
-        tokens = sentence.tokens
-    else:
-        tokens = tuple(sentence)
-        validate_markers(tokens)
-    return compose_ngram_inputs(model.vocab.encode(tokens), model.table,
-                                model.train_cfg.window)
+    """The composed input of ``sentence``, its tokens taken through
+    ``corpus.sentence_tokens``."""
+    return compose_ngram_inputs(model.vocab.encode(sentence_tokens(sentence)),
+                                model.table, model.train_cfg.window)
 
 
 def batches(items):

@@ -106,8 +106,10 @@ def test_train_embeddings_seed_the_table(tmp_path, quick_model):
 
 @pytest.mark.parametrize("value, message", [
     ("1x50", "--synthetic: need at least 2 relations"),
+    # one trigger pair of verb and preposition a relation
+    ("101x50", "--synthetic: at most 100 relations supported"),
     ("4x99999999999999999999", "--synthetic: at most 482560 sentences per relation"),
-], ids=["one-relation", "huge-sentence-count"])
+], ids=["one-relation", "more-relations-than-triggers", "huge-sentence-count"])
 def test_train_synthetic_out_of_range_builds_nothing(tmp_path, monkeypatch, capsys,
                                                       value, message):
     def spy(*args, **kwargs):
@@ -117,6 +119,28 @@ def test_train_synthetic_out_of_range_builds_nothing(tmp_path, monkeypatch, caps
     rc = cli.main(["train", "--synthetic", value, "--out", str(tmp_path / "m.txt")])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_train_with_dev_and_test_files(tmp_path, synthetic_split, capsys):
+    """``--dev`` replaces the 90/10 holdout, so every ``--data`` sentence
+    trains, and ``--test`` is scored after training: the model file is the
+    library's on that split, and stdout its test metrics."""
+    files = {}
+    for name in ("train", "dev", "test"):
+        files[name] = tmp_path / f"{name}.tsv"
+        save_corpus_file(getattr(synthetic_split, name), files[name])
+    out = tmp_path / "m.txt"
+    rc = cli.main(["train", "--data", str(files["train"]), "--dev", str(files["dev"]),
+                   "--test", str(files["test"]), "--out", str(out), *QUICK])
+    assert rc == 0
+    m = load_model(out)
+    want = model_mod.train(synthetic_split, m.train_cfg, m.loss_cfg)
+    model_mod.save_model(want, tmp_path / "want.txt")
+    assert out.read_bytes() == (tmp_path / "want.txt").read_bytes()
+    metrics = evaluate(want, synthetic_split.test)
+    assert capsys.readouterr().out == (
+        f"test_accuracy: {metrics['accuracy']:.17g}\n"
+        f"test_macro_f1: {metrics['macro_f1']:.17g}\n")
 
 
 def test_train_requires_data_or_synthetic(tmp_path, capsys):
@@ -407,6 +431,11 @@ def _exit_code(argv):
     ({}, ["lisa", "--model", "{model}", "--relation", "rel-00",
           "--sentence", SENTENCE, "--id", "3"],
      "--sentence cannot be used with --data or --id"),
+    ({}, ["lisa", "--model", "{model}", "--relation", "rel-00",
+          "--data", "{test}", "--id", "999"],
+     "error: sentence id '999' not found in {test}\n"),
+    ({}, ["train", "--synthetic", "4by50", "--out", "{tmp}/m.txt"],
+     "error: --synthetic expects RELATIONSxSENTENCES, e.g. 4x50\n"),
 ], ids=["config-bad-value", "config-bad-value-overridden", "config-unknown-key", "config-bad-switch",
         "config-missing", "config-out-of-range", "config-margins", "config-nan",
         "config-names-missing-file", "lr-nan", "m-plus-nan", "gamma-inf", "m-plus-inf",
@@ -423,7 +452,7 @@ def _exit_code(argv):
         "patterns-all-unknown-relation", "lisa-unknown-relation",
         "eval-unknown-labels-names-file", "synthetic-with-test",
         "config-synthetic-with-dev", "lisa-sentence-with-data",
-        "lisa-sentence-with-id"])
+        "lisa-sentence-with-id", "lisa-id-not-in-data", "synthetic-malformed"])
 def test_bad_input_exit_2(tmp_path, quick_model, capsys, files, argv, expected):
     for name, content in files.items():
         path = tmp_path / name
@@ -589,3 +618,17 @@ def test_eval_rejects_malformed_model_exit_2(tmp_path, quick_model, capsys,
     rc = cli.main(["eval", "--model", str(bad), "--data", str(quick_model["test"])])
     assert rc == 2
     assert f"bad.txt:{line(original)}: {section}" in capsys.readouterr().err
+
+
+def test_eval_rejects_another_line_where_end_belongs(tmp_path, quick_model,
+                                                     capsys):
+    """A section after the last one the schema lists is named on the line
+    where ``end`` belongs."""
+    lines = quick_model["model"].read_text().split("\n")
+    assert lines[-2:] == ["end", ""]
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines[:-2] + ["vector out_c 1", "0", "end", ""]))
+    rc = cli.main(["eval", "--model", str(bad), "--data", str(quick_model["test"])])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: {bad}:{len(lines) - 1}: end: "
+                                       "unexpected section 'vector out_c 1'\n")

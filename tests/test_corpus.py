@@ -11,6 +11,7 @@ from cbrnn.corpus import (
     CorpusError,
     DuplicateMarker,
     EmptyCorpus,
+    EmptyTokens,
     LabeledSentence,
     MalformedRecord,
     MarkerOrder,
@@ -268,6 +269,44 @@ def test_import_semeval_missing_relation_line():
     with pytest.raises(MalformedRecord) as exc:
         import_semeval('1\t"a <e1>b</e1> c <e2>d</e2>"\n')
     assert exc.value.index == 0
+
+
+def test_import_semeval_splits_leading_and_trailing_punctuation():
+    """Each punctuation character at either end of a word is a token of its
+    own, in the order it stood; punctuation inside a word stays."""
+    (s,) = import_semeval('7\t"(A) <e1>U.S.</e1> ship, \'sank\'... in '
+                          '<e2>Bay);</e2>!"\nRel\n')
+    assert s.tokens == (
+        "(", "a", ")", "<e1>", "u.s", ".", "</e1>", "ship", ",", "'", "sank",
+        "'", ".", ".", ".", "in", "<e2>", "bay", ")", ";", "</e2>", "!",
+    )
+    assert s.id == "7"
+
+
+def test_import_semeval_last_record_needs_no_blank_line():
+    want = import_semeval(SEMEVAL_RAW)
+    assert import_semeval(SEMEVAL_RAW.rstrip("\n")) == want
+    assert len(want) == 2
+
+
+def test_import_semeval_sentence_line_without_a_tab():
+    with pytest.raises(MalformedRecord) as exc:
+        import_semeval(SEMEVAL_RAW + '\n3 "a <e1>b</e1> c <e2>d</e2>"\nRel\n')
+    assert str(exc.value) == "record 2: sentence line lacks a tab"
+
+
+@pytest.mark.parametrize("sentence, error, message", [
+    ('"a <e1>b c <e2>d</e2>"', MissingMarker, "record 1: marker </e1> missing"),
+    ('""', EmptyTokens, "record 1: sentence has no tokens"),
+], ids=["missing-marker", "no-tokens"])
+def test_import_semeval_names_the_record_of_a_bad_sentence(sentence, error,
+                                                           message):
+    raw = SEMEVAL_RAW.replace('"A <e1>marble</e1> was dropped into the '
+                              '<e2>bowl</e2>"', sentence)
+    assert raw != SEMEVAL_RAW
+    with pytest.raises(error) as exc:
+        import_semeval(raw)
+    assert str(exc.value) == message
 
 
 def test_vocabulary_specials_fixed():

@@ -5,11 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cbrnn import interpret, model
-from cbrnn.corpus import LabeledSentence
+from cbrnn.corpus import MARKERS, LabeledSentence
 from cbrnn.embeddings import compose_ngram_inputs
 from cbrnn.interpret import (
     FixedCurveModel,
@@ -25,7 +25,7 @@ from cbrnn.interpret import (
     prefix_curve,
     token_window,
 )
-from cbrnn.model import forward_pass, predict
+from cbrnn.model import classify_many, forward_pass, predict
 
 def inputs_of(model, tokens):
     return compose_ngram_inputs(model.vocab.encode(tokens), model.table,
@@ -195,15 +195,82 @@ def test_token_window_pads_out_of_range():
 
 
 def test_curve_single_token_equals_full_prediction(trained_model):
-    # a one-token input has no valid marker layout, so call the internals
+    # a one-token input has no valid marker layout, which the public API
+    # refuses, so score its ids with the prefix scorer, as a curve does
     tokens = ("<e1>",)
-    relation = trained_model.label_set[0]
-    curve = prefix_curve(trained_model, tokens, relation)
-    assert len(curve.points) == 1
+    params = trained_model.params
+    *_, comb = model.prefix_states(params, trained_model.table,
+                                   trained_model.vocab.encode(tokens),
+                                   trained_model.train_cfg.window)
+    assert len(comb) == 1
+    curve_probs = model.softmax(model.class_scores(params, comb))[0]
     x = inputs_of(trained_model, tokens)
-    probs = forward_pass(trained_model.params, x).probs
-    ridx = trained_model.label_set.index(relation)
-    assert curve.points[0].prob_target == float(probs[ridx])
+    probs = forward_pass(params, x).probs
+    assert curve_probs.tobytes() == probs.tobytes()
+
+
+# (kind, a, b): marker a (mod the count of markers) dropped, or doubled
+# at place b (mod the places), markers a and b swapped, every marker
+# removed, or every token
+MARKER_EDITS = st.tuples(st.sampled_from(["drop", "double", "swap", "remove",
+                                          "empty"]),
+                         st.integers(0, 99), st.integers(0, 99))
+
+
+def edit_markers(tokens, edits):
+    tokens = list(tokens)
+    for kind, a, b in edits:
+        marks = [i for i, tok in enumerate(tokens) if tok in MARKERS]
+        if kind == "empty":
+            tokens = []
+        elif kind == "remove":
+            tokens = [tok for tok in tokens if tok not in MARKERS]
+        elif marks and kind == "drop":
+            del tokens[marks[a % len(marks)]]
+        elif marks and kind == "double":
+            tokens.insert(b % (len(tokens) + 1), tokens[marks[a % len(marks)]])
+        elif marks and kind == "swap":
+            i, j = marks[a % len(marks)], marks[b % len(marks)]
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+    return tuple(tokens)
+
+
+def _outcome(call):
+    """The class and message of what ``call()`` raises and None, or None
+    and what it returns."""
+    try:
+        return None, call()
+    except Exception as exc:
+        return (type(exc), str(exc)), None
+
+
+@given(index=st.integers(0, 39), edits=st.lists(MARKER_EDITS, max_size=3))
+@example(index=0, edits=[])
+@example(index=0, edits=[("empty", 0, 0)])
+@example(index=0, edits=[("remove", 0, 0)])
+@example(index=0, edits=[("swap", 0, 1)])
+def test_curves_and_patterns_refuse_what_predict_refuses(trained_model,
+                                                         synthetic_split,
+                                                         index, edits):
+    """A test sentence's tokens with markers dropped, doubled, swapped or
+    removed, or no tokens: ``predict``, ``classify_many``, ``prefix_curve``
+    and ``extract_pattern`` on the reference model all raise the same
+    class and message, or all succeed, and the curve then ends on
+    ``predict``'s probability bit for bit."""
+    s = synthetic_split.test[index % len(synthetic_split.test)]
+    tokens = edit_markers(s.tokens, edits)
+    r_idx = trained_model.label_set.index(s.label)
+    refused, predicted = _outcome(lambda: predict(trained_model, tokens))
+    assert _outcome(lambda: next(classify_many(trained_model, [tokens])))[0] == refused
+    curve_refused, curve = _outcome(
+        lambda: prefix_curve(trained_model, tokens, s.label))
+    assert curve_refused == refused
+    assert _outcome(lambda: extract_pattern(trained_model, tokens,
+                                            s.label))[0] == refused
+    if refused is None:
+        probs = predicted[1]
+        assert (np.float64(curve.points[-1].prob_target).tobytes()
+                == probs[r_idx].tobytes())
 
 
 def test_curve_unknown_relation(trained_model, synthetic_split):

@@ -647,17 +647,17 @@ def test_prefix_probs_bit_equal_to_forward_pass(hidden, window, dim, n_classes,
 # a fifth of the active profile's budget: 20 examples by default, 200 under
 # --hypothesis-profile=fuzz
 @settings(deadline=None, max_examples=max(1, settings().max_examples // 5))
-@given(hidden=st.integers(1, 32), window=windows, lookahead=st.booleans(),
+@given(hidden=st.integers(1, 32), window=windows,
        dim=st.integers(1, 4), n_classes=st.integers(2, 4),
        cached=st.booleans(),
        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=8),
        seed=seeds)
-@example(hidden=32, window=3, lookahead=False, dim=4, n_classes=4,
+@example(hidden=32, window=3, dim=4, n_classes=4,
          cached=True, lengths=[40, 1, 9, 2, 25, 12, 40, 3], seed=0)
-@example(hidden=32, window=3, lookahead=False, dim=4, n_classes=4,
+@example(hidden=32, window=3, dim=4, n_classes=4,
          cached=False, lengths=[40, 1, 9, 2, 25, 12, 40, 3], seed=0)
 def test_shared_prefix_block_yields_what_each_sentence_scorer_yields(
-        hidden, window, lookahead, dim, n_classes, cached, lengths, seed):
+        hidden, window, dim, n_classes, cached, lengths, seed):
     """1 to 8 sentences of 1 to 40 words, with or without their caches,
     their generators read in a random order and some closed early: yield k
     of each, alone or in a shared block, has the bytes of the output layer
@@ -674,13 +674,13 @@ def test_shared_prefix_block_yields_what_each_sentence_scorer_yields(
     ids = [list(rng.integers(0, VOCAB, size=n)) for n in lengths]
     params = scaled_params(window * dim, hidden, n_classes, 1.0, rng)
     table = random_table(seed, dim)
-    half = 0 if lookahead else window // 2
+    half = window // 2
     caches = [None] * len(ids)
     if cached:
         caches = forward_many(params, [compose_ngram_inputs(s, table, window)
                                        for s in ids])
     want = [[comb.copy() for comb in prefix_states(params, table, s, window,
-                                                   lookahead, cache)]
+                                                   cache=cache)]
             for s, cache in zip(ids, caches)]
     # each shared block's steps so far, by its sentences' prefix counts
     steps = Counter()
@@ -702,7 +702,7 @@ def test_shared_prefix_block_yields_what_each_sentence_scorer_yields(
     with mock.patch.object(model, "_lockstep", spy), \
             mock.patch.object(model, "_shared_block", block_spy):
         scorers = model.prefix_probs_many(params, table, ids, window,
-                                          lookahead, caches if cached else None)
+                                          caches if cached else None)
         # at most 39 prefixes at h32, under _SHARED_WORK
         groups = []
         for i in sorted((i for i, n in enumerate(lengths) if n > half),
@@ -737,9 +737,7 @@ def test_shared_prefix_block_yields_what_each_sentence_scorer_yields(
             assert row.tobytes() == want_row.tobytes(), (i, k)
             rows.append((row, want_row))
             if i in shared and sample.random() < 0.25:
-                x = (compose_ngram_inputs(ids[i], table, window)[:k]
-                     if lookahead else
-                     compose_ngram_inputs(ids[i][:k], table, window))
+                x = compose_ngram_inputs(ids[i][:k], table, window)
                 oracle = forward_pass(params, x).probs
                 assert row.tobytes() == oracle.tobytes(), (i, k)
             for group in groups:

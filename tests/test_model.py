@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbrnn import SyntheticConfig, generate_synthetic
+from cbrnn import SyntheticConfig, corpus, generate_synthetic
 from cbrnn import model as model_mod
 from cbrnn.corpus import (
     LabeledSentence,
@@ -426,15 +426,15 @@ def test_predict_validates_markers(synthetic_split):
 def test_markers_checked_once_per_sentence(synthetic_split, monkeypatch):
     """A ``LabeledSentence`` had its markers checked when it was made, so
     ``predict``, ``classify_many`` and ``evaluate`` do not check it again; a
-    raw token tuple they check once."""
+    raw token tuple they check once (``corpus.sentence_tokens``)."""
     m = train(synthetic_split, quick_cfg(epochs=0))
-    checked, check = [], model_mod.validate_markers
+    checked, check = [], corpus.validate_markers
 
     def spy(tokens):
         checked.append(tuple(tokens))
         check(tokens)
 
-    monkeypatch.setattr(model_mod, "validate_markers", spy)
+    monkeypatch.setattr(corpus, "validate_markers", spy)
     sentences = synthetic_split.test[:5]
     predict(m, sentences[0])
     list(classify_many(m, sentences))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cbrnn import interpret, model, train
-from cbrnn.corpus import PAD_ID
+from cbrnn.corpus import PAD_ID, MissingMarker
 from cbrnn.embeddings import EmbeddingTable
 from cbrnn.interpret import (
     FixedCurveModel,
@@ -93,10 +93,13 @@ def test_extract_pattern_stops_scoring_at_the_crossing(trained_model,
         assert alone == list(range(1, half + 1))
         assert len(projected) == half + 1
         assert blocks == [[n - half, crossing - half]]
-    # a sentence of window // 2 words is all tail, one word more one block
+    # a sentence of window // 2 words is all tail, one word more one block;
+    # neither has a marker layout, so the prefix scorer reads their ids
+    ids = window_5_model.vocab.encode(s.tokens)
     for words, want in ((2, []), (3, [[1, 1]])):
         blocks.clear()
-        prefix_curve(window_5_model, s.tokens[:words], s.label)
+        list(model.prefix_states(window_5_model.params, window_5_model.table,
+                                 ids[:words], 5))
         assert blocks == want
 
 
@@ -279,14 +282,13 @@ def test_bad_input_raises_before_the_first_yield(window, lookahead,
     for count in (1, 2):
         blocks.clear()
         scorers = model.prefix_probs_many(params, table, [[]] + [ids] * count,
-                                          window, lookahead)
+                                          window)
         assert blocks == [[ids] * count] * (count - 1)
         with pytest.raises(ValueError, match=empty):
             next(scorers[0])
         with pytest.raises(model.ShapeMismatch, match=too_narrow):
             for probs in model.prefix_probs_many(params, table, [ids] * count,
-                                                 window, lookahead,
-                                                 [narrow] * count):
+                                                 window, [narrow] * count):
                 next(probs)
 
 
@@ -332,15 +334,25 @@ def test_a_step_that_raised_makes_the_other_sentences_raise(monkeypatch):
 
 
 def test_empty_sentence_is_rejected_before_it_is_scored(trained_model,
-                                                         synthetic_split):
-    """A curve and an extraction of an empty sentence name it, with and
-    without lookahead."""
+                                                         synthetic_split,
+                                                         monkeypatch):
+    """A curve and an extraction of an empty sentence, or of words with no
+    markers, refuse it as ``predict`` does, with and without lookahead,
+    before the prefix scorer is reached."""
+    def no_scoring(*args, **kwargs):
+        pytest.fail("the sentence was scored")
+
+    monkeypatch.setattr(model, "_prefix_operands", no_scoring)
     label = synthetic_split.test[0].label
-    for lookahead in (False, True):
-        with pytest.raises(ValueError, match="empty id sequence"):
-            prefix_curve(trained_model, (), label, lookahead)
-        with pytest.raises(ValueError, match="empty id sequence"):
-            extract_pattern(trained_model, (), label, lookahead=lookahead)
+    for tokens in ((), ("a", "b", "c")):
+        for lookahead in (False, True):
+            with pytest.raises(MissingMarker, match="^marker <e1> missing$"):
+                prefix_curve(trained_model, tokens, label, lookahead)
+            with pytest.raises(MissingMarker, match="^marker <e1> missing$"):
+                extract_pattern(trained_model, tokens, label,
+                                lookahead=lookahead)
+        with pytest.raises(MissingMarker, match="^marker <e1> missing$"):
+            model.predict(trained_model, tokens)
 
 
 def test_extract_pattern_unknown_relation(trained_model, synthetic_split):
