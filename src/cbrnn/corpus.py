@@ -56,9 +56,16 @@ class EmptyTokens(CorpusError):
 
 
 class MalformedRecord(CorpusError):
-    def __init__(self, index, message="malformed record"):
-        super().__init__(f"record {index}: {message}")
+    """A SemEval record that cannot be converted; ``index`` counts records
+    from 1, ``number`` is the one before its sentence line's tab or None."""
+    def __init__(self, index, message="malformed record", number=None):
+        super().__init__(f"{_record_name(index, number)}: {message}")
         self.index = index
+
+
+def _record_name(index, number):
+    """``record 2 (8002)``, or ``record 2`` when no number is known."""
+    return f"record {index} ({number})" if number else f"record {index}"
 
 
 class EmptyCorpus(CorpusError):
@@ -217,24 +224,29 @@ def import_semeval(raw):
 
     Each record is a numbered quoted sentence line, a relation line, and an
     optional ``Comment:`` line; records are separated by blank lines. An
-    error names its record as ``record N:``, N counted from 0.
+    error names its record as ``record N:``, N counted from 1, followed by
+    the number before the sentence line's tab where there is one:
+    ``record 2 (8002): marker </e1> missing``.
     """
     stripped = [line.strip() for line in _unify_line_ends(raw).split("\n")]
     blocks = [list(block) for kept, block in groupby(stripped, key=bool) if kept]
     sentences = []
-    for i, block in enumerate(blocks):
+    for i, block in enumerate(blocks, start=1):
         lines = [ln for ln in block if not ln.startswith("Comment")]
+        num, tab, text = lines[0].partition("\t") if lines else ("", "", "")
+        num = num.strip() if tab else None
         if len(lines) < 2:
-            raise MalformedRecord(i, "expected sentence and relation lines")
-        num, _, text = lines[0].partition("\t")
-        if not text:
+            raise MalformedRecord(i, "expected sentence and relation lines",
+                                  num)
+        # a stripped line's tab has text after it
+        if not tab:
             raise MalformedRecord(i, "sentence line lacks a tab")
         tokens = _normalize_semeval_text(text.strip().strip('"'))
         try:
             sentences.append(LabeledSentence(tokens=tokens, label=lines[1],
-                                             id=num.strip()))
+                                             id=num))
         except CorpusError as exc:
-            exc.args = (f"record {i}: {exc}",)
+            exc.args = (f"{_record_name(i, num)}: {exc}",)
             raise
     return sentences
 

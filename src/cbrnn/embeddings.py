@@ -80,9 +80,9 @@ def load_pretrained_text(path, vocab, dim, fallback_seed=0):
     return table
 
 
-def _window_ids(ids, window):
-    """Row k holds the ids at positions k-half .. k+half, with PAD_ID where
-    the window leaves the sentence."""
+def _padded_ids(ids, window):
+    """``ids`` with ``window // 2`` PAD_ID on each side, the positions every
+    window of the sentence reads."""
     if window < 1 or window % 2 == 0:
         raise EvenWindow(f"window size must be odd and positive, got {window}")
     n = len(ids)
@@ -91,7 +91,23 @@ def _window_ids(ids, window):
     half = window // 2
     padded = np.full(n + 2 * half, PAD_ID, dtype=np.intp)
     padded[half:half + n] = ids
-    return padded[np.arange(n)[:, None] + np.arange(window)]
+    return padded
+
+
+def _windows(rows, window):
+    """The N-gram window layout: a view of the C-contiguous (m, width)
+    array ``rows`` whose row k is its rows k .. k + window - 1 end to end,
+    (m - window + 1, window * width), each row read by every window that
+    holds it."""
+    return np.ndarray((len(rows) - window + 1, window * rows.shape[1]),
+                      rows.dtype, rows, strides=(rows.strides[0], rows.itemsize))
+
+
+def _window_ids(ids, window):
+    """Row k holds the ids at positions k-half .. k+half, with PAD_ID where
+    the window leaves the sentence: the windows of the padded ids, in a
+    fresh array."""
+    return _windows(_padded_ids(ids, window)[:, None], window).copy()
 
 
 class SentenceWindows:
@@ -127,10 +143,18 @@ def _prebuilt(ids, window):
 def compose_ngram_inputs(ids, table, window):
     """Concatenate `window` consecutive embedding rows per position, with
     zero vectors where the window leaves the sentence (the padding row).
-    ``ids`` is the sentence's ids or its ``SentenceWindows``."""
+    ``ids`` is the sentence's ids or its ``SentenceWindows``.
+
+    Given ids, one ``take`` reads the row of each padded position once, and
+    one copy of their windows (``_windows``) lays the rows out; given
+    windows, as training passes them, one ``take`` reads every slot's row.
+    Both copy the table's values, into a fresh C-contiguous array."""
     windows = _prebuilt(ids, window)
-    index = _window_ids(ids, window) if windows is None else windows.index
-    return table.matrix.take(index.reshape(-1), axis=0).reshape(len(index), -1)
+    if windows is None:
+        return _windows(table.matrix.take(_padded_ids(ids, window), axis=0),
+                        window).copy()
+    return table.matrix.take(windows.index.reshape(-1),
+                             axis=0).reshape(len(windows), -1)
 
 
 def input_grads_to_embeddings(d_inputs, ids, window, vocab_size, dim):

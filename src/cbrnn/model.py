@@ -27,11 +27,12 @@ probabilities, the prefix scored as its own input, as it ends: the
 sentence's own ``prefix_states`` through the output layer or, where its own
 block would do fewer than ``_SHARED_WORK`` multiply-adds a step, a block
 shared with sentences of like lengths (``_shared_block``), with a sentence
-axis, one output layer a step for all of them, and a ``tee`` of its steps
-for each sentence; mining scores each labelled batch through it. One
-function, ``_prefix_operands``, sets up a block of one sentence or many and
-checks its inputs before the first yield: it projects the inputs and their
-tail variants in one call.
+axis, one output layer a step for all of them, a ``tee`` of its steps for
+each sentence, and one ``forward_pass`` for each distinct all-tail prefix;
+mining scores each labelled batch through it. One function,
+``_prefix_operands``, sets up a block of one sentence or many and checks
+its inputs before the first yield: it projects the inputs and their tail
+variants in one call.
 """
 
 from __future__ import annotations
@@ -519,11 +520,19 @@ def _prefix_operands(params, table, ids, caches, window, half):
             proj[1, 0, :, :, None].swapaxes(0, 1), chain)
 
 
-def _all_tail(params, table, ids, window, half):
+def _all_tail(params, table, ids, window, half, known=None):
     """The ``ForwardCache`` of each all-tail prefix of ``ids``, of at most
-    ``half`` words, shortest first: one ``forward_pass`` each."""
+    ``half`` words, shortest first: one ``forward_pass`` each, run as the
+    prefix is read. With the dict ``known``, a prefix whose ids are a key
+    reads that key's cache, and one that is not yet runs and fills it: a
+    prefix's cache depends on its ids alone."""
+    known = {} if known is None else known
     for k in range(1, min(half, len(ids)) + 1):
-        yield forward_pass(params, compose_ngram_inputs(ids[:k], table, window))
+        key = tuple(ids[:k])
+        if key not in known:
+            known[key] = forward_pass(
+                params, compose_ngram_inputs(ids[:k], table, window))
+        yield known[key]
 
 
 def prefix_states(params, table, ids, window, lookahead=False, cache=None):
@@ -630,9 +639,11 @@ def prefix_probs_many(params, table, ids, window, caches=None):
     The sentences longer than their all-tail prefixes whose own block
     would do fewer than ``_SHARED_WORK`` multiply-adds a step share lockstep
     blocks (``_shared_block``), longest first, each block's shortest with at
-    least half the prefixes of its longest. Every other sentence, and one
-    alone in its block, reads its own ``prefix_states`` (``_own_probs``), on
-    two threads where that splits its block.
+    least half the prefixes of its longest; a block scores each distinct
+    all-tail prefix once, for every sentence that begins with it. Every
+    other sentence, and one alone in its block, reads its own
+    ``prefix_states`` (``_own_probs``), on two threads where that splits
+    its block.
     """
     caches = caches or [None] * len(ids)
     half = window // 2
@@ -679,8 +690,11 @@ def _shared_block(params, table, ids, caches, window):
     generator, so the block never runs past the furthest prefix any sentence
     has read. The output layer (``class_scores``) of the row a step ends
     runs once for the whole block, padding included, with one row-wise
-    softmax. A sentence's all-tail prefixes are its own ``forward_pass``
-    calls (``_all_tail``).
+    softmax. The all-tail prefixes, a sentence's first ``half`` words, run
+    one ``forward_pass`` for each distinct one in the block (``_all_tail``
+    with the block's dict), when the first sentence that begins with those
+    ids reads it; every sentence that begins with them yields that
+    prefix's one probability row.
     """
     longest, count, half = len(ids[0]), len(ids), window // 2
     state = np.zeros((2, longest, count, 1, params.hidden_size))
@@ -692,8 +706,11 @@ def _shared_block(params, table, ids, caches, window):
         for row, _ in enumerate(steps, start=half):
             yield softmax(class_scores(params, state[1, row]))
 
+    # the block's all-tail prefixes' caches, by their ids (see _all_tail)
+    known = {}
+
     def sentence(s, slot, made):
-        for cache in _all_tail(params, table, s, window, half):
+        for cache in _all_tail(params, table, s, window, half, known):
             yield cache.probs
         for _ in range(len(s) - half):
             # once a step has raised, the tee ends: next turns that into an

@@ -268,7 +268,21 @@ def test_import_semeval_empty():
 def test_import_semeval_missing_relation_line():
     with pytest.raises(MalformedRecord) as exc:
         import_semeval('1\t"a <e1>b</e1> c <e2>d</e2>"\n')
-    assert exc.value.index == 0
+    assert exc.value.index == 1
+    assert str(exc.value) == "record 1 (1): expected sentence and relation lines"
+
+
+@pytest.mark.parametrize("raw, message", [
+    ('8001\t"a <e1>b</e1> c <e2>d</e2>"\nRel\n\n8002\t"a <e1>b c <e2>d</e2>"\n'
+     'Rel\n', "record 2 (8002): marker </e1> missing"),
+    ("Comment: only\n", "record 1: expected sentence and relation lines"),
+], ids=["numbered", "no-sentence-line"])
+def test_import_semeval_names_the_number_of_a_record(raw, message):
+    """Records count from 1; the number before a sentence line's tab, where
+    the record has one, follows."""
+    with pytest.raises(CorpusError) as exc:
+        import_semeval(raw)
+    assert str(exc.value) == message
 
 
 def test_import_semeval_splits_leading_and_trailing_punctuation():
@@ -292,12 +306,12 @@ def test_import_semeval_last_record_needs_no_blank_line():
 def test_import_semeval_sentence_line_without_a_tab():
     with pytest.raises(MalformedRecord) as exc:
         import_semeval(SEMEVAL_RAW + '\n3 "a <e1>b</e1> c <e2>d</e2>"\nRel\n')
-    assert str(exc.value) == "record 2: sentence line lacks a tab"
+    assert str(exc.value) == "record 3: sentence line lacks a tab"
 
 
 @pytest.mark.parametrize("sentence, error, message", [
-    ('"a <e1>b c <e2>d</e2>"', MissingMarker, "record 1: marker </e1> missing"),
-    ('""', EmptyTokens, "record 1: sentence has no tokens"),
+    ('"a <e1>b c <e2>d</e2>"', MissingMarker, "record 2 (2): marker </e1> missing"),
+    ('""', EmptyTokens, "record 2 (2): sentence has no tokens"),
 ], ids=["missing-marker", "no-tokens"])
 def test_import_semeval_names_the_record_of_a_bad_sentence(sentence, error,
                                                            message):

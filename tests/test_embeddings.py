@@ -8,6 +8,7 @@ from cbrnn.embeddings import (
     DimensionMismatch,
     EvenWindow,
     MalformedLine,
+    SentenceWindows,
     compose_ngram_inputs,
     init_random,
     input_grads_to_embeddings,
@@ -140,11 +141,14 @@ def test_compose_even_window_rejected(vocab):
 
 
 @given(
-    n=st.integers(min_value=1, max_value=8),
+    n=st.integers(min_value=1, max_value=40),
     window=st.sampled_from([1, 3, 5, 7]),
     seed=st.integers(min_value=0, max_value=10),
 )
 def test_boundary_windows_are_zero_padded(n, window, seed):
+    """Composed from ids, from the sentence's ``SentenceWindows`` and by a
+    loop over windows, the input has the same bytes, in a fresh C-contiguous
+    array; an even window and an empty sentence are refused."""
     s = parse_marked_sentence("X\t<e1> a </e1> <e2> b </e2>")
     v = build_vocabulary([s])
     t = init_random(v, 3, seed=seed)
@@ -158,6 +162,21 @@ def test_boundary_windows_are_zero_padded(n, window, seed):
         missing = half - j  # positions before the sentence at row j
         assert np.all(x[j, :missing * d] == 0.0)
         assert np.all(x[n - 1 - j, (window - missing) * d:] == 0.0)
+    assert x.flags.c_contiguous and not np.shares_memory(x, t.matrix)
+    loop = np.zeros((n, window * d))
+    for k in range(n):
+        for slot, pos in enumerate(range(k - half, k + half + 1)):
+            if 0 <= pos < n:
+                loop[k, slot * d:(slot + 1) * d] = t.matrix[ids[pos]]
+    assert x.tobytes() == loop.tobytes()
+    windows = compose_ngram_inputs(SentenceWindows(ids, window), t, window)
+    assert windows.tobytes() == x.tobytes()
+    for bad in (lambda: compose_ngram_inputs(ids, t, window + 1),
+                lambda: SentenceWindows(ids, window + 1)):
+        with pytest.raises(EvenWindow):
+            bad()
+    with pytest.raises(ValueError, match="empty id sequence"):
+        compose_ngram_inputs([], t, window)
 
 
 @given(

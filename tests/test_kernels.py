@@ -651,13 +651,18 @@ def test_prefix_probs_bit_equal_to_forward_pass(hidden, window, dim, n_classes,
        dim=st.integers(1, 4), n_classes=st.integers(2, 4),
        cached=st.booleans(),
        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+       lead=st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=2),
        seed=seeds)
 @example(hidden=32, window=3, dim=4, n_classes=4,
-         cached=True, lengths=[40, 1, 9, 2, 25, 12, 40, 3], seed=0)
+         cached=True, lengths=[40, 1, 9, 2, 25, 12, 40, 3], lead=[1], seed=0)
 @example(hidden=32, window=3, dim=4, n_classes=4,
-         cached=False, lengths=[40, 1, 9, 2, 25, 12, 40, 3], seed=0)
+         cached=False, lengths=[40, 1, 9, 2, 25, 12, 40, 3], lead=[1], seed=0)
+@example(hidden=8, window=5, dim=2, n_classes=3,
+         cached=False, lengths=[12, 9, 11, 10, 12, 8], lead=[2, 3], seed=1)
+@example(hidden=8, window=3, dim=2, n_classes=3,
+         cached=True, lengths=[10, 10, 9, 11, 10, 12], lead=[4], seed=2)
 def test_shared_prefix_block_yields_what_each_sentence_scorer_yields(
-        hidden, window, dim, n_classes, cached, lengths, seed):
+        hidden, window, dim, n_classes, cached, lengths, lead, seed):
     """1 to 8 sentences of 1 to 40 words, with or without their caches,
     their generators read in a random order and some closed early: yield k
     of each, alone or in a shared block, has the bytes of the output layer
@@ -667,11 +672,16 @@ def test_shared_prefix_block_yields_what_each_sentence_scorer_yields(
     prefix's own input. The sentences longer than their all-tail prefixes share blocks, longest
     first, a block's shortest with at least half its longest's prefixes,
     and a block runs no step past the furthest prefix that any of its
-    generators has read."""
+    generators has read. About half the sentences begin with the ids
+    ``lead``: the sentences of a block that begin with the same ids yield
+    one row for each all-tail prefix they share, and it keeps its bytes."""
     rng = np.random.default_rng(seed)
     # a stream of its own, so that the reading order is the seed's
     sample = np.random.default_rng(seed + 1)
     ids = [list(rng.integers(0, VOCAB, size=n)) for n in lengths]
+    for s in ids:
+        if rng.random() < 0.5:
+            s[:len(lead)] = lead[:len(s)]
     params = scaled_params(window * dim, hidden, n_classes, 1.0, rng)
     table = random_table(seed, dim)
     half = window // 2
@@ -716,8 +726,8 @@ def test_shared_prefix_block_yields_what_each_sentence_scorer_yields(
         assert ([any(g is m for m in made) for g in scorers]
                 == [i in shared for i in range(len(ids))])
         read, running = [0] * len(ids), set(range(len(ids)))
-        # every row read with the row it must keep
-        rows = []
+        # each sentence's rows read, and every row with the row it must keep
+        yielded, rows = [[] for _ in ids], []
         while running:
             i = int(rng.choice(sorted(running)))
             probs = scorers[i]
@@ -736,6 +746,7 @@ def test_shared_prefix_block_yields_what_each_sentence_scorer_yields(
                                + params.out_b)
             assert row.tobytes() == want_row.tobytes(), (i, k)
             rows.append((row, want_row))
+            yielded[i].append(row)
             if i in shared and sample.random() < 0.25:
                 x = compose_ngram_inputs(ids[i][:k], table, window)
                 oracle = forward_pass(params, x).probs
@@ -746,6 +757,57 @@ def test_shared_prefix_block_yields_what_each_sentence_scorer_yields(
                 assert steps[sizes] == max(furthest, 0), (group, read)
     # a row once read is not written again
     assert all(row.tobytes() == want_row.tobytes() for row, want_row in rows)
+    # an all-tail prefix that two sentences of a block begin with is one row
+    for group in groups:
+        for i in group:
+            for j in group:
+                for k in range(1, min(half, len(yielded[i]),
+                                      len(yielded[j])) + 1):
+                    if ids[i][:k] == ids[j][:k]:
+                        assert yielded[i][k - 1] is yielded[j][k - 1], (i, j, k)
+
+
+@pytest.mark.parametrize("window", [3, 5])
+def test_shared_block_runs_one_forward_pass_per_distinct_all_tail_prefix(
+        window, monkeypatch):
+    """Eight sentences of one shared block whose first words repeat: the
+    block calls ``forward_pass`` once for each distinct all-tail prefix,
+    and only when the first sentence that begins with it reads it. Its
+    probability row is that prefix's own."""
+    half = window // 2
+    rng = np.random.default_rng(window)
+    params = scaled_params(window * 2, 8, 3, 1.0, rng)
+    table = random_table(window, 2)
+    ids = [[int(rng.integers(1, 3)), *rng.integers(0, VOCAB, size=n - 1)]
+           for n in rng.integers(9, 13, size=8)]
+    calls = []
+
+    def spy(params, x):
+        calls.append(len(x))
+        return forward_pass(params, x)
+
+    monkeypatch.setattr(model, "forward_pass", spy)
+    blocks = []
+    shared_block = model._shared_block
+    monkeypatch.setattr(model, "_shared_block",
+                        lambda *args: blocks.append(args) or shared_block(*args))
+    scorers = model.prefix_probs_many(params, table, ids, window)
+    assert len(blocks) == 1 and len(blocks[0][2]) == len(ids)
+    assert calls == []
+    seen = set()
+    for k in range(1, half + 1):
+        for i in rng.permutation(len(ids)):
+            row = next(scorers[i])
+            seen.add(tuple(ids[i][:k]))
+            assert len(calls) == len(seen)
+            want = forward_pass(params, compose_ngram_inputs(
+                ids[i][:k], table, window)).probs
+            assert row.tobytes() == want.tobytes()
+    # the sentences begin with one of two ids, so prefixes repeat
+    assert len(seen) < half * len(ids)
+    for s, probs in zip(ids, scorers):
+        assert sum(1 for _ in probs) == len(s) - half
+    assert len(calls) == len(seen)
 
 
 @pytest.mark.parametrize("ids, window, hidden", [
