@@ -103,32 +103,25 @@ def _windows(rows, window):
                       rows.dtype, rows, strides=(rows.strides[0], rows.itemsize))
 
 
-def _window_ids(ids, window):
-    """Row k holds the ids at positions k-half .. k+half, with PAD_ID where
-    the window leaves the sentence: the windows of the padded ids, in a
-    fresh array."""
-    return _windows(_padded_ids(ids, window)[:, None], window).copy()
-
-
 class SentenceWindows:
     """A sentence's N-gram windows, worked out once for composing its inputs
     and scattering their gradients back: O(n * window) ints, no vectors.
 
-    ``index`` is the (n, window) id of every slot, PAD_ID where the window
-    leaves the sentence; ``slots`` the flat numbers of the slots that read a
-    row other than the padding row; ``rows`` the sorted ids those slots read;
-    ``positions`` the place of each such slot's id in ``rows``.
+    ``padded`` is the sentence's ids with ``window // 2`` PAD_ID on each
+    side; ``slots`` the flat numbers of the (n, window) slots that read a
+    row other than the padding row; ``rows`` the sorted ids those slots
+    read; ``positions`` the place of each such slot's id in ``rows``.
     """
 
     def __init__(self, ids, window):
         self.window = window
-        self.index = _window_ids(ids, window)
-        flat = self.index.reshape(-1)
+        self.padded = _padded_ids(ids, window)
+        flat = _windows(self.padded[:, None], window).reshape(-1)
         self.slots = np.flatnonzero(flat != PAD_ID)
         self.rows, self.positions = np.unique(flat[self.slots], return_inverse=True)
 
     def __len__(self):
-        return len(self.index)
+        return len(self.padded) - self.window + 1
 
 
 def _prebuilt(ids, window):
@@ -145,16 +138,12 @@ def compose_ngram_inputs(ids, table, window):
     zero vectors where the window leaves the sentence (the padding row).
     ``ids`` is the sentence's ids or its ``SentenceWindows``.
 
-    Given ids, one ``take`` reads the row of each padded position once, and
-    one copy of their windows (``_windows``) lays the rows out; given
-    windows, as training passes them, one ``take`` reads every slot's row.
-    Both copy the table's values, into a fresh C-contiguous array."""
+    One ``take`` reads the row of each padded position once, and one copy
+    of their windows (``_windows``) lays the rows out, into a fresh
+    C-contiguous array."""
     windows = _prebuilt(ids, window)
-    if windows is None:
-        return _windows(table.matrix.take(_padded_ids(ids, window), axis=0),
-                        window).copy()
-    return table.matrix.take(windows.index.reshape(-1),
-                             axis=0).reshape(len(windows), -1)
+    padded = _padded_ids(ids, window) if windows is None else windows.padded
+    return _windows(table.matrix.take(padded, axis=0), window).copy()
 
 
 def input_grads_to_embeddings(d_inputs, ids, window, vocab_size, dim):
