@@ -267,7 +267,8 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--sentence", help="space-separated marked tokens")
     p.add_argument("--data", help="corpus file to pick --id from")
-    p.add_argument("--id", help="sentence id within --data")
+    p.add_argument("--id", help="the sentence's 0-based line index in "
+                   "--data, blank lines counted")
     p.add_argument("--relation", required=True)
     p.add_argument("--lookahead", action="store_true")
     p.add_argument("--out")

@@ -7,10 +7,11 @@ recurrent connection. The class scores come from the combined state at the
 final step, through the one output layer, ``class_scores``. Training
 minimizes a margin ranking loss on the raw scores.
 
-``forward_pass`` runs one sentence and is the training path and
-``predict``'s. ``forward_many`` runs a list of sentences, the three chains
-of all of them in lockstep, with each sentence's results bit for bit its
-own ``forward_pass``'s. ``classify_many`` is the one batched labeller: it
+``forward_pass`` runs one sentence, its three chains in lockstep, one
+stacked gemv a step, and is the training path and ``predict``'s.
+``forward_many`` runs a list of sentences, the three chains of all of them
+in lockstep, with each sentence's results bit for bit its own
+``forward_pass``'s. ``classify_many`` is the one batched labeller: it
 runs ``_BATCH`` sentences at a time through ``forward_many`` and takes one
 row-wise softmax per batch, and every caller that labels or reads many
 sentences goes through it (``evaluate``, and so ``train()``'s dev accuracy,
@@ -351,7 +352,8 @@ def _project(padded, w, out=None):
 
 def _recur(rows, rec, out):
     """``out[t] = tanh(rows[t] + out[t-1] @ rec)`` for each row of ``out``,
-    from a zero state before the first row."""
+    from a zero state before the first row: the prefix scorer's forward
+    chains."""
     prev = np.zeros(rec.shape[0])
     # ``v.dot(m)`` is the same BLAS call as ``v @ m`` with less overhead,
     # and iterating over rows costs less than indexing them
@@ -366,28 +368,56 @@ def forward_pass(params, x):
     The input projections run in blocks of ``_ROW_BLOCK`` rows anchored at
     row 0 (see ``_checked_input``): a row's product depends on the row and
     its place in its block, not on the input's length or the block's other
-    rows."""
+    rows.
+
+    The three chains run in lockstep, the combined chain one step behind
+    the other two, as in ``forward_many``: a step is one stacked
+    ``np.matmul`` of the (3, 1, hidden) states, one gemv per chain as
+    ``v.dot(rec)`` is, one add of the step's input rows and one ``tanh``,
+    and the new forward + backward sum goes into the next step's row. The
+    first step is the ``tanh`` of the first inputs: the product with the
+    zero state is +0.0, and adding it to a projection, never -0.0, changes
+    no bit."""
     x, padded = _checked_input(params, x)
-    n = x.shape[0]
-    states = np.empty((3, n, params.hidden_size))
-    h_fwd, h_bwd, h_comb = states
+    n, hidden = x.shape[0], params.hidden_size
     proj_fwd, proj_bwd = _project(padded, params.in_pair[:, None])
-    _recur(proj_fwd, params.rec_fwd, h_fwd)
-    # the backward chain reads the input's rows n-1 down to 0; the padded
-    # rows after them are not the input's
-    _recur(proj_bwd[n - 1::-1], params.rec_bwd, h_bwd[::-1])
-    # after t+1 steps the backward chain has consumed words n..n-t, whose
-    # state sits at position n-1-t
-    _recur(h_fwd + h_bwd[::-1], params.rec_comb, h_comb)
-    return ForwardCache(x, states, class_scores(params, h_comb[n - 1:n]))
+    # steps[t] holds step t's inputs, then its states: the forward state
+    # after t+1 words, the backward state after t+1 steps (position
+    # n-1-t) and the combined state after t steps. The backward chain reads
+    # the input's rows n-1 down to 0; the padded rows after them are not
+    # the input's
+    steps = np.empty((n + 1, 3, 1, hidden))
+    steps[:n, 0, 0] = proj_fwd[:n]
+    steps[:n, 1, 0] = proj_bwd[n - 1::-1]
+    steps[0, 2] = 0.0
+    first = steps[0, :2]
+    np.tanh(first, first)
+    rec = params.rec_all
+    for prev, now in zip(steps[:-2], steps[1:-1]):
+        # forward_pass's order: (forward + backward) + carried
+        np.add(prev[0], prev[1], now[2])
+        now += np.matmul(prev, rec)
+        np.tanh(now, now)
+    # the last step is the combined chain's alone
+    prev, last = steps[n - 1], steps[n, 2:]
+    np.add(prev[0], prev[1], last[0])
+    last += np.matmul(prev[2:], rec[2:])
+    np.tanh(last, last)
+    states = np.empty((3, n, hidden))
+    states[0] = steps[:n, 0, 0]
+    states[1] = steps[n - 1::-1, 1, 0]
+    states[2] = steps[1:, 2, 0]
+    return ForwardCache(x, states, class_scores(params, states[2, n - 1:n]))
 
 
 # inputs per ``forward_many`` call where many sentences are classified, a
 # bound on a batch's memory. Against one ``forward_pass`` each, one BLAS
 # thread: 128 sentences of 8-12 words at h32 d16 ran 4.1x faster in batches
 # of 32 (3.0x in batches of 8, 4.6x in one of 128), 100 SemEval-shaped ones
-# at h100 d50 1.7x (1.6x in batches of 8, 1.7x in one of 100); a batch of
-# one is slower (0.92x and 0.96x)
+# at h100 d50 1.7x (1.6x in batches of 8, 1.7x in one of 100), both against
+# the three ``_recur`` loops ``forward_pass`` ran then. A batch of one is
+# slower than the lockstep ``forward_pass``: 0.64x at h32 n10, 0.82x at
+# h100 n25
 _BATCH = 32
 
 

@@ -364,9 +364,12 @@ def reference_train(split, cfg, loss_cfg, pretrained=None):
                for s in split.train]
 
     def loose(arrays):
-        # forward_pass reads the input matrices stacked, as CBRNNParams.in_pair
+        # forward_pass reads the input and recurrent matrices stacked, as
+        # CBRNNParams.in_pair and rec_all
         return SimpleNamespace(**arrays, hidden_size=cfg.hidden_size,
-                               in_pair=np.array([arrays["in_fwd"], arrays["in_bwd"]]))
+                               in_pair=np.array([arrays["in_fwd"], arrays["in_bwd"]]),
+                               rec_all=np.array([arrays["rec_fwd"], arrays["rec_bwd"],
+                                                 arrays["rec_comb"]]))
 
     def as_model(arrays, matrix, params=None):
         params = params or loose(arrays)
@@ -596,18 +599,35 @@ def reference_forward(params, x):
 @settings(deadline=None)
 @given(ids=sentences, window=windows, dim=st.integers(1, 4),
        hidden=st.sampled_from([1, 2, 3, 5, 8, 32, 100]),
-       n_classes=st.integers(2, 4), scale=st.sampled_from([1.0, 30.0]),
-       seed=seeds)
+       n_classes=st.integers(2, 4),
+       scale=st.sampled_from([1.0, 30.0, 3000.0]),
+       zero_word=st.none() | st.integers(1, VOCAB - 1), seed=seeds)
 @example(ids=[1, 2, 3, 4, 5, 1, 2, 3, 4], window=3, dim=2, hidden=32,
-         n_classes=3, scale=30.0, seed=0)
+         n_classes=3, scale=30.0, zero_word=None, seed=0)
+# one word at hidden 1, where ``v.dot(rec)`` of the zero state by a 1×1
+# matrix is -0.0 and ``np.matmul`` gives +0.0; with a projection of +0.0
+@example(ids=[3], window=1, dim=1, hidden=1, n_classes=2, scale=1.0,
+         zero_word=None, seed=0)
+@example(ids=[3], window=1, dim=1, hidden=1, n_classes=2, scale=1.0,
+         zero_word=3, seed=0)
+# saturated states, a word whose projection is +0.0 between others
+@example(ids=[2, 4, 2, 1], window=1, dim=3, hidden=3, n_classes=2,
+         scale=3000.0, zero_word=4, seed=1)
 def test_forward_pass_bit_equal_to_per_chain_loops(ids, window, dim, hidden,
-                                                   n_classes, scale, seed):
-    """One recurrence helper runs the three chains as their own loops do,
-    the backward one over the input's rows only, not the zero rows that
-    pad it to whole blocks."""
+                                                   n_classes, scale,
+                                                   zero_word, seed):
+    """The lockstep chains are bit for bit their own loops, the backward
+    one over the input's rows only, not the zero rows that pad it to whole
+    blocks. The loops add the product of the zero state to the first
+    inputs, where ``forward_pass`` takes their ``tanh`` alone: the cases
+    where that could move a bit are saturated states (scale 3000), hidden
+    1 and a word whose table row, so its projection, is all zero."""
     rng = np.random.default_rng(seed)
     params = scaled_params(window * dim, hidden, n_classes, scale, rng)
-    x = compose_ngram_inputs(ids, random_table(seed, dim), window)
+    table = random_table(seed, dim)
+    if zero_word is not None:
+        table.matrix[zero_word] = 0.0
+    x = compose_ngram_inputs(ids, table, window)
     states, scores = reference_forward(params, x)
     cache = forward_pass(params, x)
     assert cache.states.tobytes() == states.tobytes()
@@ -1064,10 +1084,16 @@ def test_prefix_curve_probs_scores_every_prefix_in_one_block(monkeypatch):
 def test_stacked_matmul_rows_equal_vector_dot(hidden, rows, live, classes,
                                               seed):
     """The scorer's one matmul per step, on the trailing rows it keeps, its
-    forward tail steps, its stacked input projections, and the output layer
-    on a stack of final combined states and on one."""
+    forward tail steps, its stacked input projections, the output layer
+    on a stack of final combined states and on one, and ``forward_pass``'s
+    step: one state per chain by its own matrix."""
     rng = np.random.default_rng(seed)
-    rec = rng.uniform(-1.0, 1.0, size=(2, hidden, hidden))
+    chains = rng.uniform(-1.0, 1.0, size=(3, 1, hidden))
+    rec_all = rng.uniform(-1.0, 1.0, size=(3, hidden, hidden))
+    step = np.matmul(chains, rec_all)
+    for c in range(3):
+        assert np.array_equal(step[c, 0], chains[c, 0].dot(rec_all[c]))
+    rec = rec_all[:2]
     states = rng.uniform(-1.0, 1.0, size=(2, rows, 1, hidden))
     live = min(live, rows - 1)
     stacked = np.matmul(states[:, live:], rec[:, None])
