@@ -117,10 +117,7 @@ def _load_split(args):
         dev = sentences[-n_dev:]
         train_set = sentences[:-n_dev]
     test = load_corpus_file(args.test) if args.test else []
-    labels = []
-    for s in train_set + dev + test:
-        if s.label not in labels:
-            labels.append(s.label)
+    labels = list(dict.fromkeys(s.label for s in train_set + dev + test))
     return CorpusSplit(train=train_set, dev=dev, test=test, label_set=labels)
 
 
@@ -153,12 +150,9 @@ def cmd_train(args):
                                         if value == exc.filename])
     # the metrics first: a run that cannot write them leaves no model behind
     if args.metrics:
-        lines = [
-            f"{epoch}\t{loss:.17g}\t{acc:.17g}"
-            for epoch, loss, acc in model.history
-        ]
-        with open(args.metrics, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+        _write_or_stdout("".join(f"{epoch}\t{loss:.17g}\t{acc:.17g}\n"
+                                 for epoch, loss, acc in model.history),
+                         args.metrics)
     model_mod.save_model(model, args.out)
     if split.test:
         metrics = model_mod.evaluate(model, split.test)

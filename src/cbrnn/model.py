@@ -7,11 +7,12 @@ recurrent connection. The class scores come from the combined state at the
 final step, through the one output layer, ``class_scores``. Training
 minimizes a margin ranking loss on the raw scores.
 
-``forward_pass`` runs one sentence, its three chains in lockstep, one
-stacked gemv a step, and is the training path and ``predict``'s.
-``forward_many`` runs a list of sentences, the three chains of all of them
-in lockstep, with each sentence's results bit for bit its own
-``forward_pass``'s. ``classify_many`` is the one batched labeller: it
+One step loop, ``_advance``, runs the three chains of whole sentences in
+lockstep, one stacked gemv a step. ``forward_pass`` runs one sentence
+through it and is the training path and ``predict``'s; ``forward_many``
+runs a list of sentences through it, with a sentence axis, each
+sentence's results bit for bit its own ``forward_pass``'s.
+``classify_many`` is the one batched labeller: it
 runs ``_BATCH`` sentences at a time through ``forward_many`` and takes one
 row-wise softmax per batch, and every caller that labels or reads many
 sentences goes through it (``evaluate``, and so ``train()``'s dev accuracy,
@@ -361,6 +362,43 @@ def _recur(rows, rec, out):
         prev = np.tanh(row + prev.dot(rec), out=state)
 
 
+def _advance(steps, rec, out, last=False):
+    """Advance the three chains from row 0 of ``steps`` to its last row.
+    Row t, (3, ..., 1, hidden), holds step t's inputs and then its states:
+    the forward state after t+1 words, the backward state after t+1 steps
+    and the combined state after t; row 0 holds its states on entry.
+    ``rec`` is ``params.rec_all``, with an axis for the sentences where
+    ``steps`` has one, and ``out``, shaped as a row, takes each step's
+    product. With ``last``, the last step is the combined chain's alone.
+
+    A step is one stacked ``np.matmul``, one gemv per chain and sentence as
+    ``v.dot(rec)`` is, added to the step's inputs; one ``tanh``; and the
+    forward + backward sum, written into the next row's combined input, so
+    that chain runs one step behind."""
+    for prev, now in zip(steps[:-2 if last else -1], steps[1:]):
+        # forward_pass's order: (forward + backward) + carried
+        np.add(prev[0], prev[1], now[2])
+        now += np.matmul(prev, rec, out)
+        np.tanh(now, now)
+    if last:
+        prev, now = steps[-2], steps[-1, 2:]
+        np.add(prev[0], prev[1], now[0])
+        now += np.matmul(prev[2:], rec[2:], out[2:])
+        np.tanh(now, now)
+
+
+def _chains(steps, n, out):
+    """The states of one sentence of ``n`` words, rows 0 to n of ``steps``,
+    (rows, 3, 1, hidden) as ``_advance`` leaves them, copied into ``out`` in
+    ``ForwardCache``'s (3, n, hidden) layout: row t of ``h_bwd`` is the
+    backward state after n - t steps, row t of ``h_comb`` the combined
+    state after t + 1."""
+    out[0] = steps[:n, 0, 0]
+    out[1] = steps[n - 1::-1, 1, 0]
+    out[2] = steps[1:n + 1, 2, 0]
+    return out
+
+
 def forward_pass(params, x):
     """Run the three recurrences; the combined state at step t adds the
     forward state after t steps and the backward state after t steps.
@@ -370,54 +408,33 @@ def forward_pass(params, x):
     its place in its block, not on the input's length or the block's other
     rows.
 
-    The three chains run in lockstep, the combined chain one step behind
-    the other two, as in ``forward_many``: a step is one stacked
-    ``np.matmul`` of the (3, 1, hidden) states, one gemv per chain as
-    ``v.dot(rec)`` is, one add of the step's input rows and one ``tanh``,
-    and the new forward + backward sum goes into the next step's row. The
-    first step is the ``tanh`` of the first inputs: the product with the
-    zero state is +0.0, and adding it to a projection, never -0.0, changes
-    no bit."""
+    The three chains run in lockstep through ``_advance``, the loop
+    ``forward_many`` runs for many sentences. The first step is the ``tanh``
+    of the first inputs: the product with the zero state is +0.0, and
+    adding it to a projection, never -0.0, changes no bit."""
     x, padded = _checked_input(params, x)
     n, hidden = x.shape[0], params.hidden_size
     proj_fwd, proj_bwd = _project(padded, params.in_pair[:, None])
-    # steps[t] holds step t's inputs, then its states: the forward state
-    # after t+1 words, the backward state after t+1 steps (position
-    # n-1-t) and the combined state after t steps. The backward chain reads
-    # the input's rows n-1 down to 0; the padded rows after them are not
-    # the input's
-    steps = np.empty((n + 1, 3, 1, hidden))
+    # one row past the steps takes each step's product. The backward chain
+    # reads the input's rows n-1 down to 0; the padded rows after them are
+    # not the input's
+    steps = np.empty((n + 2, 3, 1, hidden))
     steps[:n, 0, 0] = proj_fwd[:n]
     steps[:n, 1, 0] = proj_bwd[n - 1::-1]
     steps[0, 2] = 0.0
     first = steps[0, :2]
     np.tanh(first, first)
-    rec = params.rec_all
-    for prev, now in zip(steps[:-2], steps[1:-1]):
-        # forward_pass's order: (forward + backward) + carried
-        np.add(prev[0], prev[1], now[2])
-        now += np.matmul(prev, rec)
-        np.tanh(now, now)
-    # the last step is the combined chain's alone
-    prev, last = steps[n - 1], steps[n, 2:]
-    np.add(prev[0], prev[1], last[0])
-    last += np.matmul(prev[2:], rec[2:])
-    np.tanh(last, last)
-    states = np.empty((3, n, hidden))
-    states[0] = steps[:n, 0, 0]
-    states[1] = steps[n - 1::-1, 1, 0]
-    states[2] = steps[1:, 2, 0]
+    _advance(steps[:-1], params.rec_all, steps[-1], last=True)
+    states = _chains(steps, n, np.empty((3, n, hidden)))
     return ForwardCache(x, states, class_scores(params, states[2, n - 1:n]))
 
 
 # inputs per ``forward_many`` call where many sentences are classified, a
 # bound on a batch's memory. Against one ``forward_pass`` each, one BLAS
-# thread: 128 sentences of 8-12 words at h32 d16 ran 4.1x faster in batches
-# of 32 (3.0x in batches of 8, 4.6x in one of 128), 100 SemEval-shaped ones
-# at h100 d50 1.7x (1.6x in batches of 8, 1.7x in one of 100), both against
-# the three ``_recur`` loops ``forward_pass`` ran then. A batch of one is
-# slower than the lockstep ``forward_pass``: 0.64x at h32 n10, 0.82x at
-# h100 n25
+# thread: 128 sentences of 8-12 words at h32 d16 ran 3.0x faster in batches
+# of 32 (2.0x in batches of 8, 3.5x in one of 128), 100 of 10-45 words at
+# h100 d50 1.4x (1.2x in batches of 8, 1.5x in one of 100). A batch of one
+# is slower: 0.71x at h32 n10, 0.88x at h100 n25
 _BATCH = 32
 
 
@@ -429,14 +446,10 @@ def forward_many(params, xs):
     The inputs are sorted once, longest first. Each is zero-padded to whole
     blocks of ``_ROW_BLOCK`` rows and all of them are projected in one
     ``_project`` call, so that each row keeps its place in its block (see
-    ``_checked_input``). The three chains of all of them then run in
-    lockstep from a zero row, the combined chain one step behind the other
-    two. A step is one stacked ``np.matmul`` of the (3, m, 1, hidden)
-    states of the m inputs still running, one gemv per row as
-    ``v.dot(rec)`` is; one add and one ``tanh``; and the sum of the new
-    forward and backward states, to which the combined chain's next step
-    adds its carried state. These are ``forward_pass``'s operations on the
-    same values, in its order.
+    ``_checked_input``). Their steps are ``forward_pass``'s with a sentence
+    axis, and ``_advance`` runs them once for each run of steps with the
+    same inputs still running. A shorter input's last step runs all three
+    chains, and the forward and backward states it makes are not read.
     """
     xs = [_as_input(params, x) for x in xs]
     if not xs:
@@ -444,23 +457,22 @@ def forward_many(params, xs):
     order = sorted(range(len(xs)), key=lambda i: len(xs[i]), reverse=True)
     xs = [xs[i] for i in order]
     lengths = [len(x) for x in xs]
-    width, hidden, count, steps = (xs[0].shape[1], params.hidden_size,
-                                   len(xs), lengths[0])
+    width, hidden, count, longest = (xs[0].shape[1], params.hidden_size,
+                                     len(xs), lengths[0])
     # input j's rows start block-aligned at row starts[j] of ``padded``
     starts = [0, *accumulate(_blocked(n) for n in lengths)]
     n_padded = starts.pop()
 
-    # one allocation for the batch's arrays: at h100 the pages of separate
-    # ones went back to the system when they were freed, and faulting them
-    # in again on the next call cost a third of its time.
-    # states[t, :, j] holds input j's forward and backward states after t
-    # steps and its combined state after t - 1
+    # one allocation for the batch's arrays, the products included: at h100
+    # the pages of separate ones went back to the system when they were
+    # freed, and faulting them in again on the next call cost a third of
+    # its time
     sizes = [n_padded * width, 2 * n_padded * hidden,
-             (steps + 2) * 3 * count * hidden, 3 * sum(lengths) * hidden]
+             (longest + 2) * 3 * count * hidden, 3 * sum(lengths) * hidden]
     ends = list(accumulate(sizes))
     work = np.empty(ends[-1])
-    padded, proj, states, chains = (work[end - size:end]
-                                    for end, size in zip(ends, sizes))
+    padded, proj, steps, chains = (work[end - size:end]
+                                   for end, size in zip(ends, sizes))
     padded = padded.reshape(n_padded, width)
     padded.fill(0.0)
     for x, start in zip(xs, starts):
@@ -468,44 +480,30 @@ def forward_many(params, xs):
     # the forward projections, then the backward ones
     proj = _project(padded, params.in_pair[:, None],
                     proj.reshape(2, -1, _ROW_BLOCK, hidden))
-    states = states.reshape(steps + 2, 3, count, hidden)
-    # every chain starts from zero, and the combined chain's step 0, one
-    # behind, adds zero to zero
-    states[:2] = 0.0
-    # the forward chain reads an input's rows 0 up, the backward one its
-    # rows n-1 down; the step after an input's last reads zeros and its
-    # states are not read
+    # forward_pass's steps, the last row again taking the products
+    steps = steps.reshape(longest + 2, 3, count, 1, hidden)
+    # as in forward_pass; the step after an input's last reads zeros
     for j, (start, n) in enumerate(zip(starts, lengths)):
-        states[1:n + 1, 0, j] = proj[0, start:start + n]
-        states[1:n + 1, 1, j] = proj[1, start:start + n][::-1]
-        states[n + 1, :2, j] = 0.0
+        steps[:n, 0, j, 0] = proj[0, start:start + n]
+        steps[:n, 1, j, 0] = proj[1, start:start + n][::-1]
+    steps[lengths, :2, range(count)] = 0.0
+    steps[0, 2] = 0.0
+    first = steps[0, :2]
+    np.tanh(first, first)
+    # the m inputs still running advance from step ``begin`` to the last
+    # step of the shortest of them. In the last run only the longest are
+    # left (m == k), and their last step is the combined chain's alone
+    rec, begin, m = params.rec_all[:, None], 0, count
+    for end, k in sorted(Counter(lengths).items()):
+        _advance(steps[begin:end + 1, :, :m], rec, steps[-1, :, :m],
+                 last=m == k)
+        begin, m = end, m - k
 
-    rec, m = params.rec_all[:, None], count
-    carried = np.empty((3, count, 1, hidden))
-    for step in range(steps + 1):
-        # the inputs shorter than ``step`` words are done
-        while lengths[m - 1] < step:
-            m -= 1
-        now = states[step + 1, :, :m]
-        now += np.matmul(states[step, :, :m, None], rec,
-                         out=carried[:, :m])[:, :, 0]
-        np.tanh(now, now)
-        if step < steps:
-            # forward_pass's order: (forward + backward) + carried
-            np.add(now[0], now[1], states[step + 2, 2, :m])
-
-    scores = class_scores(params,
-                          states[np.add(lengths, 1), 2, range(count), None])
-    # each input's chains as forward_pass lays them out: row t of h_bwd is
-    # the backward state after n - t steps, row t of h_comb the combined
-    # state after t + 1
+    scores = class_scores(params, steps[lengths, 2, range(count)])
     caches, chains = [None] * count, chains.reshape(3, -1, hidden)
     for j, (start, n, end) in enumerate(zip(starts, lengths,
                                             accumulate(lengths))):
-        own = chains[:, end - n:end]
-        own[0] = states[1:n + 1, 0, j]
-        own[1] = states[n:0:-1, 1, j]
-        own[2] = states[2:n + 2, 2, j]
+        own = _chains(steps[:, :, j], n, chains[:, end - n:end])
         caches[order[j]] = ForwardCache(padded[start:start + n], own, scores[j])
     return caches
 

@@ -1123,6 +1123,9 @@ FORWARD_FIELDS = ("inputs", "states", "h_fwd", "h_bwd", "h_comb", "scores",
 
 
 def assert_forward_many_bit_equal(params, xs):
+    """Each cache of ``forward_many`` against its own ``forward_pass``, and
+    its states and scores against the per-chain loops: the two share their
+    step loop, the loops share nothing with it."""
     caches = forward_many(params, xs)
     assert len(caches) == len(xs)
     for i, (x, cache) in enumerate(zip(xs, caches)):
@@ -1130,36 +1133,68 @@ def assert_forward_many_bit_equal(params, xs):
         for name in FORWARD_FIELDS:
             assert getattr(cache, name).tobytes() == \
                 getattr(want, name).tobytes(), (i, name)
+        states, scores = reference_forward(params, x)
+        assert cache.states.tobytes() == states.tobytes(), i
+        assert cache.scores.tobytes() == scores.tobytes(), i
 
 
 @settings(deadline=None)
 @given(hidden=st.integers(1, 100), window=st.sampled_from([1, 3, 5, 7]),
        dim=st.integers(1, 4), n_classes=st.integers(2, 4),
-       scale=st.sampled_from([1.0, 30.0]), count=st.integers(1, 64),
-       longest=st.integers(1, 70), equal=st.booleans(), seed=seeds)
-@example(hidden=100, window=3, dim=4, n_classes=4, scale=1.0, count=64,
-         longest=70, equal=False, seed=0)
+       scale=st.sampled_from([1.0, 30.0, 3000.0]),
+       zero_word=st.none() | st.integers(1, VOCAB - 1),
+       count=st.integers(1, 64), longest=st.integers(1, 70),
+       tied=st.integers(1, 64), seed=seeds)
+@example(hidden=100, window=3, dim=4, n_classes=4, scale=1.0, zero_word=None,
+         count=64, longest=70, tied=1, seed=0)
 # a batch of one; one step, every input one word; equal lengths, so that no
 # input finishes before the last step
-@example(hidden=8, window=3, dim=2, n_classes=3, scale=1.0, count=1,
-         longest=9, equal=False, seed=0)
-@example(hidden=8, window=3, dim=2, n_classes=3, scale=1.0, count=5,
-         longest=1, equal=False, seed=0)
-@example(hidden=8, window=3, dim=2, n_classes=3, scale=1.0, count=6,
-         longest=12, equal=True, seed=0)
+@example(hidden=8, window=3, dim=2, n_classes=3, scale=1.0, zero_word=None,
+         count=1, longest=9, tied=1, seed=0)
+@example(hidden=8, window=3, dim=2, n_classes=3, scale=1.0, zero_word=None,
+         count=5, longest=1, tied=5, seed=0)
+@example(hidden=8, window=3, dim=2, n_classes=3, scale=1.0, zero_word=None,
+         count=6, longest=12, tied=6, seed=0)
+# one-word inputs at hidden 1, where ``v.dot(rec)`` of the zero state by a
+# 1×1 matrix is -0.0 and ``np.matmul`` gives +0.0; with the word 3, whose
+# table row, so its projection, is +0.0, among them
+@example(hidden=1, window=1, dim=1, n_classes=2, scale=1.0, zero_word=None,
+         count=8, longest=1, tied=8, seed=0)
+@example(hidden=1, window=1, dim=1, n_classes=2, scale=1.0, zero_word=3,
+         count=8, longest=1, tied=8, seed=0)
+# saturated states
+@example(hidden=5, window=3, dim=2, n_classes=3, scale=3000.0, zero_word=3,
+         count=9, longest=20, tied=2, seed=0)
+# three inputs tied at the longest length after shorter ones finish; one
+# long input that runs alone after every other has finished
+@example(hidden=8, window=3, dim=2, n_classes=3, scale=1.0, zero_word=None,
+         count=9, longest=15, tied=3, seed=0)
+@example(hidden=8, window=5, dim=2, n_classes=3, scale=30.0, zero_word=None,
+         count=6, longest=60, tied=1, seed=0)
 def test_forward_many_bit_equal_to_forward_pass(hidden, window, dim, n_classes,
-                                                scale, count, longest, equal,
-                                                seed):
-    """``count`` sentences of 1 to ``longest`` words, or with ``equal`` of
-    ``longest`` words each (1 to 64 sentences of 1 to 70 words), each
-    input's every field against its own ``forward_pass``."""
+                                                scale, zero_word, count,
+                                                longest, tied, seed):
+    """``count`` sentences (1 to 64) in a random order: ``tied`` of them of
+    ``longest`` words (1 to 70), the others shorter, so that ``_advance``
+    runs from one input's last step to the next and the longest inputs'
+    last step is the combined chain's alone. Each input's every field
+    against its own ``forward_pass``, and its states and scores against
+    the per-chain loops. ``zero_word`` is a word whose table row is zero;
+    scale 3000 saturates the states."""
     rng = np.random.default_rng(seed)
     params = scaled_params(window * dim, hidden, n_classes, scale, rng)
     table = random_table(seed, dim)
-    shortest = longest if equal else 1
-    xs = [compose_ngram_inputs(list(rng.integers(0, VOCAB, size=n)), table,
+    if zero_word is not None:
+        table.matrix[zero_word] = 0.0
+    tied = min(tied, count)
+    lengths = rng.permutation(np.concatenate([
+        np.full(tied, longest),
+        rng.integers(1, max(longest, 2), size=count - tied)]))
+    # no padding id among the words, so that the only word whose table row
+    # is zero is ``zero_word``
+    xs = [compose_ngram_inputs(list(rng.integers(1, VOCAB, size=n)), table,
                                window)
-          for n in rng.integers(shortest, longest + 1, size=count)]
+          for n in lengths]
     assert_forward_many_bit_equal(params, xs)
 
 
