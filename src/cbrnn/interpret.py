@@ -246,7 +246,7 @@ def mine_patterns(model, sentences, tau=0.5, window=3, only_correct=True,
 def export_hidden_states(model, sentences):
     """Final combined hidden vector per sentence, paired with the gold label."""
     sentences = list(sentences)
-    return [(s.label, cache.h_comb[-1].copy())
+    return [(s.label, cache.steps[-1, 2, 0].copy())
             for s, (_, cache) in zip(sentences, classify_many(model, sentences))]
 
 

@@ -11,7 +11,9 @@ One step loop, ``_advance``, runs the three chains of whole sentences in
 lockstep, one stacked gemv a step. ``forward_pass`` runs one sentence
 through it and is the training path and ``predict``'s; ``forward_many``
 runs a list of sentences through it, with a sentence axis, each
-sentence's results bit for bit its own ``forward_pass``'s.
+sentence's results bit for bit its own ``forward_pass``'s. A sentence's
+``ForwardCache`` keeps its rows of the step array, and ``loss_gradients``
+runs the three chains back over them in lockstep.
 ``classify_many`` is the one batched labeller: it
 runs ``_BATCH`` sentences at a time through ``forward_many`` and takes one
 row-wise softmax per batch, and every caller that labels or reads many
@@ -270,25 +272,39 @@ def softmax(scores):
 class ForwardCache:
     """What ``forward_pass`` computed for one input.
 
-    ``states`` holds the three chains, (3, n, hidden); ``h_fwd``, ``h_bwd``
-    and ``h_comb`` are its rows:
+    ``steps``, (n + 1, 3, 1, hidden), are the rows ``_advance`` leaves:
+    row t holds the forward state after t+1 words, the backward state after
+    t+1 steps and the combined state after t, so ``steps[-1, 2, 0]`` is the
+    final combined state. Row n's forward and backward slots are unread:
+    zero from ``forward_pass``, a shorter input's last step from
+    ``forward_many``. ``states`` lays the chains out as (3, n, hidden), and
+    ``h_fwd``, ``h_bwd`` and ``h_comb`` are its rows:
 
     - ``h_fwd[t]``, the forward state after t+1 words;
     - ``h_bwd[p]``, the suffix state for words p..n;
     - ``h_comb[t]``, the combined state after t+1 steps.
 
-    ``probs``, the softmax of ``scores``, is computed on first read and kept:
-    training reads only ``scores``. (``functools.cached_property`` would take
-    a lock on that read.)
+    ``states`` and ``probs``, the softmax of ``scores``, are computed on
+    first read and kept: scoring reads only ``scores`` and ``steps``.
+    (``functools.cached_property`` would take a lock on that read.)
     """
-    __slots__ = ("inputs", "states", "h_fwd", "h_bwd", "h_comb", "scores", "_probs")
+    __slots__ = ("inputs", "steps", "scores", "_states", "_probs")
 
-    def __init__(self, inputs, states, scores):
+    def __init__(self, inputs, steps, scores):
         self.inputs = inputs      # (n, window*dim)
-        self.states = states
-        self.h_fwd, self.h_bwd, self.h_comb = states
+        self.steps = steps
         self.scores = scores      # (n_classes,)
-        self._probs = None
+        self._states = self._probs = None
+
+    @property
+    def states(self):
+        if self._states is None:
+            self._states = _chains(self.steps, len(self.inputs))
+        return self._states
+
+    h_fwd = property(lambda self: self.states[0])
+    h_bwd = property(lambda self: self.states[1])
+    h_comb = property(lambda self: self.states[2])
 
     @property
     def probs(self):
@@ -387,12 +403,13 @@ def _advance(steps, rec, out, last=False):
         np.tanh(now, now)
 
 
-def _chains(steps, n, out):
+def _chains(steps, n):
     """The states of one sentence of ``n`` words, rows 0 to n of ``steps``,
-    (rows, 3, 1, hidden) as ``_advance`` leaves them, copied into ``out`` in
-    ``ForwardCache``'s (3, n, hidden) layout: row t of ``h_bwd`` is the
-    backward state after n - t steps, row t of ``h_comb`` the combined
-    state after t + 1."""
+    (rows, 3, 1, hidden) as ``_advance`` leaves them, copied into a new
+    array in ``ForwardCache.states``' (3, n, hidden) layout: row t of
+    ``h_bwd`` is the backward state after n - t steps, row t of ``h_comb``
+    the combined state after t + 1."""
+    out = np.empty((3, n, steps.shape[-1]))
     out[0] = steps[:n, 0, 0]
     out[1] = steps[n - 1::-1, 1, 0]
     out[2] = steps[1:n + 1, 2, 0]
@@ -421,12 +438,13 @@ def forward_pass(params, x):
     steps = np.empty((n + 2, 3, 1, hidden))
     steps[:n, 0, 0] = proj_fwd[:n]
     steps[:n, 1, 0] = proj_bwd[n - 1::-1]
-    steps[0, 2] = 0.0
+    # the combined chain's zero state, and row n's slots the last step
+    # leaves unwritten, which loss_gradients squares with the rest
+    steps[0, 2] = steps[n, :2] = 0.0
     first = steps[0, :2]
     np.tanh(first, first)
     _advance(steps[:-1], params.rec_all, steps[-1], last=True)
-    states = _chains(steps, n, np.empty((3, n, hidden)))
-    return ForwardCache(x, states, class_scores(params, states[2, n - 1:n]))
+    return ForwardCache(x, steps[:-1], class_scores(params, steps[n, 2]))
 
 
 # inputs per ``forward_many`` call where many sentences are classified, a
@@ -441,7 +459,7 @@ _BATCH = 32
 def forward_many(params, xs):
     """``forward_pass`` of each input of the list ``xs``: one
     ``ForwardCache`` per input, in order, each field bit for bit the one
-    ``forward_pass(params, x)`` gives.
+    ``forward_pass(params, x)`` gives but for the unread slots of ``steps``.
 
     The inputs are sorted once, longest first. Each is zero-padded to whole
     blocks of ``_ROW_BLOCK`` rows and all of them are projected in one
@@ -449,7 +467,8 @@ def forward_many(params, xs):
     ``_checked_input``). Their steps are ``forward_pass``'s with a sentence
     axis, and ``_advance`` runs them once for each run of steps with the
     same inputs still running. A shorter input's last step runs all three
-    chains, and the forward and backward states it makes are not read.
+    chains, and the forward and backward states it makes are not read. Each
+    cache's ``steps`` is its input's column of the batch's step array.
     """
     xs = [_as_input(params, x) for x in xs]
     if not xs:
@@ -468,11 +487,11 @@ def forward_many(params, xs):
     # freed, and faulting them in again on the next call cost a third of
     # its time
     sizes = [n_padded * width, 2 * n_padded * hidden,
-             (longest + 2) * 3 * count * hidden, 3 * sum(lengths) * hidden]
+             (longest + 2) * 3 * count * hidden]
     ends = list(accumulate(sizes))
     work = np.empty(ends[-1])
-    padded, proj, steps, chains = (work[end - size:end]
-                                   for end, size in zip(ends, sizes))
+    padded, proj, steps = (work[end - size:end]
+                           for end, size in zip(ends, sizes))
     padded = padded.reshape(n_padded, width)
     padded.fill(0.0)
     for x, start in zip(xs, starts):
@@ -500,11 +519,10 @@ def forward_many(params, xs):
         begin, m = end, m - k
 
     scores = class_scores(params, steps[lengths, 2, range(count)])
-    caches, chains = [None] * count, chains.reshape(3, -1, hidden)
-    for j, (start, n, end) in enumerate(zip(starts, lengths,
-                                            accumulate(lengths))):
-        own = _chains(steps[:, :, j], n, chains[:, end - n:end])
-        caches[order[j]] = ForwardCache(padded[start:start + n], own, scores[j])
+    caches = [None] * count
+    for j, (start, n) in enumerate(zip(starts, lengths)):
+        caches[order[j]] = ForwardCache(padded[start:start + n],
+                                        steps[:n + 1, :, j], scores[j])
     return caches
 
 
@@ -543,7 +561,7 @@ def _prefix_operands(params, table, ids, caches, window, half):
             rows = max(len(x) - half, 0)
             _recur(proj[0, 0, s, :rows], params.rec_fwd, chain[1:rows + 1, s])
         else:
-            chain[1:len(x) + 1, s] = cache.h_fwd
+            chain[1:len(x) + 1, s] = cache.steps[:len(x), 0, 0]
     return (proj[:, 1:, :, 1:, None].swapaxes(2, 3),
             proj[1, 0, :, :, None].swapaxes(0, 1), chain)
 
@@ -599,7 +617,7 @@ def prefix_states(params, table, ids, window, lookahead=False, cache=None):
     state = np.zeros((2, n, 1, params.hidden_size))
     comb = state[1]
     for k, cache in enumerate(_all_tail(params, table, ids, window, half)):
-        comb[k, 0] = cache.h_comb[-1]
+        comb[k, 0] = cache.steps[-1, 2, 0]
         yield comb
     if n <= half:
         return
@@ -874,25 +892,6 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _bptt(rec, deriv, d, d_ext=None):
-    """Backpropagate through ``h[s] = tanh(... + h[s-1] @ rec)`` from the
-    last step to the first, where ``deriv[s] = 1 - h[s]**2``. ``d`` is the
-    gradient reaching the last state and ``d_ext[s]``, when given, the one
-    reaching each earlier state ``h[s]`` from outside the chain (its last
-    row is not read). Returns the pre-activation gradient of every step,
-    one row each."""
-    dA = np.empty(deriv.shape)
-    steps = zip(deriv[:0:-1], dA[:0:-1])
-    if d_ext is None:
-        for dv, da in steps:
-            d = rec.dot(np.multiply(d, dv, out=da))
-    else:
-        for (dv, da), ext in zip(steps, d_ext[-2::-1]):
-            d = ext + rec.dot(np.multiply(d, dv, out=da))
-    np.multiply(d, deriv[0], out=dA[0])
-    return dA
-
-
 def loss_gradients(params, cache, y_plus, cfg, out=None):
     """Ranking loss and its exact gradients: returns ``(loss, grads,
     d_inputs)``, with the weight gradients in a ``CBRNNParams`` and
@@ -903,14 +902,23 @@ def loss_gradients(params, cache, y_plus, cfg, out=None):
     as ``grads``; every value in it is overwritten. Without it a new one is
     allocated.
 
-    Only the recurrences through the hidden states run step by step; they
-    record each chain's pre-activation gradients ``dA`` (one row per step),
-    from which every weight gradient is one matrix product. The combined
-    chain's gradient starts at its last state, ``out_w @ d_scores``; the
-    forward and backward chains receive it at every step.
+    Only the recurrences through the hidden states run step by step: one
+    loop back over the rows of ``cache.steps`` runs the three chains in
+    lockstep, as ``_advance`` runs them forwards, and records each step's
+    pre-activation gradients ``dA`` in a row of the same layout. The
+    combined chain's gradient starts at its last state, ``out_w @
+    d_scores``, and runs one step ahead. A step is one stacked
+    ``np.matmul``, one gemv per chain as ``rec.dot(d)`` is, one add and one
+    multiply. The top two steps are written out, so that the forward and
+    backward chains take the combined chain's first gradient with no
+    product of zero added, and signed zeros keep their signs. Each weight
+    gradient is one matrix product over ``dA`` and the states laid out per
+    chain, as the three loops' operands were: at hidden 1 numpy sends the
+    products through its dot and gemv path, which OpenBLAS rounds
+    differently for a strided operand.
     """
-    x = cache.inputs
-    n = x.shape[0]
+    x, steps = cache.inputs, cache.steps
+    n, hidden = x.shape[0], params.hidden_size
     grads = params.empty_like() if out is None else out
 
     loss, c_minus = ranking_loss(cache.scores, y_plus, cfg)
@@ -923,20 +931,36 @@ def loss_gradients(params, cache, y_plus, cfg, out=None):
     d_scores[y_plus] = 0.0 - cfg.gamma * _sigmoid(z_plus)
     d_scores[c_minus] = cfg.gamma * _sigmoid(z_minus)
 
-    # one pass for the three chains' tanh derivatives
-    deriv_fwd, deriv_bwd, deriv_comb = 1.0 - cache.states ** 2
-    dA_comb = _bptt(params.rec_comb, deriv_comb, params.out_w @ d_scores)
-    # combined step t reads forward position t and backward position n-1-t,
-    # which is step t of the backward chain
-    dA_fwd = _bptt(params.rec_fwd, deriv_fwd, dA_comb[-1], dA_comb)
-    dA_bwd = _bptt(params.rec_bwd, deriv_bwd[::-1], dA_comb[-1], dA_comb)[::-1]
+    # dA's rows take each chain's gradient as a column, which np.matmul
+    # runs as gemv. ``d``, the gradient reaching a row's states, is not a row
+    # of dA: numpy's overlap check would then copy the product's operand
+    deriv = (1.0 - steps ** 2).reshape(n + 1, 3, hidden, 1)
+    dA = np.empty(deriv.shape)
+    d = np.empty((3, hidden, 1))
+    rec = params.rec_all
+    # the top two steps: row n is the combined chain's alone, and row n - 1's
+    # forward and backward states take its dA as it is
+    np.multiply((params.out_w @ d_scores)[:, None], deriv[n, 2], dA[n, 2])
+    np.matmul(rec[2], dA[n, 2], d[2])
+    d[:2] = dA[n, 2]
+    np.multiply(d, deriv[n - 1], dA[n - 1])
+    for above, deriv_row, row in zip(dA[1:n][::-1], deriv[:n - 1][::-1],
+                                     dA[:n - 1][::-1]):
+        np.matmul(rec, above, d)
+        np.add(d[:2], above[2], d[:2])
+        np.multiply(d, deriv_row, row)
 
+    # per chain, in the row order of ``steps``
+    dA = dA[..., 0].transpose(1, 0, 2).copy()
+    states = steps[:, :, 0].transpose(1, 0, 2).copy()
+    dA_fwd, dA_bwd, dA_comb = dA[0, :n], dA[1, n - 1::-1], dA[2, 1:]
+    h_fwd, h_bwd, h_comb = states[0, :n], states[1, n - 1::-1], states[2, 1:]
     np.matmul(x.T, dA_fwd, out=grads.in_fwd)
     np.matmul(x.T, dA_bwd, out=grads.in_bwd)
-    np.matmul(cache.h_fwd[:-1].T, dA_fwd[1:], out=grads.rec_fwd)
-    np.matmul(cache.h_bwd[1:].T, dA_bwd[:-1], out=grads.rec_bwd)
-    np.matmul(cache.h_comb[:-1].T, dA_comb[1:], out=grads.rec_comb)
-    np.multiply(cache.h_comb[n - 1, :, None], d_scores, out=grads.out_w)
+    np.matmul(h_fwd[:-1].T, dA_fwd[1:], out=grads.rec_fwd)
+    np.matmul(h_bwd[1:].T, dA_bwd[:-1], out=grads.rec_bwd)
+    np.matmul(h_comb[:-1].T, dA_comb[1:], out=grads.rec_comb)
+    np.multiply(h_comb[n - 1, :, None], d_scores, out=grads.out_w)
     return loss, grads, dA_fwd @ params.in_fwd.T + dA_bwd @ params.in_bwd.T
 
 

@@ -253,6 +253,40 @@ def test_loss_gradients_into_a_given_buffer(n, window, dim, hidden, n_classes,
 
 
 @settings(deadline=None)
+@given(hidden=st.sampled_from([1, 2, 3, 5, 8, 32]), window=windows,
+       dim=st.integers(1, 3), n_classes=st.integers(2, 4),
+       scale=st.sampled_from([1.0, 30.0, 3000.0]),
+       lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+       seed=seeds)
+# the written-out top steps: one and two words, at hidden 1, where signed
+# zeros show, and with saturated states
+@example(hidden=1, window=1, dim=1, n_classes=2, scale=1.0,
+         lengths=[1, 2, 3, 1, 2], seed=0)
+@example(hidden=1, window=3, dim=2, n_classes=3, scale=3000.0,
+         lengths=[2, 1, 4, 2], seed=1)
+@example(hidden=3, window=1, dim=2, n_classes=2, scale=3000.0,
+         lengths=[1, 1, 2, 2, 7], seed=2)
+def test_loss_gradients_of_forward_many_caches(hidden, window, dim, n_classes,
+                                               scale, lengths, seed):
+    """Loss, weight gradients and ``d_inputs`` from each ``forward_many``
+    cache have the bytes of the same call on the input's ``forward_pass``
+    cache. A batch's cache holds a strided column of the batch's step
+    array, and row n of a shorter input's holds the forward and backward
+    states of its unread last step, where ``forward_pass`` leaves zeros."""
+    rng = np.random.default_rng(seed)
+    params = scaled_params(window * dim, hidden, n_classes, scale, rng)
+    xs = [rng.uniform(-1.0, 1.0, size=(n, window * dim)) for n in lengths]
+    for x, cache in zip(xs, forward_many(params, xs)):
+        y_plus = int(rng.integers(n_classes))
+        loss, grads, d_inputs = loss_gradients(params, forward_pass(params, x),
+                                               y_plus, LossConfig())
+        got = loss_gradients(params, cache, y_plus, LossConfig())
+        assert got[0] == loss
+        assert got[1].buffer.tobytes() == grads.buffer.tobytes()
+        assert got[2].tobytes() == d_inputs.tobytes()
+
+
+@settings(deadline=None)
 @given(ids=sentences, window=windows, seed=seeds,
        clip_norm=st.sampled_from([1e-3, 5.0]))
 def test_sparse_sgd_step_matches_dense_update(ids, window, seed, clip_norm):
@@ -1207,6 +1241,39 @@ def test_forward_many_of_no_input_and_of_a_bad_one():
             forward_pass(params, bad)
         with pytest.raises(ShapeMismatch):
             forward_many(params, [good, bad])
+
+
+def test_scoring_never_lays_out_the_chains(trained_model, synthetic_split,
+                                          monkeypatch):
+    """``predict``, ``classify_many`` and ``evaluate``, mining with the
+    sentences' caches, curves and hidden export read a cache's scores and
+    ``steps`` only; reading ``states`` lays the three chains out once, and
+    ``h_fwd``, ``h_bwd`` and ``h_comb`` are its rows."""
+    laid_out = []
+
+    def spy(steps, n):
+        laid_out.append(n)
+        return chains(steps, n)
+
+    chains = model._chains
+    monkeypatch.setattr(model, "_chains", spy)
+    sentences = synthetic_split.test[:40]
+    predict(trained_model, sentences[0])
+    caches = [cache for _, cache in model.classify_many(trained_model,
+                                                        sentences)]
+    evaluate(trained_model, sentences)
+    assert interpret.mine_patterns(trained_model, sentences).entries
+    interpret.prefix_curve(trained_model, sentences[0], sentences[0].label)
+    interpret.export_hidden_states(trained_model, sentences)
+    assert laid_out == []
+
+    for cache in (caches[0], forward_pass(trained_model.params,
+                                          caches[0].inputs)):
+        states = cache.states
+        assert cache.states is states
+        for name, row in zip(("h_fwd", "h_bwd", "h_comb"), states):
+            assert getattr(cache, name).tobytes() == row.tobytes(), name
+    assert laid_out == [len(caches[0].inputs)] * 2
 
 
 def test_batched_callers_equal_a_forward_pass_each(trained_model,
