@@ -105,7 +105,8 @@ def _windows(rows, window):
 
 class SentenceWindows:
     """A sentence's N-gram windows, worked out once for composing its inputs
-    and scattering their gradients back: O(n * window) ints, no vectors.
+    and scattering their gradients back, and kept across training's epochs:
+    O(n * window) ints, no vectors.
 
     ``padded`` is the sentence's ids with ``window // 2`` PAD_ID on each
     side; ``slots`` the flat numbers of the (n, window) slots that read a
@@ -161,7 +162,9 @@ def input_grads_to_embeddings(d_inputs, ids, window, vocab_size, dim):
     if len(row_ids) and not 0 <= row_ids[0] <= row_ids[-1] < vocab_size:
         raise IndexError(f"row ids outside the table's {vocab_size} rows")
     # one flat bincount adds each slot's vector into its row in slot order,
-    # the order a loop over windows would use
+    # the order a loop over windows would use. The cell index is built per
+    # call: kept across epochs, n * window * dim ints a sentence, it gained
+    # nothing end to end
     cells = windows.positions[:, None] * dim + np.arange(dim)
     row_grads = np.bincount(
         cells.reshape(-1),

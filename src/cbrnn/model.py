@@ -168,7 +168,8 @@ class CBRNNParams:
     The given arrays are copied into one new contiguous float64 array
     ``buffer``, starting on a 64-byte boundary, and the fields become views
     into it in field order, so that an update of every weight is one
-    operation on it.
+    operation on it. ``views`` holds the same views as a tuple in field
+    order, built once, for loops over every array.
     """
     in_fwd: np.ndarray = _weight("input", "hidden")
     in_bwd: np.ndarray = _weight("input", "hidden")
@@ -187,6 +188,7 @@ class CBRNNParams:
         for name, a in arrays.items():
             setattr(self, name, self.buffer[start:start + a.size].reshape(a.shape))
             start += a.size
+        self.views = tuple(getattr(self, name) for name in arrays)
 
     @staticmethod
     def shapes(input_dim, hidden_size, n_classes):
@@ -434,13 +436,12 @@ def forward_pass(params, x):
     proj_fwd, proj_bwd = _project(padded, params.in_pair[:, None])
     # one row past the steps takes each step's product. The backward chain
     # reads the input's rows n-1 down to 0; the padded rows after them are
-    # not the input's
-    steps = np.empty((n + 2, 3, 1, hidden))
+    # not the input's. Allocated as zeros: the combined chain's zero state,
+    # and row n's slots the last step leaves unwritten, which loss_gradients
+    # squares with the rest
+    steps = np.zeros((n + 2, 3, 1, hidden))
     steps[:n, 0, 0] = proj_fwd[:n]
     steps[:n, 1, 0] = proj_bwd[n - 1::-1]
-    # the combined chain's zero state, and row n's slots the last step
-    # leaves unwritten, which loss_gradients squares with the rest
-    steps[0, 2] = steps[n, :2] = 0.0
     first = steps[0, :2]
     np.tanh(first, first)
     _advance(steps[:-1], params.rec_all, steps[-1], last=True)
@@ -876,9 +877,9 @@ def ranking_loss(scores, y_plus, cfg):
     masked = scores.copy()
     masked[y_plus] = -np.inf
     c_minus = int(masked.argmax())
-    z_plus, z_minus = _margins(scores, y_plus, c_minus, cfg)
-    loss = float(np.logaddexp(0.0, z_plus) + np.logaddexp(0.0, z_minus))
-    return loss, c_minus
+    # both terms from one logaddexp, summed as Python floats
+    plus, minus = np.logaddexp(0.0, _margins(scores, y_plus, c_minus, cfg)).tolist()
+    return plus + minus, c_minus
 
 
 def _margins(scores, y_plus, c_minus, cfg):
@@ -900,7 +901,8 @@ def loss_gradients(params, cache, y_plus, cfg, out=None):
     ``out``, a container of ``params``' shapes such as
     ``params.empty_like()``, receives the weight gradients and is returned
     as ``grads``; every value in it is overwritten. Without it a new one is
-    allocated.
+    allocated. The loss comes from ``ranking_loss``, and the score gradient
+    from the same two margins, each through one scalar sigmoid.
 
     Only the recurrences through the hidden states run step by step: one
     loop back over the rows of ``cache.steps`` runs the three chains in
@@ -909,13 +911,15 @@ def loss_gradients(params, cache, y_plus, cfg, out=None):
     combined chain's gradient starts at its last state, ``out_w @
     d_scores``, and runs one step ahead. A step is one stacked
     ``np.matmul``, one gemv per chain as ``rec.dot(d)`` is, one add and one
-    multiply. The top two steps are written out, so that the forward and
-    backward chains take the combined chain's first gradient with no
-    product of zero added, and signed zeros keep their signs. Each weight
-    gradient is one matrix product over ``dA`` and the states laid out per
-    chain, as the three loops' operands were: at hidden 1 numpy sends the
-    products through its dot and gemv path, which OpenBLAS rounds
-    differently for a strided operand.
+    multiply, over views of each row's combined-chain column and of ``d``'s
+    forward and backward part made once before the loop. The top two steps
+    are written out, so that the forward and backward chains take the
+    combined chain's first gradient with no product of zero added, and
+    signed zeros keep their signs. Each weight gradient is one matrix
+    product over ``dA`` and the states laid out per chain, as the three
+    loops' operands were: at hidden 1 numpy sends the products through its
+    dot and gemv path, which OpenBLAS rounds differently for a strided
+    operand.
     """
     x, steps = cache.inputs, cache.steps
     n, hidden = x.shape[0], params.hidden_size
@@ -944,10 +948,11 @@ def loss_gradients(params, cache, y_plus, cfg, out=None):
     np.matmul(rec[2], dA[n, 2], d[2])
     d[:2] = dA[n, 2]
     np.multiply(d, deriv[n - 1], dA[n - 1])
-    for above, deriv_row, row in zip(dA[1:n][::-1], deriv[:n - 1][::-1],
-                                     dA[:n - 1][::-1]):
+    d_pair = d[:2]
+    for above, above_comb, deriv_row, row in zip(
+            dA[1:n][::-1], dA[1:n, 2][::-1], deriv[:n - 1][::-1], dA[:n - 1][::-1]):
         np.matmul(rec, above, d)
-        np.add(d[:2], above[2], d[:2])
+        np.add(d_pair, above_comb, d_pair)
         np.multiply(d, deriv_row, row)
 
     # per chain, in the row order of ``steps``
@@ -1002,10 +1007,9 @@ def gradient_check(params, x, y_plus, cfg, eps=1e-5):
 def global_grad_norm(grads, emb_grads=None):
     """Euclidean norm over every weight gradient and, when given, the
     embedding rows ``(row_ids, row_grads)`` an example touched; one ``vdot``
-    per array, in field order."""
-    arrays = grads.arrays().values()
-    if emb_grads is not None:
-        arrays = [*arrays, emb_grads[1]]
+    per array, in field order, over the container's ``views``, and the
+    rows' last."""
+    arrays = grads.views if emb_grads is None else (*grads.views, emb_grads[1])
     return np.sqrt(sum(float(np.vdot(a, a)) for a in arrays))
 
 

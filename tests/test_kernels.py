@@ -336,6 +336,65 @@ def test_scatter_rejects_ids_outside_the_table(bad):
         input_grads_to_embeddings(np.ones((2, 2)), [1, bad], 1, VOCAB, 2)
 
 
+@given(ids=sentences, window=windows, dims=st.lists(st.integers(1, 4), min_size=2,
+                                                   max_size=2, unique=True),
+       seed=seeds)
+@example(ids=[PAD_ID], window=3, dims=[2, 1], seed=0)
+@example(ids=[1, 2, 1, 3], window=5, dims=[1, 4], seed=0)
+def test_scatter_reusing_one_sentence_windows_for_two_dims(ids, window, dims, seed):
+    """One ``SentenceWindows`` scattering for two embedding sizes in turn,
+    as training's epochs reuse it: each call equals the loop over windows."""
+    rng = np.random.default_rng(seed)
+    prebuilt = SentenceWindows(ids, window)
+    for dim in dims * 3:
+        d_inputs = rng.normal(size=(len(ids), window * dim))
+        row_ids, row_grads = input_grads_to_embeddings(d_inputs, prebuilt, window,
+                                                       VOCAB, dim)
+        dense = np.zeros((VOCAB, dim))
+        dense[row_ids] = row_grads
+        assert dense.tobytes() == reference_scatter(d_inputs, ids, window,
+                                                    VOCAB, dim).tobytes()
+
+
+MARGIN_SCORES = [2.5, -1e300, 1e300, -np.inf, np.inf, np.nan, 0.75]
+COMPETITOR_SCORES = [0.0, -0.0, -1e300, 1e300, -np.inf, np.inf, np.nan, -0.25]
+
+
+@pytest.mark.parametrize("target", MARGIN_SCORES)
+@pytest.mark.parametrize("competitor", COMPETITOR_SCORES)
+def test_ranking_loss_is_the_sum_of_its_two_terms(target, competitor):
+    """The loss is ``logaddexp(0, z_plus) + logaddexp(0, z_minus)`` of the
+    scalar margins, bit for bit. With gamma 1, m_plus 2.5 and m_minus -0.0,
+    the scores give margins of +0 and -0, +-1e300, +-inf and nan."""
+    cfg = LossConfig(gamma=1.0, m_plus=2.5, m_minus=-0.0)
+    scores = np.array([target, competitor, -1.0])
+    with np.errstate(invalid="ignore"):
+        loss, c_minus = ranking_loss(scores, 0, cfg)
+        z_plus = cfg.gamma * (cfg.m_plus - float(scores[0]))
+        z_minus = cfg.gamma * (cfg.m_minus + float(scores[c_minus]))
+        expected = float(np.logaddexp(0.0, z_plus) + np.logaddexp(0.0, z_minus))
+    assert isinstance(loss, float)
+    assert np.float64(loss).tobytes() == np.float64(expected).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(6, 1, 2), (48, 32, 4), (150, 100, 19)])
+@pytest.mark.parametrize("rows", [None, 0, 1, 7])
+def test_global_grad_norm_is_one_vdot_per_array_in_field_order(shape, rows):
+    """The norm sums one ``np.vdot`` per gradient array, in field order and
+    then the embedding rows when given, bit for bit."""
+    rng = np.random.default_rng(sum(shape))
+    grads = init_params(*shape, rng)
+    grads.buffer[...] = rng.normal(scale=3.0, size=grads.buffer.shape)
+    order = ["in_fwd", "in_bwd", "rec_fwd", "rec_bwd", "rec_comb", "out_w", "out_b"]
+    arrays = [getattr(grads, name) for name in order]
+    emb_grads = None
+    if rows is not None:
+        emb_grads = (np.arange(1, rows + 1), rng.normal(size=(rows, 5)))
+        arrays.append(emb_grads[1])
+    expected = np.sqrt(sum(float(np.vdot(a, a)) for a in arrays))
+    assert model.global_grad_norm(grads, emb_grads).tobytes() == expected.tobytes()
+
+
 def reference_bptt(rec, h, d_ext):
     """BPTT through ``h[s] = tanh(... + h[s-1] @ rec)`` with the gradient
     ``d_ext[s]`` reaching every state from outside the chain, zero rows
