@@ -168,6 +168,10 @@ def _pick_sentence(args):
         try:
             return corpus.LabeledSentence(tokens=tuple(args.sentence.split()),
                                           label=args.relation, id="cli")
+        except corpus.EmptyLabel:
+            # the label is --relation's, and no label set holds ''
+            raise InputError(f"--relation: relation {args.relation!r} not in "
+                             "label set") from None
         except InputError as exc:
             raise InputError(f"--sentence: {exc}") from None
     if not (args.data and args.id):

@@ -80,11 +80,16 @@ def load_pretrained_text(path, vocab, dim, fallback_seed=0):
     return table
 
 
+def check_window(window):
+    """Reject a window size that is not odd and positive."""
+    if window < 1 or window % 2 == 0:
+        raise EvenWindow(f"window size must be odd and positive, got {window}")
+
+
 def _padded_ids(ids, window):
     """``ids`` with ``window // 2`` PAD_ID on each side, the positions every
     window of the sentence reads."""
-    if window < 1 or window % 2 == 0:
-        raise EvenWindow(f"window size must be odd and positive, got {window}")
+    check_window(window)
     n = len(ids)
     if not n:
         raise ValueError("empty id sequence")

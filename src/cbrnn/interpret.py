@@ -27,7 +27,7 @@ from .corpus import PAD_TOKEN, InputError, LabeledSentence, sentence_tokens
 # compose_ngram_inputs and forward_pass are not called here; perfbench's
 # tests check that its probes reach every namespace that holds them, this
 # one included
-from .embeddings import EvenWindow, compose_ngram_inputs  # noqa: F401
+from .embeddings import check_window, compose_ngram_inputs  # noqa: F401
 from .model import (  # noqa: F401
     UnknownRelation,
     batches,
@@ -159,8 +159,7 @@ def check_pattern_settings(tau, window, sentences=()):
     build a tuple that wide for each pattern."""
     if not 0.0 < tau < 1.0:
         raise InputError(f"tau must lie in (0, 1), got {tau}")
-    if window < 1 or window % 2 == 0:
-        raise EvenWindow(f"window size must be odd and positive, got {window}")
+    check_window(window)
     longest = max((len(s.tokens) for s in sentences), default=0)
     if longest and window > 2 * longest - 1:
         raise WindowTooWide(f"window size must be at most {2 * longest - 1} for "
@@ -246,7 +245,7 @@ def mine_patterns(model, sentences, tau=0.5, window=3, only_correct=True,
 def export_hidden_states(model, sentences):
     """Final combined hidden vector per sentence, paired with the gold label."""
     sentences = list(sentences)
-    return [(s.label, cache.steps[-1, 2, 0].copy())
+    return [(s.label, cache.final.copy())
             for s, (_, cache) in zip(sentences, classify_many(model, sentences))]
 
 

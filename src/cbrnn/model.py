@@ -12,8 +12,10 @@ lockstep, one stacked gemv a step. ``forward_pass`` runs one sentence
 through it and is the training path and ``predict``'s; ``forward_many``
 runs a list of sentences through it, with a sentence axis, each
 sentence's results bit for bit its own ``forward_pass``'s. A sentence's
-``ForwardCache`` keeps its rows of the step array, and ``loss_gradients``
-runs the three chains back over them in lockstep.
+``ForwardCache`` keeps its rows of the step array and nothing else of the
+chains: its ``final`` is their last combined state, the one the scores come
+from, and ``loss_gradients`` runs the three chains back over the rows in
+lockstep.
 ``classify_many`` is the one batched labeller: it
 runs ``_BATCH`` sentences at a time through ``forward_many`` and takes one
 row-wise softmax per batch, and every caller that labels or reads many
@@ -276,37 +278,25 @@ class ForwardCache:
 
     ``steps``, (n + 1, 3, 1, hidden), are the rows ``_advance`` leaves:
     row t holds the forward state after t+1 words, the backward state after
-    t+1 steps and the combined state after t, so ``steps[-1, 2, 0]`` is the
-    final combined state. Row n's forward and backward slots are unread:
-    zero from ``forward_pass``, a shorter input's last step from
-    ``forward_many``. ``states`` lays the chains out as (3, n, hidden), and
-    ``h_fwd``, ``h_bwd`` and ``h_comb`` are its rows:
+    t+1 steps and the combined state after t. Row n's forward and backward
+    slots hold the last step's states, which nothing reads. ``final`` is
+    the final combined state, ``steps[-1, 2, 0]``, a view.
 
-    - ``h_fwd[t]``, the forward state after t+1 words;
-    - ``h_bwd[p]``, the suffix state for words p..n;
-    - ``h_comb[t]``, the combined state after t+1 steps.
-
-    ``states`` and ``probs``, the softmax of ``scores``, are computed on
-    first read and kept: scoring reads only ``scores`` and ``steps``.
-    (``functools.cached_property`` would take a lock on that read.)
+    ``probs``, the softmax of ``scores``, is computed on first read and
+    kept: scoring reads only ``scores``. (``functools.cached_property``
+    would take a lock on that read.)
     """
-    __slots__ = ("inputs", "steps", "scores", "_states", "_probs")
+    __slots__ = ("inputs", "steps", "scores", "_probs")
 
     def __init__(self, inputs, steps, scores):
         self.inputs = inputs      # (n, window*dim)
         self.steps = steps
         self.scores = scores      # (n_classes,)
-        self._states = self._probs = None
+        self._probs = None
 
     @property
-    def states(self):
-        if self._states is None:
-            self._states = _chains(self.steps, len(self.inputs))
-        return self._states
-
-    h_fwd = property(lambda self: self.states[0])
-    h_bwd = property(lambda self: self.states[1])
-    h_comb = property(lambda self: self.states[2])
+    def final(self):
+        return self.steps[-1, 2, 0]
 
     @property
     def probs(self):
@@ -380,42 +370,25 @@ def _recur(rows, rec, out):
         prev = np.tanh(row + prev.dot(rec), out=state)
 
 
-def _advance(steps, rec, out, last=False):
+def _advance(steps, rec, out):
     """Advance the three chains from row 0 of ``steps`` to its last row.
     Row t, (3, ..., 1, hidden), holds step t's inputs and then its states:
     the forward state after t+1 words, the backward state after t+1 steps
     and the combined state after t; row 0 holds its states on entry.
     ``rec`` is ``params.rec_all``, with an axis for the sentences where
     ``steps`` has one, and ``out``, shaped as a row, takes each step's
-    product. With ``last``, the last step is the combined chain's alone.
+    product.
 
     A step is one stacked ``np.matmul``, one gemv per chain and sentence as
     ``v.dot(rec)`` is, added to the step's inputs; one ``tanh``; and the
     forward + backward sum, written into the next row's combined input, so
-    that chain runs one step behind."""
-    for prev, now in zip(steps[:-2 if last else -1], steps[1:]):
+    that chain runs one step behind. Every step runs all three chains: the
+    last one's forward and backward states are not read."""
+    for prev, now in zip(steps[:-1], steps[1:]):
         # forward_pass's order: (forward + backward) + carried
         np.add(prev[0], prev[1], now[2])
         now += np.matmul(prev, rec, out)
         np.tanh(now, now)
-    if last:
-        prev, now = steps[-2], steps[-1, 2:]
-        np.add(prev[0], prev[1], now[0])
-        now += np.matmul(prev[2:], rec[2:], out[2:])
-        np.tanh(now, now)
-
-
-def _chains(steps, n):
-    """The states of one sentence of ``n`` words, rows 0 to n of ``steps``,
-    (rows, 3, 1, hidden) as ``_advance`` leaves them, copied into a new
-    array in ``ForwardCache.states``' (3, n, hidden) layout: row t of
-    ``h_bwd`` is the backward state after n - t steps, row t of ``h_comb``
-    the combined state after t + 1."""
-    out = np.empty((3, n, steps.shape[-1]))
-    out[0] = steps[:n, 0, 0]
-    out[1] = steps[n - 1::-1, 1, 0]
-    out[2] = steps[1:n + 1, 2, 0]
-    return out
 
 
 def forward_pass(params, x):
@@ -437,14 +410,13 @@ def forward_pass(params, x):
     # one row past the steps takes each step's product. The backward chain
     # reads the input's rows n-1 down to 0; the padded rows after them are
     # not the input's. Allocated as zeros: the combined chain's zero state,
-    # and row n's slots the last step leaves unwritten, which loss_gradients
-    # squares with the rest
+    # and the inputs of row n's unread forward and backward slots
     steps = np.zeros((n + 2, 3, 1, hidden))
     steps[:n, 0, 0] = proj_fwd[:n]
     steps[:n, 1, 0] = proj_bwd[n - 1::-1]
     first = steps[0, :2]
     np.tanh(first, first)
-    _advance(steps[:-1], params.rec_all, steps[-1], last=True)
+    _advance(steps[:-1], params.rec_all, steps[-1])
     return ForwardCache(x, steps[:-1], class_scores(params, steps[n, 2]))
 
 
@@ -460,16 +432,15 @@ _BATCH = 32
 def forward_many(params, xs):
     """``forward_pass`` of each input of the list ``xs``: one
     ``ForwardCache`` per input, in order, each field bit for bit the one
-    ``forward_pass(params, x)`` gives but for the unread slots of ``steps``.
+    ``forward_pass(params, x)`` gives.
 
     The inputs are sorted once, longest first. Each is zero-padded to whole
     blocks of ``_ROW_BLOCK`` rows and all of them are projected in one
     ``_project`` call, so that each row keeps its place in its block (see
     ``_checked_input``). Their steps are ``forward_pass``'s with a sentence
     axis, and ``_advance`` runs them once for each run of steps with the
-    same inputs still running. A shorter input's last step runs all three
-    chains, and the forward and backward states it makes are not read. Each
-    cache's ``steps`` is its input's column of the batch's step array.
+    same inputs still running. Each cache's ``steps`` is its input's
+    column of the batch's step array.
     """
     xs = [_as_input(params, x) for x in xs]
     if not xs:
@@ -511,12 +482,10 @@ def forward_many(params, xs):
     first = steps[0, :2]
     np.tanh(first, first)
     # the m inputs still running advance from step ``begin`` to the last
-    # step of the shortest of them. In the last run only the longest are
-    # left (m == k), and their last step is the combined chain's alone
+    # step of the shortest of them
     rec, begin, m = params.rec_all[:, None], 0, count
     for end, k in sorted(Counter(lengths).items()):
-        _advance(steps[begin:end + 1, :, :m], rec, steps[-1, :, :m],
-                 last=m == k)
+        _advance(steps[begin:end + 1, :, :m], rec, steps[-1, :, :m])
         begin, m = end, m - k
 
     scores = class_scores(params, steps[lengths, 2, range(count)])
@@ -586,7 +555,7 @@ def prefix_states(params, table, ids, window, lookahead=False, cache=None):
     """Score the prefixes of k = 1, 2, ..., n words of the sentence ``ids``,
     shortest first. After prefix k ends, yield the combined states, one
     (n, 1, hidden) array, the same each time, whose row k - 1 is then
-    ``forward_pass(params, x).h_comb[-1]`` bit for bit for the prefix's
+    ``forward_pass(params, x).final`` bit for bit for the prefix's
     input ``x = compose_ngram_inputs(ids[:k], table, window)``; with
     ``lookahead``, for ``x = full[:k]`` of the whole sentence's input
     ``full``, whose last windows read on past word k. A finished row is not
@@ -618,7 +587,7 @@ def prefix_states(params, table, ids, window, lookahead=False, cache=None):
     state = np.zeros((2, n, 1, params.hidden_size))
     comb = state[1]
     for k, cache in enumerate(_all_tail(params, table, ids, window, half)):
-        comb[k, 0] = cache.steps[-1, 2, 0]
+        comb[k, 0] = cache.final
         yield comb
     if n <= half:
         return
@@ -797,7 +766,7 @@ def _lockstep(params, tails, proj_bwd, chain, state, first=0, stop=None,
     prefixes' backward and combined state in its row. After each step that
     ends one of them, the prefix of ``depth + 1 + first + j`` words, yield:
     row j of ``state[1]`` is then that prefix's final combined state,
-    ``forward_pass(params, x).h_comb[-1]`` bit for bit; a finished row is
+    ``forward_pass(params, x).final`` bit for bit; a finished row is
     not written again. ``stop``, when given, is a ``threading.Event`` read
     before each step: once it is set, the part returns.
 
@@ -942,8 +911,8 @@ def loss_gradients(params, cache, y_plus, cfg, out=None):
     dA = np.empty(deriv.shape)
     d = np.empty((3, hidden, 1))
     rec = params.rec_all
-    # the top two steps: row n is the combined chain's alone, and row n - 1's
-    # forward and backward states take its dA as it is
+    # the top two steps: of row n only the combined state is read, and row
+    # n - 1's forward and backward states take its dA as it is
     np.multiply((params.out_w @ d_scores)[:, None], deriv[n, 2], dA[n, 2])
     np.matmul(rec[2], dA[n, 2], d[2])
     d[:2] = dA[n, 2]
@@ -959,13 +928,13 @@ def loss_gradients(params, cache, y_plus, cfg, out=None):
     dA = dA[..., 0].transpose(1, 0, 2).copy()
     states = steps[:, :, 0].transpose(1, 0, 2).copy()
     dA_fwd, dA_bwd, dA_comb = dA[0, :n], dA[1, n - 1::-1], dA[2, 1:]
-    h_fwd, h_bwd, h_comb = states[0, :n], states[1, n - 1::-1], states[2, 1:]
+    fwd, bwd, comb = states[0, :n], states[1, n - 1::-1], states[2, 1:]
     np.matmul(x.T, dA_fwd, out=grads.in_fwd)
     np.matmul(x.T, dA_bwd, out=grads.in_bwd)
-    np.matmul(h_fwd[:-1].T, dA_fwd[1:], out=grads.rec_fwd)
-    np.matmul(h_bwd[1:].T, dA_bwd[:-1], out=grads.rec_bwd)
-    np.matmul(h_comb[:-1].T, dA_comb[1:], out=grads.rec_comb)
-    np.multiply(h_comb[n - 1, :, None], d_scores, out=grads.out_w)
+    np.matmul(fwd[:-1].T, dA_fwd[1:], out=grads.rec_fwd)
+    np.matmul(bwd[1:].T, dA_bwd[:-1], out=grads.rec_bwd)
+    np.matmul(comb[:-1].T, dA_comb[1:], out=grads.rec_comb)
+    np.multiply(comb[n - 1, :, None], d_scores, out=grads.out_w)
     return loss, grads, dA_fwd @ params.in_fwd.T + dA_bwd @ params.in_bwd.T
 
 

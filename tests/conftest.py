@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -22,3 +23,16 @@ def synthetic_split():
 @pytest.fixture(scope="session")
 def trained_model(synthetic_split):
     return train(synthetic_split, TrainConfig(**REFERENCE_TRAIN_CFG))
+
+
+@pytest.fixture(scope="session")
+def chains():
+    """A function of a ``ForwardCache`` giving its states per chain, a new
+    (3, n, hidden) array of rows ``h_fwd``, ``h_bwd`` and ``h_comb``:
+    ``h_fwd[t]`` the forward state after t+1 words, ``h_bwd[p]`` the suffix
+    state for words p..n, ``h_comb[t]`` the combined state after t+1 steps.
+    The cache keeps them as the rows of its ``steps``."""
+    def per_chain(cache):
+        steps, n = cache.steps[:, :, 0], len(cache.inputs)
+        return np.stack([steps[:n, 0], steps[n - 1::-1, 1], steps[1:, 2]])
+    return per_chain

@@ -404,7 +404,7 @@ def _exit_code(argv):
       "--tau", "1.5"], "tau"),
     ({"unknown.tsv": f"zzz\t{SENTENCE}\n"},
      ["patterns", "--model", "{model}", "--data", "{tmp}/unknown.tsv",
-      "--ngram", "2"], "window"),
+      "--ngram", "2"], "error: --ngram: window size must be odd and positive, got 2\n"),
     ({}, ["lisa", "--model", "{model}", "--relation", "rel-00", "--sentence", "a"],
      "--sentence: marker <e1> missing"),
     ({"empty.tsv": ""}, ["eval", "--model", "{model}", "--data", "{tmp}/empty.tsv"],
@@ -436,6 +436,12 @@ def _exit_code(argv):
      "error: sentence id '999' not found in {test}\n"),
     ({}, ["train", "--synthetic", "4by50", "--out", "{tmp}/m.txt"],
      "error: --synthetic expects RELATIONSxSENTENCES, e.g. 4x50\n"),
+    # an empty relation is the flag's fault whichever way the sentence comes
+    ({}, ["lisa", "--model", "{model}", "--relation", "", "--sentence", SENTENCE],
+     "error: --relation: relation '' not in label set\n"),
+    ({}, ["lisa", "--model", "{model}", "--relation", "", "--data", "{test}",
+          "--id", "0"],
+     "error: --relation: relation '' not in label set\n"),
 ], ids=["config-bad-value", "config-bad-value-overridden", "config-unknown-key", "config-bad-switch",
         "config-missing", "config-out-of-range", "config-margins", "config-nan",
         "config-names-missing-file", "lr-nan", "m-plus-nan", "gamma-inf", "m-plus-inf",
@@ -452,7 +458,8 @@ def _exit_code(argv):
         "patterns-all-unknown-relation", "lisa-unknown-relation",
         "eval-unknown-labels-names-file", "synthetic-with-test",
         "config-synthetic-with-dev", "lisa-sentence-with-data",
-        "lisa-sentence-with-id", "lisa-id-not-in-data", "synthetic-malformed"])
+        "lisa-sentence-with-id", "lisa-id-not-in-data", "synthetic-malformed",
+        "lisa-empty-relation", "lisa-empty-relation-by-id"])
 def test_bad_input_exit_2(tmp_path, quick_model, capsys, files, argv, expected):
     for name, content in files.items():
         path = tmp_path / name

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from cbrnn import interpret, model
 from cbrnn.corpus import MARKERS, LabeledSentence
-from cbrnn.embeddings import compose_ngram_inputs
+from cbrnn.embeddings import EmbeddingTable, EvenWindow, compose_ngram_inputs
 from cbrnn.interpret import (
     FixedCurveModel,
     UnknownRelation,
     WindowTooWide,
+    check_pattern_settings,
     curve_to_csv,
     export_hidden_states,
     extract_pattern,
@@ -95,6 +96,18 @@ def test_extract_pattern_validates_tau_and_window():
         extract_pattern(model, s1_sentence(), "x", tau=0.0)
     with pytest.raises(ValueError):
         extract_pattern(model, s1_sentence(), "x", tau=0.5, window=2)
+
+
+@pytest.mark.parametrize("window", [-1, 0, 2, 4])
+def test_pattern_settings_refuse_a_window_as_composition_does(window):
+    """One check refuses a window that is not odd and positive, with one
+    message, for mining's settings and for composition."""
+    with pytest.raises(EvenWindow) as settings_error:
+        check_pattern_settings(0.5, window)
+    with pytest.raises(EvenWindow) as compose_error:
+        compose_ngram_inputs([1, 2], EmbeddingTable(np.zeros((3, 2))), window)
+    assert str(settings_error.value) == str(compose_error.value) == \
+        f"window size must be odd and positive, got {window}"
 
 
 def test_mine_patterns_bounds_the_window_by_the_longest_sentence():
@@ -364,13 +377,16 @@ def test_mining_composes_each_sentence_once(trained_model, synthetic_split,
 
 
 def test_export_rows_and_definitional_equality(trained_model, synthetic_split):
+    """Each row is the sentence's gold label and its own copy of the
+    ``final`` state of the sentence's ``forward_pass``, bit for bit."""
     sentences = synthetic_split.test[:5]
     rows = export_hidden_states(trained_model, sentences)
-    assert len(rows) == len(sentences)
-    s = sentences[0]
-    cache = forward_pass(trained_model.params, inputs_of(trained_model, s.tokens))
-    assert np.array_equal(rows[0][1], cache.h_comb[-1])
-    assert rows[0][0] == s.label
+    assert [label for label, _ in rows] == [s.label for s in sentences]
+    for s, (_, hidden) in zip(sentences, rows):
+        cache = forward_pass(trained_model.params,
+                             inputs_of(trained_model, s.tokens))
+        assert hidden.tobytes() == cache.final.tobytes()
+        assert hidden.flags.owndata
 
 
 def test_export_class_separation(trained_model, synthetic_split):

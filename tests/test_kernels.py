@@ -96,8 +96,11 @@ def reference_scatter(d_inputs, ids, window, vocab_size, dim):
     return grads
 
 
-def reference_loss_gradients(params, cache, y_plus, cfg):
+def reference_loss_gradients(params, cache, states, y_plus, cfg):
+    """The gradients of ``cache``, whose per-chain states are ``states``,
+    by one loop per chain with an outer product per step."""
     x = cache.inputs
+    h_fwd, h_bwd, h_comb = states
     n = x.shape[0]
     hidden = params.hidden_size
 
@@ -117,7 +120,7 @@ def reference_loss_gradients(params, cache, y_plus, cfg):
         rec_fwd=np.zeros_like(params.rec_fwd),
         rec_bwd=np.zeros_like(params.rec_bwd),
         rec_comb=np.zeros_like(params.rec_comb),
-        out_w=np.outer(cache.h_comb[n - 1], d_scores),
+        out_w=np.outer(h_comb[n - 1], d_scores),
         out_b=d_scores.copy(),
     )
     d_inputs = np.zeros_like(x)
@@ -127,26 +130,26 @@ def reference_loss_gradients(params, cache, y_plus, cfg):
     d_h_comb[n - 1] = params.out_w @ d_scores
 
     for t in range(n - 1, -1, -1):
-        da = d_h_comb[t] * (1.0 - cache.h_comb[t] ** 2)
+        da = d_h_comb[t] * (1.0 - h_comb[t] ** 2)
         if t > 0:
-            g.rec_comb += np.outer(cache.h_comb[t - 1], da)
+            g.rec_comb += np.outer(h_comb[t - 1], da)
             d_h_comb[t - 1] += params.rec_comb @ da
         d_h_fwd[t] += da
         d_h_bwd[n - 1 - t] += da
 
     for t in range(n - 1, -1, -1):
-        da = d_h_fwd[t] * (1.0 - cache.h_fwd[t] ** 2)
+        da = d_h_fwd[t] * (1.0 - h_fwd[t] ** 2)
         g.in_fwd += np.outer(x[t], da)
         if t > 0:
-            g.rec_fwd += np.outer(cache.h_fwd[t - 1], da)
+            g.rec_fwd += np.outer(h_fwd[t - 1], da)
             d_h_fwd[t - 1] += params.rec_fwd @ da
         d_inputs[t] += params.in_fwd @ da
 
     for p in range(n):
-        da = d_h_bwd[p] * (1.0 - cache.h_bwd[p] ** 2)
+        da = d_h_bwd[p] * (1.0 - h_bwd[p] ** 2)
         g.in_bwd += np.outer(x[p], da)
         if p < n - 1:
-            g.rec_bwd += np.outer(cache.h_bwd[p + 1], da)
+            g.rec_bwd += np.outer(h_bwd[p + 1], da)
             d_h_bwd[p + 1] += params.rec_bwd @ da
         d_inputs[p] += params.in_bwd @ da
     return g, d_inputs
@@ -200,7 +203,7 @@ def test_sparse_scatter_equals_dense_rows(ids, window, dim, seed):
 @given(n=st.integers(1, 7), window=windows, dim=st.integers(1, 3),
        hidden=st.integers(1, 6), n_classes=st.integers(2, 4), seed=seeds)
 @example(n=1, window=1, dim=1, hidden=1, n_classes=2, seed=0)
-def test_loss_gradients_match_per_step_bptt(n, window, dim, hidden,
+def test_loss_gradients_match_per_step_bptt(chains, n, window, dim, hidden,
                                             n_classes, seed):
     rng = np.random.default_rng(seed)
     params = init_params(window * dim, hidden, n_classes, rng)
@@ -208,8 +211,8 @@ def test_loss_gradients_match_per_step_bptt(n, window, dim, hidden,
     y_plus = int(rng.integers(n_classes))
     cache = forward_pass(params, x)
     loss, grads, d_inputs = loss_gradients(params, cache, y_plus, LossConfig())
-    ref, ref_d_inputs = reference_loss_gradients(params, cache, y_plus,
-                                                 LossConfig())
+    ref, ref_d_inputs = reference_loss_gradients(params, cache, chains(cache),
+                                                 y_plus, LossConfig())
     assert loss == ranking_loss(cache.scores, y_plus, LossConfig())[0]
     fast = {**grads.arrays(), "d_inputs": d_inputs}
     for name, want in {**ref.arrays(), "d_inputs": ref_d_inputs}.items():
@@ -225,8 +228,8 @@ def test_loss_gradients_match_per_step_bptt(n, window, dim, hidden,
        hidden=st.integers(1, 6), n_classes=st.integers(2, 4),
        scale=st.sampled_from([1.0, 30.0, 3000.0]), seed=seeds)
 @example(n=1, window=1, dim=1, hidden=1, n_classes=2, scale=3000.0, seed=0)
-def test_loss_gradients_into_a_given_buffer(n, window, dim, hidden, n_classes,
-                                            scale, seed):
+def test_loss_gradients_into_a_given_buffer(chains, n, window, dim, hidden,
+                                            n_classes, scale, seed):
     """Gradients written into a container full of nan are those of a fresh
     call, and those of the step with the combined chain seeded through a
     zero (n, hidden) array, bit for bit. Weights x30 drive the states
@@ -245,7 +248,8 @@ def test_loss_gradients_into_a_given_buffer(n, window, dim, hidden, n_classes,
     assert got[0] == loss and got[1] is out
     assert out.buffer.tobytes() == fresh.buffer.tobytes()
     assert got[2].tobytes() == d_inputs.tobytes()
-    want, want_d_inputs = reference_weight_grads(params.arrays(), cache, y_plus,
+    want, want_d_inputs = reference_weight_grads(params.arrays(), cache,
+                                                 chains(cache), y_plus,
                                                  LossConfig())
     for name, array in out.arrays().items():
         assert array.tobytes() == want[name].tobytes(), name
@@ -271,8 +275,8 @@ def test_loss_gradients_of_forward_many_caches(hidden, window, dim, n_classes,
     """Loss, weight gradients and ``d_inputs`` from each ``forward_many``
     cache have the bytes of the same call on the input's ``forward_pass``
     cache. A batch's cache holds a strided column of the batch's step
-    array, and row n of a shorter input's holds the forward and backward
-    states of its unread last step, where ``forward_pass`` leaves zeros."""
+    array, whose row n holds the forward and backward states of the input's
+    last step, which nothing reads, as ``forward_pass``'s does."""
     rng = np.random.default_rng(seed)
     params = scaled_params(window * dim, hidden, n_classes, scale, rng)
     xs = [rng.uniform(-1.0, 1.0, size=(n, window * dim)) for n in lengths]
@@ -409,10 +413,12 @@ def reference_bptt(rec, h, d_ext):
     return dA
 
 
-def reference_weight_grads(p, cache, y_plus, cfg):
-    """``loss_gradients`` with every weight gradient its own new array and
-    the combined chain's gradient seeded through a zero (n, hidden) array."""
+def reference_weight_grads(p, cache, states, y_plus, cfg):
+    """``loss_gradients`` of ``cache``, whose per-chain states are
+    ``states``, with every weight gradient its own new array and the
+    combined chain's gradient seeded through a zero (n, hidden) array."""
     x = cache.inputs
+    h_fwd, h_bwd, h_comb = states
     n = len(x)
     _, c_minus = ranking_loss(cache.scores, y_plus, cfg)
     d_scores = np.zeros(len(p["out_b"]))
@@ -420,27 +426,28 @@ def reference_weight_grads(p, cache, y_plus, cfg):
         cfg.gamma * (cfg.m_plus - cache.scores[y_plus]))
     d_scores[c_minus] += cfg.gamma * model._sigmoid(
         cfg.gamma * (cfg.m_minus + cache.scores[c_minus]))
-    d_top = np.zeros(cache.h_comb.shape)
+    d_top = np.zeros(h_comb.shape)
     d_top[n - 1] = p["out_w"] @ d_scores
-    dA_comb = reference_bptt(p["rec_comb"], cache.h_comb, d_top)
-    dA_fwd = reference_bptt(p["rec_fwd"], cache.h_fwd, dA_comb)
-    dA_bwd = reference_bptt(p["rec_bwd"], cache.h_bwd[::-1], dA_comb)[::-1]
+    dA_comb = reference_bptt(p["rec_comb"], h_comb, d_top)
+    dA_fwd = reference_bptt(p["rec_fwd"], h_fwd, dA_comb)
+    dA_bwd = reference_bptt(p["rec_bwd"], h_bwd[::-1], dA_comb)[::-1]
     grads = {
         "in_fwd": x.T @ dA_fwd,
         "in_bwd": x.T @ dA_bwd,
-        "rec_fwd": cache.h_fwd[:-1].T @ dA_fwd[1:],
-        "rec_bwd": cache.h_bwd[1:].T @ dA_bwd[:-1],
-        "rec_comb": cache.h_comb[:-1].T @ dA_comb[1:],
-        "out_w": np.outer(cache.h_comb[n - 1], d_scores),
+        "rec_fwd": h_fwd[:-1].T @ dA_fwd[1:],
+        "rec_bwd": h_bwd[1:].T @ dA_bwd[:-1],
+        "rec_comb": h_comb[:-1].T @ dA_comb[1:],
+        "out_w": np.outer(h_comb[n - 1], d_scores),
         "out_b": d_scores.copy(),
     }
     return grads, dA_fwd @ p["in_fwd"].T + dA_bwd @ p["in_bwd"].T
 
 
-def reference_train(split, cfg, loss_cfg, pretrained=None):
+def reference_train(split, cfg, loss_cfg, chains, pretrained=None):
     """``train`` over separate weight arrays, each updated on its own, with
-    every step composing and scattering through the loop references.
-    Returns the model and the number of steps that clipped."""
+    every step composing and scattering through the loop references;
+    ``chains`` is the fixture's. Returns the model and the number of steps
+    that clipped."""
     vocab = build_vocabulary(split.train, min_count=cfg.min_count)
     rng = np.random.default_rng(cfg.seed)
     table = init_random(vocab, cfg.embed_dim, cfg.seed)
@@ -480,7 +487,8 @@ def reference_train(split, cfg, loss_cfg, pretrained=None):
             x = reference_compose(ids, table.matrix, cfg.window)
             cache = forward_pass(loose(p), x)
             total += ranking_loss(cache.scores, y, loss_cfg)[0]
-            grads, d_inputs = reference_weight_grads(p, cache, y, loss_cfg)
+            grads, d_inputs = reference_weight_grads(p, cache, chains(cache),
+                                                     y, loss_cfg)
             rows = np.array(sorted(set(ids) - {PAD_ID}), dtype=np.intp)
             row_grads = reference_scatter(d_inputs, ids, cfg.window, vocab.size,
                                           cfg.embed_dim)[rows]
@@ -506,7 +514,8 @@ def reference_train(split, cfg, loss_cfg, pretrained=None):
 @pytest.mark.parametrize("window", [1, 3, 5])
 @pytest.mark.parametrize("clip_norm", [1e-3, 5.0])
 @pytest.mark.parametrize("pretrained", [False, True])
-def test_train_bit_equal_to_per_array_loop(tmp_path, window, clip_norm, pretrained):
+def test_train_bit_equal_to_per_array_loop(tmp_path, chains, window, clip_norm,
+                                           pretrained):
     """The one-buffer update and the per-sentence windows write the model
     file the per-array loop writes, byte for byte; a clip norm of 1e-3
     clips every step."""
@@ -521,7 +530,7 @@ def test_train_bit_equal_to_per_array_loop(tmp_path, window, clip_norm, pretrain
         vectors.write_text("".join(
             f"{w} {' '.join(f'{v:.17g}' for v in rng.uniform(-0.5, 0.5, 3))}\n"
             for w in words))
-    want, clipped = reference_train(split, cfg, LossConfig(), vectors)
+    want, clipped = reference_train(split, cfg, LossConfig(), chains, vectors)
     if clip_norm == 1e-3:
         assert clipped == cfg.epochs * len(split.train)
     got = train(split, cfg, LossConfig(), pretrained=vectors)
@@ -706,8 +715,8 @@ def reference_forward(params, x):
 # saturated states, a word whose projection is +0.0 between others
 @example(ids=[2, 4, 2, 1], window=1, dim=3, hidden=3, n_classes=2,
          scale=3000.0, zero_word=4, seed=1)
-def test_forward_pass_bit_equal_to_per_chain_loops(ids, window, dim, hidden,
-                                                   n_classes, scale,
+def test_forward_pass_bit_equal_to_per_chain_loops(chains, ids, window, dim,
+                                                   hidden, n_classes, scale,
                                                    zero_word, seed):
     """The lockstep chains are bit for bit their own loops, the backward
     one over the input's rows only, not the zero rows that pad it to whole
@@ -723,7 +732,8 @@ def test_forward_pass_bit_equal_to_per_chain_loops(ids, window, dim, hidden,
     x = compose_ngram_inputs(ids, table, window)
     states, scores = reference_forward(params, x)
     cache = forward_pass(params, x)
-    assert cache.states.tobytes() == states.tobytes()
+    assert chains(cache).tobytes() == states.tobytes()
+    assert cache.final.tobytes() == states[2, -1].tobytes()
     assert cache.scores.tobytes() == scores.tobytes()
 
 
@@ -1211,14 +1221,13 @@ def test_stacked_matmul_rows_equal_vector_dot(hidden, rows, live, classes,
         assert np.array_equal(class_scores(out, states[0, j]), want)
 
 
-FORWARD_FIELDS = ("inputs", "states", "h_fwd", "h_bwd", "h_comb", "scores",
-                  "probs")
+FORWARD_FIELDS = ("inputs", "steps", "final", "scores", "probs")
 
 
-def assert_forward_many_bit_equal(params, xs):
+def assert_forward_many_bit_equal(params, xs, chains):
     """Each cache of ``forward_many`` against its own ``forward_pass``, and
-    its states and scores against the per-chain loops: the two share their
-    step loop, the loops share nothing with it."""
+    its states, ``final`` and scores against the per-chain loops: the two
+    share their step loop, the loops share nothing with it."""
     caches = forward_many(params, xs)
     assert len(caches) == len(xs)
     for i, (x, cache) in enumerate(zip(xs, caches)):
@@ -1227,7 +1236,8 @@ def assert_forward_many_bit_equal(params, xs):
             assert getattr(cache, name).tobytes() == \
                 getattr(want, name).tobytes(), (i, name)
         states, scores = reference_forward(params, x)
-        assert cache.states.tobytes() == states.tobytes(), i
+        assert chains(cache).tobytes() == states.tobytes(), i
+        assert cache.final.tobytes() == states[2, -1].tobytes(), i
         assert cache.scores.tobytes() == scores.tobytes(), i
 
 
@@ -1264,13 +1274,12 @@ def assert_forward_many_bit_equal(params, xs):
          count=9, longest=15, tied=3, seed=0)
 @example(hidden=8, window=5, dim=2, n_classes=3, scale=30.0, zero_word=None,
          count=6, longest=60, tied=1, seed=0)
-def test_forward_many_bit_equal_to_forward_pass(hidden, window, dim, n_classes,
-                                                scale, zero_word, count,
-                                                longest, tied, seed):
+def test_forward_many_bit_equal_to_forward_pass(chains, hidden, window, dim,
+                                                n_classes, scale, zero_word,
+                                                count, longest, tied, seed):
     """``count`` sentences (1 to 64) in a random order: ``tied`` of them of
     ``longest`` words (1 to 70), the others shorter, so that ``_advance``
-    runs from one input's last step to the next and the longest inputs'
-    last step is the combined chain's alone. Each input's every field
+    runs from one input's last step to the next. Each input's every field
     against its own ``forward_pass``, and its states and scores against
     the per-chain loops. ``zero_word`` is a word whose table row is zero;
     scale 3000 saturates the states."""
@@ -1288,7 +1297,7 @@ def test_forward_many_bit_equal_to_forward_pass(hidden, window, dim, n_classes,
     xs = [compose_ngram_inputs(list(rng.integers(1, VOCAB, size=n)), table,
                                window)
           for n in lengths]
-    assert_forward_many_bit_equal(params, xs)
+    assert_forward_many_bit_equal(params, xs, chains)
 
 
 def test_forward_many_of_no_input_and_of_a_bad_one():
@@ -1302,37 +1311,21 @@ def test_forward_many_of_no_input_and_of_a_bad_one():
             forward_many(params, [good, bad])
 
 
-def test_scoring_never_lays_out_the_chains(trained_model, synthetic_split,
-                                          monkeypatch):
-    """``predict``, ``classify_many`` and ``evaluate``, mining with the
-    sentences' caches, curves and hidden export read a cache's scores and
-    ``steps`` only; reading ``states`` lays the three chains out once, and
-    ``h_fwd``, ``h_bwd`` and ``h_comb`` are its rows."""
-    laid_out = []
-
-    def spy(steps, n):
-        laid_out.append(n)
-        return chains(steps, n)
-
-    chains = model._chains
-    monkeypatch.setattr(model, "_chains", spy)
-    sentences = synthetic_split.test[:40]
-    predict(trained_model, sentences[0])
-    caches = [cache for _, cache in model.classify_many(trained_model,
-                                                        sentences)]
-    evaluate(trained_model, sentences)
-    assert interpret.mine_patterns(trained_model, sentences).entries
-    interpret.prefix_curve(trained_model, sentences[0], sentences[0].label)
-    interpret.export_hidden_states(trained_model, sentences)
-    assert laid_out == []
-
-    for cache in (caches[0], forward_pass(trained_model.params,
-                                          caches[0].inputs)):
-        states = cache.states
-        assert cache.states is states
-        for name, row in zip(("h_fwd", "h_bwd", "h_comb"), states):
-            assert getattr(cache, name).tobytes() == row.tobytes(), name
-    assert laid_out == [len(caches[0].inputs)] * 2
+def test_final_is_the_last_combined_state(trained_model, synthetic_split,
+                                          chains):
+    """A cache's ``final``, from ``classify_many`` (so ``forward_many``) and
+    from ``forward_pass``, is a view of its ``steps``: the last row of its
+    combined chain and of the per-chain loops', and the state its scores
+    come from."""
+    params = trained_model.params
+    for _, cache in model.classify_many(trained_model, synthetic_split.test[:40]):
+        states, _ = reference_forward(params, cache.inputs)
+        for c in (cache, forward_pass(params, cache.inputs)):
+            assert np.shares_memory(c.final, c.steps)
+            assert c.final.tobytes() == chains(c)[2, -1].tobytes()
+            assert c.final.tobytes() == states[2, -1].tobytes()
+            assert class_scores(params, c.final[None]).tobytes() == \
+                c.scores.tobytes()
 
 
 def test_batched_callers_equal_a_forward_pass_each(trained_model,

@@ -56,21 +56,23 @@ def zero_grads(params):
 # forward pass
 
 
-def test_zero_weights_give_uniform_probs():
+def test_zero_weights_give_uniform_probs(chains):
     p = small_params()
     for a in p.arrays().values():
         a[...] = 0.0
     cache = forward_pass(p, np.ones((4, 6)))
-    assert np.all(cache.h_comb == 0.0)
+    assert np.all(chains(cache)[2] == 0.0)
     assert np.allclose(cache.probs, 1.0 / 3.0)
 
 
-def test_single_step_has_no_combined_recurrence():
+def test_single_step_has_no_combined_recurrence(chains):
     p = small_params()
     x = np.random.default_rng(1).normal(size=(1, 6))
     cache = forward_pass(p, x)
-    expected = np.tanh(cache.h_fwd[0] + cache.h_bwd[0])
-    assert np.array_equal(cache.h_comb[0], expected)
+    h_fwd, h_bwd, h_comb = chains(cache)
+    expected = np.tanh(h_fwd[0] + h_bwd[0])
+    assert np.array_equal(h_comb[0], expected)
+    assert np.array_equal(cache.final, expected)
 
 
 def test_forward_matches_scalar_recurrence():
@@ -112,7 +114,7 @@ def test_forward_matches_scalar_recurrence():
         c2[0] * -1.0 + c2[1] * 0.25 - 0.2,
     ]
     cache = forward_pass(p, x)
-    assert np.allclose(cache.h_comb[1], c2, atol=1e-12, rtol=0)
+    assert np.allclose(cache.final, c2, atol=1e-12, rtol=0)
     assert np.allclose(cache.scores, scores, atol=1e-12, rtol=0)
 
 
@@ -124,14 +126,15 @@ def test_forward_shape_mismatch():
         forward_pass(p, np.ones((0, 6)))
 
 
-def test_forward_ignores_input_memory_layout():
+def test_forward_ignores_input_memory_layout(chains):
     """Equal values give bit-equal outputs whatever the memory layout; the
     input projections are matrix products, whose rounding can depend on it."""
     p = init_params(150, 100, 19, np.random.default_rng(0))
     x = np.random.default_rng(1).uniform(-0.1, 0.1, size=(40, 150))
     a = forward_pass(p, x)
     b = forward_pass(p, np.asfortranarray(x))
-    for name in ("h_fwd", "h_bwd", "h_comb", "scores", "probs"):
+    assert np.array_equal(chains(a), chains(b))
+    for name in ("steps", "final", "scores", "probs"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
